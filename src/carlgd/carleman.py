@@ -16,14 +16,16 @@ subdiagonal and b = (y(0), 0, ..., 0); forward substitution on L is
 exactly the iteration y <- S y.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import svdvals
 
-from .errors import (CapacityError, DegenerateStateError, DivergenceError,
-                     InputError, SingularSystemError)
+from .errors import (CapacityError, ConvergenceError, DegenerateStateError,
+                     DivergenceError, InputError, SingularSystemError)
 from .util import kron_power
 
 
@@ -177,6 +179,11 @@ class GlobalSystem:
     y0: np.ndarray
     _L: sp.csr_matrix = field(default=None, repr=False)
 
+    @cached_property
+    def St(self):
+        """S^T in CSR form, for back substitution and L^T products."""
+        return self.S.T.tocsr()
+
     def matrix(self):
         if self._L is None:
             shift = sp.csr_matrix(
@@ -209,9 +216,8 @@ class GlobalSystem:
         W = w.reshape(self.T + 1, self.D)
         U = np.empty_like(W)
         U[self.T] = W[self.T]
-        St = self.S.T.tocsr()
         for t in range(self.T - 1, -1, -1):
-            U[t] = W[t] + St @ U[t + 1]
+            U[t] = W[t] + self.St @ U[t + 1]
         return U.reshape(-1)
 
     def export_coo(self, path):
@@ -281,10 +287,17 @@ def readout(y, theta_star, shots=None, seed=None, has_constant=True):
         return ReadoutResult(params=exact, l2_error=0.0, linf_error=0.0)
     if shots <= 0:
         raise InputError("shots must be a positive integer")
-    nrm = np.linalg.norm(y)
-    if nrm == 0:
+    if not np.all(np.isfinite(y)):
+        raise DegenerateStateError("cannot sample from a non-finite state")
+    scale = np.max(np.abs(y))
+    if scale == 0:
         raise DegenerateStateError("cannot sample from a zero-norm state")
-    p = (y / nrm) ** 2
+    z = y / scale  # entries in [-1, 1], so the squares cannot overflow
+    with np.errstate(over="ignore"):
+        nrm = scale * np.linalg.norm(z)
+    if not np.isfinite(nrm):
+        raise DegenerateStateError("cannot sample: the state norm overflows")
+    p = z ** 2
     p = p / p.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, p)
@@ -292,61 +305,54 @@ def readout(y, theta_star, shots=None, seed=None, has_constant=True):
     est_block = np.sign(block) * amp
     err = est_block - block
     return ReadoutResult(params=theta_star + est_block,
-                         l2_error=float(np.linalg.norm(err)),
+                         l2_error=math.hypot(*err),  # scaled: no overflow
                          linf_error=float(np.max(np.abs(err))) if n else 0.0,
                          shots=shots)
 
 
-def _power_sigma_max(G, seed, tol, max_iter):
-    rng = np.random.default_rng(seed)
-    dim = (G.T + 1) * G.D
-    L = G.matrix()
-    Lt = L.T.tocsr()
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iter):
-        u = Lt @ (L @ v)
-        new = float(v @ u)
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            return 0.0
-        v = u / nu
-        if est > 0 and abs(new - est) <= tol * new:
-            est = new
-            break
-        est = new
-    return np.sqrt(est)
+class _NonFinite(Exception):
+    """An operator application produced a non-finite vector."""
 
 
-def _power_sigma_min(G, seed, tol, max_iter):
-    rng = np.random.default_rng(seed + 1)
-    dim = (G.T + 1) * G.D
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iter):
-        u = G.solve_lower_t(G.solve_lower(v))
+def _lanczos_top(apply, dim, seed, tol, max_iter):
+    """Largest eigenvalue of a symmetric positive definite operator by
+    ARPACK Lanczos from a seeded start vector; inf when `apply` overflows."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    def matvec(v):
+        u = apply(v.ravel())
         if not np.all(np.isfinite(u)):
-            return 0.0  # inverse blows up: numerically singular
-        new = float(v @ u)
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            return 0.0
-        v = u / nu
-        if est > 0 and abs(new - est) <= tol * new:
-            est = new
-            break
-        est = new
-    return 1.0 / np.sqrt(est)
+            raise _NonFinite
+        return u
+
+    v0 = np.random.default_rng(seed).standard_normal(dim)
+    op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
+    try:
+        lam = eigsh(op, k=1, which="LA", v0=v0, tol=tol, maxiter=max_iter,
+                    return_eigenvectors=False)
+    except _NonFinite:
+        return np.inf
+    except ArpackNoConvergence:
+        raise ConvergenceError(
+            f"Lanczos did not converge in {max_iter} restarts "
+            f"(dimension {dim}, tol {tol:g})") from None
+    return float(lam[0])
 
 
 def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
                      tol=1e-12, max_iter=20000):
     """kappa = sigma_max / sigma_min of the global matrix L.
 
-    `dense_svd` is allowed up to (T+1)*D <= dense_limit; `power_iteration`
-    works at any size using matvecs and bidiagonal solves only.
+    `dense_svd` is allowed up to (T+1)*D <= dense_limit. `power_iteration`
+    works at any size without assembling L: it runs Lanczos (ARPACK) for
+    sigma_max^2 = lambda_max(L^T L), applied blockwise from S, and for
+    1/sigma_min^2 = lambda_max((L L^T)^-1), applied by forward and back
+    substitution, from start vectors seeded by `seed` and `seed + 1`.
+
+    Raises SingularSystemError when sigma_min < 1e-14 * sigma_max (or the
+    inverse overflows), ConvergenceError when Lanczos does not converge to
+    `tol` within `max_iter` restarts, and InputError for an unknown method
+    or a dense SVD over `dense_limit`.
     """
     dim = (G.T + 1) * G.D
     if method == "dense_svd":
@@ -358,8 +364,23 @@ def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
         sig = svdvals(G.matrix().toarray())
         smax, smin = float(sig[0]), float(sig[-1])
     elif method == "power_iteration":
-        smax = _power_sigma_max(G, seed, tol, max_iter)
-        smin = _power_sigma_min(G, seed, tol, max_iter)
+        if G.T == 0:
+            return 1.0  # L is the identity
+        shape = (G.T + 1, G.D)
+
+        def gram(v):  # L^T L v, with L = I - (shift (x) S)
+            Z = v.reshape(shape)
+            W = Z.copy()
+            W[1:] -= (G.S @ Z[:-1].T).T  # W = L z
+            W[:-1] -= (G.St @ W[1:].T).T  # W = L^T W (rhs is a new array)
+            return W.reshape(-1)
+
+        def inverse_gram(v):  # (L L^T)^-1 v
+            return G.solve_lower_t(G.solve_lower(v))
+
+        smax = np.sqrt(_lanczos_top(gram, dim, seed, tol, max_iter))
+        smin = 1.0 / np.sqrt(_lanczos_top(inverse_gram, dim, seed + 1, tol,
+                                          max_iter))
     else:
         raise InputError(f"unknown method {method!r}")
     if smin < 1e-14 * smax:

@@ -5,7 +5,7 @@ report. Every run writes its CSV artifacts plus a manifest.json echoing the
 fully resolved config, the seed, versions and wall-clock time; re-running a
 manifest reproduces the CSVs bitwise in deterministic (full-batch) mode.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numeric divergence,
+Exit codes: 0 success, 1 validation/usage error, 2 numeric failure,
 3 capacity error.
 """
 
@@ -20,9 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__, carleman, config, diagnostics, models, pipeline, polyfield
-from .errors import (CapacityError, DegenerateStateError, DivergenceError,
-                     InputError, NumericOverflowError, ParseError,
-                     SingularSystemError)
+from .errors import CapacityError, InputError, NumericError, ParseError
 from .util import fmt17, sub_seed
 
 
@@ -96,12 +94,18 @@ def _params_from_csv(path):
     values, mask = [], []
     with open(path) as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty params file")
         has_mask = "mask" in header
         for row in reader:
-            values.append(float(row[1]))
-            if has_mask:
-                mask.append(bool(int(row[2])))
+            try:
+                values.append(float(row[1]))
+                if has_mask:
+                    mask.append(bool(int(row[2])))
+            except (ValueError, IndexError):
+                raise ParseError(f"{path}, line {reader.line_num}: "
+                                 f"malformed params row {row!r}") from None
     values = np.array(values)
     if has_mask:
         return models.ParamVector(values, mask=np.array(mask))
@@ -475,11 +479,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InputError, ParseError) as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DivergenceError, NumericOverflowError, SingularSystemError,
-            DegenerateStateError) as e:
+    except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
     except CapacityError as e:

@@ -1,7 +1,8 @@
 """Error taxonomy shared across the package.
 
 The CLI maps these onto exit codes: input/validation errors -> 1,
-numeric failures (divergence, overflow, singular systems) -> 2,
+numeric failures (divergence, overflow, singular systems,
+non-convergence) -> 2,
 capacity errors -> 3.
 """
 
@@ -50,8 +51,13 @@ class SingularSystemError(NumericError):
         self.sigma_min = sigma_min
 
 
+class ConvergenceError(NumericError):
+    """An iterative eigensolver reached its iteration cap unconverged."""
+
+
 class DegenerateStateError(NumericError):
-    """Readout was asked to sample from a zero-norm state."""
+    """Readout was asked to sample from a state whose norm is zero,
+    overflows or is not finite."""
 
 
 class CapacityError(RuntimeError):

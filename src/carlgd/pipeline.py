@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import carleman, models, polyfield
-from .errors import InputError, NumericOverflowError, SingularSystemError
+from .errors import (InputError, NumericError, NumericOverflowError,
+                     SingularSystemError)
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,7 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
                                     segment=seg, phase="carleman"))
             theta = th
         if done > 0 and first_err != 0.0:
-            raise AssertionError(
+            raise NumericError(
                 f"error did not reset at segment {seg} start: {first_err}")
         if done < R:
             diverged_at = steps_done + done + 1

@@ -5,7 +5,8 @@ import scipy.sparse as sp
 import carlgd
 from carlgd import polyfield
 from carlgd.errors import (CapacityError, DegenerateStateError,
-                           DivergenceError, InputError, SingularSystemError)
+                           DivergenceError, InputError, NumericError,
+                           SingularSystemError)
 
 
 def scalar_field(a, b, anchor=0.0):
@@ -304,6 +305,21 @@ def test_readout_sign_recovery():
     assert res.params[0] < 0 < res.params[1]
 
 
+def test_readout_samples_state_whose_norm_overflows_unscaled():
+    y = np.array([1.0, 1e200, 1e200])
+    res = carlgd.readout(y, np.zeros(2), shots=10 ** 4, seed=0)
+    assert np.all(np.isfinite(res.params))
+    np.testing.assert_allclose(res.params, [1e200, 1e200], rtol=0.05)
+    assert np.isfinite(res.l2_error) and res.l2_error < 0.05 * 1e200
+
+
+@pytest.mark.parametrize("y", [[1.5e308, 1.5e308, 1.5e308],
+                               [1.0, np.inf, 0.0], [1.0, np.nan, 0.0]])
+def test_readout_overflowing_or_nonfinite_state_rejected(y):
+    with pytest.raises(DegenerateStateError):
+        carlgd.readout(np.array(y), np.zeros(2), shots=100, seed=0)
+
+
 # --------------------------------------------------------- condition number
 
 def test_condition_number_identity_at_t_zero():
@@ -311,6 +327,7 @@ def test_condition_number_identity_at_t_zero():
     M = carlgd.embed(fld, 1)
     G = carlgd.build_global(M, M.initial_state(np.array([1.0])), 0)
     assert carlgd.condition_number(G, "dense_svd") == pytest.approx(1.0)
+    assert carlgd.condition_number(G, "power_iteration") == 1.0
 
 
 def kappa_series(a, Ts, method="dense_svd"):
@@ -350,6 +367,36 @@ def test_power_iteration_matches_dense_svd():
     kd = carlgd.condition_number(G, "dense_svd")
     kp = carlgd.condition_number(G, "power_iteration")
     assert abs(kp - kd) <= 0.05 * kd
+
+
+def lanczos_cases():
+    for a, T in ((-0.5, 12), (-0.2, 25), (0.0, 20)):
+        M = carlgd.embed(scalar_field(a, 0.0), 1)
+        yield carlgd.build_global(M, M.initial_state(np.array([1.0])), T)
+    M = carlgd.embed(random_field(3, 2, seed=6, density=0.3), 2,
+                     include_constant=True)
+    yield carlgd.build_global(M, M.initial_state(np.zeros(3)), 8)
+
+
+def test_lanczos_kappa_matches_dense_svd_tightly():
+    for G in lanczos_cases():
+        kd = carlgd.condition_number(G, "dense_svd")
+        kp = carlgd.condition_number(G, "power_iteration")
+        assert abs(kp - kd) <= 1e-8 * kd
+
+
+def test_lanczos_kappa_bitwise_repeatable():
+    for G in lanczos_cases():
+        runs = {carlgd.condition_number(G, "power_iteration", seed=5)
+                for _ in range(3)}
+        assert len(runs) == 1
+
+
+def test_lanczos_kappa_iteration_cap_raises():
+    M = carlgd.embed(scalar_field(0.0, 0.0), 1)
+    G = carlgd.build_global(M, M.initial_state(np.array([1.0])), 200)
+    with pytest.raises(NumericError):
+        carlgd.condition_number(G, "power_iteration", max_iter=1)
 
 
 def test_singular_system_detected():

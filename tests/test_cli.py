@@ -7,6 +7,7 @@ import pytest
 import carlgd
 from carlgd import carleman, polyfield
 from carlgd.cli import main
+from carlgd.errors import ConvergenceError
 
 from conftest import IRIS_CSV
 
@@ -215,6 +216,40 @@ def test_exit_code_divergence(tmp_path, capsys):
                "--out", str(tmp_path / "run")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_exit_code_numeric_failures(tmp_path, capsys, monkeypatch):
+    solve = carleman.solve
+
+    def solve_off(G, raise_on_divergence=True):  # error no longer resets
+        return solve(G, raise_on_divergence) + 1e-3
+
+    def kappa_unconverged(*args, **kwargs):
+        raise ConvergenceError("Lanczos did not converge")
+
+    for attr, failure in (("solve", solve_off),
+                          ("condition_number", kappa_unconverged)):
+        with monkeypatch.context() as m:
+            m.setattr(carleman, attr, failure)
+            rc = main(["pipeline", "--data", str(IRIS_CSV),
+                       "--pretrain-steps", "20", "--steps", "4",
+                       "--reupload", "2", "--refine", "0", "--order", "1",
+                       "--fraction", "0.2", "--eta", "0.05",
+                       "--out", str(tmp_path / attr)])
+        assert rc == 2
+        assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, where", [("index,value\n0,abc\n", "line 2"),
+                                         ("index,value\n0\n", "line 2"),
+                                         ("", "empty")])
+def test_prune_malformed_params_csv(tmp_path, capsys, text, where):
+    params = tmp_path / "params.csv"
+    params.write_text(text)
+    rc = main(["prune", "--params", str(params), "--fraction", "0.5",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert where in capsys.readouterr().err
 
 
 def test_exit_code_capacity(tmp_path, capsys):
