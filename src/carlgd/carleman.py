@@ -95,18 +95,12 @@ class CarlemanMatrix:
             )
 
 
-def embed(field_, order, max_dim=2_000_000, include_constant=None):
-    """Build the truncated Carleman matrix of a PolyField.
-
-    `include_constant` defaults to auto: the order-0 block is kept exactly
-    when the field has a nonzero constant term. Raises CapacityError when
-    the total dimension would exceed `max_dim`.
-    """
+def check_capacity(n, order, include_constant, max_dim):
+    """Dimensions of the blocks kept in an order-`order` embedding of an
+    n-dimensional field; raises CapacityError when their total D exceeds
+    `max_dim`. Needs no field, so callers can check before extracting one."""
     if order < 1:
         raise InputError("truncation order must be >= 1")
-    n, d = field_.n, field_.degree
-    if include_constant is None:
-        include_constant = field_.terms[0].nnz > 0
     block_orders = ([0] if include_constant else []) + list(range(1, order + 1))
     dims = [n ** j for j in block_orders]
     D = int(sum(dims))
@@ -115,6 +109,21 @@ def embed(field_, order, max_dim=2_000_000, include_constant=None):
             f"embedding needs dimension D={D}, over the budget {max_dim}",
             required=D, budget=max_dim,
         )
+    return block_orders, dims
+
+
+def embed(field_, order, max_dim=2_000_000, include_constant=None):
+    """Build the truncated Carleman matrix of a PolyField.
+
+    `include_constant` defaults to auto: the order-0 block is kept exactly
+    when the field has a nonzero constant term. Raises CapacityError when
+    the total dimension would exceed `max_dim`.
+    """
+    n, d = field_.n, field_.degree
+    if include_constant is None:
+        include_constant = field_.terms[0].nnz > 0
+    block_orders, dims = check_capacity(n, order, include_constant, max_dim)
+    D = int(sum(dims))
     offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(np.int64)
     pos = {j: p for p, j in enumerate(block_orders)}
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, carleman, config, diagnostics, models, pipeline, polyfield
+from . import __version__, carleman, config, diagnostics, models, pipeline
 from .errors import CapacityError, InputError, NumericError, ParseError
 from .util import fmt17, sub_seed
 
@@ -132,22 +132,31 @@ def _write_trajectory(path, records):
 def _spectrum_from_csv(path):
     with open(path) as f:
         reader = csv.reader(f)
-        header = next(reader)
-        rows = list(reader)
-    if header[:2] == ["index", "eigenvalue"]:
-        lam = np.array([float(r[1]) for r in rows])
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty spectrum file")
+        if header[:2] == ["index", "eigenvalue"]:
+            cols = [1]
+        elif header[:3] == ["bin_left", "bin_right", "density"]:
+            cols = [0, 1, 2]
+        else:
+            raise ParseError(f"unrecognized spectrum CSV header in {path}")
+        rows = []
+        for row in reader:
+            try:
+                rows.append([float(row[c]) for c in cols])
+            except (ValueError, IndexError):
+                raise ParseError(f"{path}, line {reader.line_num}: "
+                                 f"malformed spectrum row {row!r}") from None
+    vals = np.array(rows).reshape(-1, len(cols)).T
+    if len(cols) == 1:
+        lam = vals[0]
         return diagnostics.Spectrum(n=lam.size, method="direct", eigenvalues=lam)
-    if header[:3] == ["bin_left", "bin_right", "density"]:
-        centers, weights = [], []
-        for r in rows:
-            lo, hi, dens = float(r[0]), float(r[1]), float(r[2])
-            centers.append(0.5 * (lo + hi))
-            weights.append(dens * (hi - lo))
-        w = np.array(weights)
-        return diagnostics.Spectrum(n=w.size, method="lanczos",
-                                    ritz_values=np.array(centers),
-                                    ritz_weights=w / w.sum())
-    raise ParseError(f"unrecognized spectrum CSV header in {path}")
+    lo, hi, dens = vals
+    w = dens * (hi - lo)
+    return diagnostics.Spectrum(n=w.size, method="lanczos",
+                                ritz_values=0.5 * (lo + hi),
+                                ritz_weights=w / w.sum())
 
 
 def cmd_pretrain(args):
@@ -158,10 +167,12 @@ def cmd_pretrain(args):
     out = _outdir(args)
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
-    params = pipeline.pretrain(spec, data, steps=int(cfg["pretrain.steps"]),
-                               eta=float(cfg["pretrain.eta"]),
+    seed = config.typed(cfg, "seed", int)
+    params = pipeline.pretrain(spec, data,
+                               steps=config.typed(cfg, "pretrain.steps", int),
+                               eta=config.typed(cfg, "pretrain.eta", float),
                                batch=cfg["pretrain.batch"],
-                               seed=sub_seed(int(cfg["seed"]), "minibatch"),
+                               seed=sub_seed(seed, "minibatch"),
                                params0=config.initial_point(cfg, spec))
     _write_params(out / "params.csv", params)
     write_manifest(out, "pretrain", cfg, ["params.csv"], started)
@@ -177,7 +188,8 @@ def cmd_prune(args):
     if not args.params:
         raise InputError("--params pointing at a pretrain params.csv is required")
     params = _params_from_csv(args.params)
-    pruned = pipeline.prune_topk(params, float(cfg["schedule.prune_fraction"]))
+    pruned = pipeline.prune_topk(
+        params, config.typed(cfg, "schedule.prune_fraction", float))
     _write_params(out / "masked_params.csv", pruned)
     write_manifest(out, "prune", cfg, ["masked_params.csv"], started)
     kept = int(pruned.mask.sum())
@@ -198,14 +210,19 @@ def cmd_simulate(args):
     params0 = config.initial_point(cfg, spec)
     anchor = cfg["simulate.anchor"]
     if isinstance(anchor, list):
-        anchor = np.asarray(anchor, dtype=float)
-    degree = cfg["simulate.degree"]
+        anchor = config.typed(cfg, "simulate.anchor", config.float_array)
+    seed = config.typed(cfg, "seed", int)
+    degree, shots = cfg["simulate.degree"], cfg["readout.shots"]
+    if degree is not None:
+        degree = config.typed(cfg, "simulate.degree", int)
+    if shots is not None:
+        shots = config.typed(cfg, "readout.shots", int)
     result = pipeline.simulate(spec, data, params0,
-                               eta=float(cfg["simulate.eta"]),
-                               order=int(cfg["simulate.order"]),
-                               steps=int(cfg["simulate.steps"]),
+                               eta=config.typed(cfg, "simulate.eta", float),
+                               order=config.typed(cfg, "simulate.order", int),
+                               steps=config.typed(cfg, "simulate.steps", int),
                                anchor=anchor,
-                               degree=None if degree is None else int(degree))
+                               degree=degree)
     _write_trajectory(out / "trajectory.csv", result.records)
     n = result.approx.shape[1]
     header = (["step"] + [f"param_{i}" for i in range(n)]
@@ -214,11 +231,9 @@ def cmd_simulate(args):
             for t in range(result.approx.shape[0])]
     write_csv(out / "params.csv", header, rows)
     outputs = ["trajectory.csv", "params.csv"]
-    shots = cfg["readout.shots"]
     if shots is not None:
         ro = carleman.readout(result.final_state, result.field.theta_star,
-                              shots=int(shots),
-                              seed=sub_seed(int(cfg["seed"]), "tomography"),
+                              shots=shots, seed=sub_seed(seed, "tomography"),
                               has_constant=result.has_constant)
         write_csv(out / "readout.csv", ["index", "estimate", "l2_error", "linf_error"],
                   [(i, v, ro.l2_error, ro.linf_error)
@@ -242,14 +257,15 @@ def cmd_pipeline(args):
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     sched = config.build_schedule(cfg)
-    dense = pipeline.pretrain(spec, data, steps=int(cfg["pretrain.steps"]),
-                              eta=float(cfg["pretrain.eta"]),
+    seed = config.typed(cfg, "seed", int)
+    dense = pipeline.pretrain(spec, data,
+                              steps=config.typed(cfg, "pretrain.steps", int),
+                              eta=config.typed(cfg, "pretrain.eta", float),
                               batch=cfg["pretrain.batch"],
-                              seed=sub_seed(int(cfg["seed"]), "minibatch"),
+                              seed=sub_seed(seed, "minibatch"),
                               params0=config.initial_point(cfg, spec))
     pruned = pipeline.prune_topk(dense, sched.prune_fraction)
-    report = pipeline.run_pipeline(spec, data, sched, pruned,
-                                   seed=int(cfg["seed"]),
+    report = pipeline.run_pipeline(spec, data, sched, pruned, seed=seed,
                                    kappa_method=cfg["pipeline.kappa_method"])
     _write_trajectory(out / "trajectory.csv", report.steps)
     write_csv(out / "segments.csv",
@@ -282,16 +298,17 @@ def cmd_hessian(args):
         else config.initial_point(cfg, spec)
     method = cfg["hessian.method"]
     spect = diagnostics.spectrum(spec, point, data, method=method,
-                                 k=int(cfg["hessian.lanczos_k"]),
-                                 probes=int(cfg["hessian.probes"]),
-                                 seed=sub_seed(int(cfg["seed"]), "lanczos"))
+                                 k=config.typed(cfg, "hessian.lanczos_k", int),
+                                 probes=config.typed(cfg, "hessian.probes", int),
+                                 seed=sub_seed(config.typed(cfg, "seed", int),
+                                               "lanczos"))
     if spect.is_exact():
         write_csv(out / "spectrum.csv", ["index", "eigenvalue"],
                   list(enumerate(spect.eigenvalues)))
     else:
         pts, _ = spect.points_weights()
         edges = np.linspace(pts.min() - 1e-9, pts.max() + 1e-9,
-                            int(cfg["hessian.bins"]) + 1)
+                            config.typed(cfg, "hessian.bins", int) + 1)
         dens = spect.density(edges)
         write_csv(out / "spectrum.csv", ["bin_left", "bin_right", "density"],
                   [(edges[i], edges[i + 1], dens[i]) for i in range(dens.size)])
@@ -309,10 +326,12 @@ def cmd_proxy(args):
     if not args.spectrum:
         raise InputError("--spectrum CSV is required")
     spect = _spectrum_from_csv(args.spectrum)
-    t_range = range(int(cfg["proxy.tmax"]) + 1)
-    E = diagnostics.error_proxy(spect, eta=float(cfg["proxy.eta"]),
+    t_range = range(config.typed(cfg, "proxy.tmax", int) + 1)
+    E = diagnostics.error_proxy(spect,
+                                eta=config.typed(cfg, "proxy.eta", float),
                                 t_range=t_range,
-                                threshold=float(cfg["proxy.threshold"]),
+                                threshold=config.typed(cfg, "proxy.threshold",
+                                                       float),
                                 scale=cfg["proxy.scale"])
     write_csv(out / "proxy.csv", ["t", "E"], list(zip(t_range, E)))
     write_manifest(out, "proxy", cfg, ["proxy.csv"], started)
@@ -329,21 +348,21 @@ def cmd_kappa(args):
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     theta0 = np.ones(spec.n) if cfg["init.params"] is None \
-        else np.asarray(cfg["init.params"], dtype=float)
-    degree = max(1, min(spec.grad_degree(), int(cfg["kappa.order"]), 3))
-    fld = polyfield.from_model(spec, data, np.zeros(spec.n), degree,
-                               float(cfg["kappa.eta"]), mode="auto")
-    M = carleman.embed(fld, int(cfg["kappa.order"]))
-    steps = cfg["kappa.steps"]
-    if isinstance(steps, str):
-        steps = [int(s) for s in steps.split(",")]
+        else config.typed(cfg, "init.params", config.float_array)
+    order = config.typed(cfg, "kappa.order", int)
+    eta = config.typed(cfg, "kappa.eta", float)
+    steps = config.typed(cfg, "kappa.steps", lambda v: [
+        int(s) for s in (v.split(",") if isinstance(v, str) else v)])
+    seed = config.typed(cfg, "seed", int)
+    degree = max(1, min(spec.grad_degree(), order, 3))
+    _, M = pipeline.lift(spec, data, np.zeros(spec.n), degree, eta, None, order)
     rows = []
     for T in steps:
         y0 = M.initial_state(theta0)
-        G = carleman.build_global(M, y0, int(T))
-        rows.append((int(T),
+        G = carleman.build_global(M, y0, T)
+        rows.append((T,
                      carleman.condition_number(G, method=cfg["kappa.method"],
-                                               seed=int(cfg["seed"])),
+                                               seed=seed),
                      cfg["kappa.method"]))
     write_csv(out / "kappa.csv", ["T", "kappa", "method"], rows)
     write_manifest(out, "kappa", cfg, ["kappa.csv"], started)

@@ -81,13 +81,27 @@ def resolve(config_path=None, overrides=None):
     return cfg
 
 
+def float_array(value):
+    return np.asarray(value, dtype=float)
+
+
+def typed(cfg, key, convert):
+    """cfg[key] passed through `convert` (int, float, float_array, ...);
+    a value it rejects raises InputError naming the key."""
+    try:
+        return convert(cfg[key])
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"config key {key!r} has invalid value "
+                         f"{cfg[key]!r}") from None
+
+
 def build_model(cfg):
     kind = cfg["model.kind"]
     if kind == "mlp":
         return models.ModelSpec(kind="mlp",
                                 layer_widths=tuple(cfg["model.layer_widths"]),
                                 activation=cfg["model.activation"],
-                                alpha=float(cfg["model.alpha"]),
+                                alpha=typed(cfg, "model.alpha", float),
                                 loss_kind=cfg["model.loss"])
     coeffs = cfg["model.coefficients"]
     if coeffs is None:
@@ -97,12 +111,13 @@ def build_model(cfg):
 
 
 def build_schedule(cfg):
-    return pipeline.Schedule(total_steps=int(cfg["schedule.steps"]),
-                             eta=float(cfg["schedule.eta"]),
-                             reupload_period=int(cfg["schedule.reupload_period"]),
-                             classical_refine_steps=int(cfg["schedule.refine_steps"]),
-                             carleman_order=int(cfg["schedule.order"]),
-                             prune_fraction=float(cfg["schedule.prune_fraction"]))
+    return pipeline.Schedule(
+        total_steps=typed(cfg, "schedule.steps", int),
+        eta=typed(cfg, "schedule.eta", float),
+        reupload_period=typed(cfg, "schedule.reupload_period", int),
+        classical_refine_steps=typed(cfg, "schedule.refine_steps", int),
+        carleman_order=typed(cfg, "schedule.order", int),
+        prune_fraction=typed(cfg, "schedule.prune_fraction", float))
 
 
 def load_dataset(cfg):
@@ -114,10 +129,10 @@ def load_dataset(cfg):
 
 def initial_point(cfg, spec):
     if cfg["init.params"] is not None:
-        values = np.asarray(cfg["init.params"], dtype=float)
+        values = typed(cfg, "init.params", float_array)
         if values.size != spec.n:
             raise InputError(
                 f"init.params has {values.size} entries, model needs {spec.n}")
         return models.ParamVector(values)
     from .util import sub_seed
-    return models.init_params(spec, sub_seed(int(cfg["seed"]), "init"))
+    return models.init_params(spec, sub_seed(typed(cfg, "seed", int), "init"))

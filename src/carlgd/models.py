@@ -7,7 +7,7 @@ the parameters. Loss is mean squared error against one-hot targets:
     L(theta) = (1 / 2S) * sum_s || f(x_s; theta) - y_s ||^2
 
 Hessian-vector products for the MLP use the exact forward-over-reverse
-(Pearlmutter) recursion, not finite differences.
+(Pearlmutter) recursion, not finite differences, in one batched kernel.
 """
 
 import csv
@@ -20,6 +20,7 @@ from .errors import DivergenceError, InputError, NumericOverflowError, ParseErro
 ANALYTIC_KINDS = ("diag_quadratic", "scalar_cubic")
 MODEL_KINDS = ANALYTIC_KINDS + ("mlp",)
 ACTIVATIONS = ("identity", "quadratic_poly")
+_BATCH_PAIRS = 64  # (point, direction) pairs per forward-over-reverse block
 
 
 @dataclass
@@ -123,14 +124,15 @@ class ModelSpec:
         return 2 * deg - 1
 
     def split(self, theta):
-        """Unpack a flat parameter vector into [(W, b), ...] views."""
+        """Unpack flat parameter vectors (last axis) into [(W, b), ...] views."""
         w = self.layer_widths
         out, pos = [], 0
         for i in range(len(w) - 1):
             d_in, d_out = w[i], w[i + 1]
-            W = theta[pos:pos + d_in * d_out].reshape(d_in, d_out)
+            W = theta[..., pos:pos + d_in * d_out].reshape(
+                theta.shape[:-1] + (d_in, d_out))
             pos += d_in * d_out
-            b = theta[pos:pos + d_out]
+            b = theta[..., pos:pos + d_out]
             pos += d_out
             out.append((W, b))
         return out
@@ -196,7 +198,7 @@ def _mlp_forward(spec, theta, X):
     A_list, H_list = [], [X]
     H = X
     for li, (W, b) in enumerate(layers):
-        A = H @ W + b
+        A = H @ W + b[..., None, :]
         A_list.append(A)
         H = _act(spec, A) if li < len(layers) - 1 else A
         H_list.append(H)
@@ -238,48 +240,81 @@ def _grad_values(spec, theta, data):
     return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
 
 
-def _hvp_values(spec, theta, data, v):
+def _hvp_block(spec, thetas, data, V, out):
+    """Write H(thetas[p]) @ V[k] into out[p, k] for one bounded block."""
     if spec.kind == "diag_quadratic":
-        return np.asarray(spec.coefficients) * v
+        out[...] = np.asarray(spec.coefficients) * V
+        return
     if spec.kind == "scalar_cubic":
         c0, c1 = spec.coefficients
-        t = theta[0]
-        return np.array([(c0 + 3.0 * c1 * t * t) * v[0]])
-    # Pearlmutter forward-over-reverse: exact H @ v for the MLP.
-    layers = spec.split(theta)
-    dirs = spec.split(v)
-    A_list, H_list = _mlp_forward(spec, theta, data.features)
+        t = thetas[:, None, :1]
+        out[...] = (c0 + 3.0 * c1 * t * t) * V
+        return
+    # Pearlmutter forward-over-reverse, broadcast over points (axis 0) and
+    # directions (axis 1); arrays that do not depend on one of them keep a
+    # length-1 (or missing) axis there.
+    layers = spec.split(thetas[:, None])
+    dirs = spec.split(V)
+    A_list, H_list = _mlp_forward(spec, thetas[:, None], data.features)
     S = data.n_samples
     n_layers = len(layers)
 
-    RA_list, RH_list = [], [np.zeros_like(data.features)]
-    RH = RH_list[0]
-    for li, ((W, _), (V, c)) in enumerate(zip(layers, dirs)):
-        RA = RH @ W + H_list[li] @ V + c
+    RA_list, RH_list = [], [None]
+    for li, ((W, _), (U, c)) in enumerate(zip(layers, dirs)):
+        RA = H_list[li] @ U
+        if li > 0:
+            RA = RH_list[li] @ W + RA
+        RA = RA + c[..., None, :]
         RA_list.append(RA)
-        if li < n_layers - 1:
-            RH = _act_d1(spec, A_list[li]) * RA
-        else:
-            RH = RA
+        RH = _act_d1(spec, A_list[li]) * RA if li < n_layers - 1 else RA
         RH_list.append(RH)
 
     G = (H_list[-1] - data.one_hot) / S
     RG = RH_list[-1] / S
-    out = [None] * n_layers
+    ones = np.ones(S)
+    out_layers = spec.split(out)  # views into out
     for li in range(n_layers - 1, -1, -1):
-        W, _ = layers[li]
-        V, _ = dirs[li]
-        rW = RH_list[li].T @ G + H_list[li].T @ RG
-        rb = RG.sum(axis=0)
-        out[li] = (rW, rb)
+        (W, _), (U, _), (rW, rb) = layers[li], dirs[li], out_layers[li]
+        rW[...] = np.swapaxes(H_list[li], -1, -2) @ RG
+        rb[...] = ones @ RG
         if li > 0:
+            rW += np.swapaxes(RH_list[li], -1, -2) @ G
+            # contiguous transposes keep the stacked products on BLAS
+            Wt = np.ascontiguousarray(np.swapaxes(W, -1, -2))
+            Ut = np.ascontiguousarray(np.swapaxes(U, -1, -2))
             sprime = _act_d1(spec, A_list[li - 1])
-            back = G @ W.T
-            RG = (RG @ W.T + G @ V.T) * sprime
+            back = G @ Wt
+            RG = (RG @ Wt + G @ Ut) * sprime
             if spec.activation == "quadratic_poly":
                 RG = RG + back * (2.0 * spec.alpha * RA_list[li - 1])
             G = back * sprime
-    return np.concatenate([np.concatenate([rW.ravel(), rb]) for rW, rb in out])
+
+
+def hvp_batch(spec, points, data, directions):
+    """Exact Hessian-vector products over stacks of points and directions.
+
+    `points` is (P, n) and `directions` (K, n); returns (P, K, n) with
+    out[p, k] = H(points[p]) @ directions[k]. Closed form for the
+    testbeds, forward-over-reverse (Pearlmutter 1994) for the MLP. The
+    (point, direction) pairs are processed in blocks of at most
+    _BATCH_PAIRS, so the working set stays bounded.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    n = spec.n
+    if points.shape[1] != n or directions.shape[1] != n:
+        raise InputError(f"points and directions need {n} columns, got "
+                         f"{points.shape[1]} and {directions.shape[1]}")
+    P, K = points.shape[0], directions.shape[0]
+    _check_inputs(spec, points[0] if P else np.zeros(n), data)
+    out = np.empty((P, K, n))
+    kc = max(1, min(K, _BATCH_PAIRS))
+    pc = max(1, _BATCH_PAIRS // kc)
+    for p in range(0, P, pc):
+        for k in range(0, K, kc):
+            _hvp_block(spec, points[p:p + pc], data, directions[k:k + kc],
+                       out[p:p + pc, k:k + kc])
+    return out
 
 
 def loss(spec, params, data=None):
@@ -305,15 +340,11 @@ def grad(spec, params, data=None):
 def hvp(spec, params, data, v):
     """Exact Hessian-vector product H(theta) @ v."""
     theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != spec.n:
-        raise InputError(f"direction length {v.size} does not match model n={spec.n}")
-    _check_inputs(spec, theta, data)
-    return _hvp_values(spec, theta, data, v)
+    return hvp_batch(spec, theta, data, np.ravel(v))[0, 0]
 
 
 def hessian(spec, params, data=None, dense_limit=4096):
-    """Dense Hessian, assembled column-by-column from exact products.
+    """Dense Hessian: one batched product on the identity directions.
 
     Rejected above `dense_limit` parameters; use hvp / a Lanczos estimate
     instead at that scale.
@@ -325,18 +356,7 @@ def hessian(spec, params, data=None, dense_limit=4096):
         raise InputError(
             f"dense Hessian rejected for n={n} > limit {dense_limit}; use hvp"
         )
-    if spec.kind == "diag_quadratic":
-        return np.diag(np.asarray(spec.coefficients, dtype=float))
-    if spec.kind == "scalar_cubic":
-        c0, c1 = spec.coefficients
-        return np.array([[c0 + 3.0 * c1 * theta[0] ** 2]])
-    H = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        H[:, j] = _hvp_values(spec, theta, data, e)
-        e[j] = 0.0
-    return H
+    return hvp_batch(spec, theta, data, np.eye(n))[0].T
 
 
 def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,

@@ -17,6 +17,7 @@ import numpy as np
 from . import carleman, models, polyfield
 from .errors import (InputError, NumericError, NumericOverflowError,
                      SingularSystemError)
+from .util import norm2
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,18 @@ def _field_degree(spec, order):
     return max(1, min(spec.grad_degree(), order, 3))
 
 
+def lift(spec, data, anchor, degree, eta, mask, order, max_dim=2_000_000):
+    """Field around `anchor` and its order-`order` embedding. The capacity
+    is checked from the free dimension and the drift before any Hessian
+    is evaluated."""
+    idx = np.arange(spec.n) if mask is None else np.flatnonzero(mask)
+    drift = bool(np.any(eta * models.grad(spec, anchor, data)[idx]))
+    carleman.check_capacity(idx.size, order, drift, max_dim)
+    fld = polyfield.from_model(spec, data, anchor, degree, eta, mode="auto",
+                               mask=mask)
+    return fld, carleman.embed(fld, order, max_dim=max_dim)
+
+
 def _loss_acc(spec, theta, data):
     try:
         lv = models.loss(spec, theta, data)
@@ -159,9 +172,7 @@ def simulate(spec, data, params0, eta, order, steps, anchor="start",
     else:
         anchor_vec = np.asarray(anchor, dtype=float).ravel()
     d = degree if degree is not None else _field_degree(spec, order)
-    fld = polyfield.from_model(spec, data, anchor_vec, d, eta, mode="auto",
-                               mask=mask)
-    M = carleman.embed(fld, order, max_dim=max_dim)
+    fld, M = lift(spec, data, anchor_vec, d, eta, mask, order, max_dim)
     idx = np.flatnonzero(mask) if mask is not None else np.arange(spec.n)
     y0 = M.initial_state(theta0[idx])
     G = carleman.build_global(M, y0, steps)
@@ -184,7 +195,7 @@ def simulate(spec, data, params0, eta, order, steps, anchor="start",
         lv, acc = _loss_acc(spec, th, data)
         records.append(StepRecord(
             step=t, loss=lv, accuracy=acc,
-            err_l2=float(np.linalg.norm(diff)),
+            err_l2=norm2(diff),
             err_linf=float(np.max(np.abs(diff))),
             segment=0, phase="carleman"))
     return SimulateResult(approx=approx, exact=exact, records=records,
@@ -222,9 +233,7 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
     while steps_done < schedule.total_steps and diverged_at is None:
         R = min(schedule.reupload_period, schedule.total_steps - steps_done)
         anchor = theta.copy()
-        fld = polyfield.from_model(spec, data, anchor, d, schedule.eta,
-                                   mode="auto", mask=mask)
-        M = carleman.embed(fld, N, max_dim=max_dim)
+        fld, M = lift(spec, data, anchor, d, schedule.eta, mask, N, max_dim)
         y0 = M.initial_state(anchor[idx])
         G = carleman.build_global(M, y0, R)
         norm0, nnz0 = carleman.upload_stats(y0)
@@ -251,7 +260,7 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
             th = np.zeros(spec.n)
             th[idx] = fld.theta_star + Y[t, sl]
             diff = th - exact[t]
-            e2 = float(np.linalg.norm(diff))
+            e2 = norm2(diff)
             if t == 1:
                 first_err = e2
             lv, acc = _loss_acc(spec, th, data)

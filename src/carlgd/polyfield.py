@@ -8,9 +8,11 @@ shifted coordinates delta = theta - theta_star, as a finite sum
 with the learning rate folded into every term: F_0 = -eta grad L(theta_star),
 F_1 = -eta H(theta_star), F_2 = -(eta/2) grad^3 L, F_3 = -(eta/6) grad^4 L.
 Terms are stored as sparse n x n^k maps, symmetrized over their Kronecker
-input slots.
+input slots. grad^3 L and grad^4 L come from exact polynomial stencils
+over Hessian columns, so every term is exact up to rounding.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,8 @@ import scipy.sparse as sp
 
 from . import models
 from .errors import DegreeMismatchError, InputError
+
+_STENCIL_STEP = 0.5  # any step is exact; this one keeps rounding low
 
 
 def symmetrize_slots(mat, k, n):
@@ -160,84 +164,67 @@ class PolyField:
                    terms=terms, exact=exact)
 
 
-def _restrict(theta_star, mask):
-    if mask is None:
-        return None, theta_star
-    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
-    return idx, theta_star[idx]
+def _stencil_weights(m):
+    """Central-difference weights (Fornberg 1988) on the nodes -m..m, exact
+    for polynomials of degree <= 2m: f'(0) = sum_k w1[k-1] (f(k) - f(-k))
+    and f''(0) = sum_k w2[k-1] (f(k) - f(0) + f(-k) - f(0)), k = 1..m."""
+    f = math.factorial
+    terms = [(k, (-1) ** (k + 1) * f(m) ** 2, f(m - k) * f(m + k))
+             for k in range(1, m + 1)]
+    return ([c / (k * d) for k, c, d in terms],
+            [2 * c / (k * k * d) for k, c, d in terms])
 
 
-def _third_fourth_tensors(spec, data, theta_star, idx, degree, step):
-    """Derivative tensors grad^3 L and grad^4 L (restricted to `idx`), via
-    central finite differences of the exact Hessian. For models whose
-    gradient degree is <= 3 the Hessian is at most quadratic in theta, so
-    the differences are exact for any step; a wide stencil then keeps
-    rounding error at machine level."""
-    n_full = theta_star.size
-    if idx is None:
-        idx = np.arange(n_full)
-    k = idx.size
+def _derivative_tensors(spec, data, theta_star, idx, degree, H):
+    """grad^3 L and grad^4 L on the free coordinates `idx`.
 
-    def hess_red(point):
-        H = models.hessian(spec, point, data)
-        return H[np.ix_(idx, idx)]
-
-    T3 = None
-    if degree >= 2:
-        T3 = np.empty((k, k, k))
-        for j, col in enumerate(idx):
-            tp = theta_star.copy()
-            tp[col] += step
-            tm = theta_star.copy()
-            tm[col] -= step
-            T3[:, :, j] = (hess_red(tp) - hess_red(tm)) / (2.0 * step)
-    T4 = None
+    H(theta_star + s u) is a polynomial in s of degree grad_degree() - 1
+    <= 2m, so central stencils on -m..m are exact for any step: the first
+    derivative along e_j gives grad^3 L[:, :, j], second derivatives along
+    e_a, e_b and e_a + e_b give grad^4 L[:, :, a, b]. Offsets +-k are
+    batched per k and enter only through differences, so an entry of H
+    that does not move along a line gives an exact zero.
+    """
+    n = idx.size
+    h = _STENCIL_STEP
+    m = max(1, spec.grad_degree() // 2)
+    w1, w2 = _stencil_weights(m)
+    E = np.eye(spec.n)[idx]
+    lines = E
     if degree >= 3:
-        T4 = np.empty((k, k, k, k))
-        H0 = hess_red(theta_star)
-        for a, ca in enumerate(idx):
-            for b_, cb in enumerate(idx[:a + 1]):
-                if ca == cb:
-                    tp = theta_star.copy()
-                    tp[ca] += step
-                    tm = theta_star.copy()
-                    tm[ca] -= step
-                    D = (hess_red(tp) - 2.0 * H0 + hess_red(tm)) / (step * step)
-                else:
-                    tpp = theta_star.copy(); tpp[ca] += step; tpp[cb] += step
-                    tpm = theta_star.copy(); tpm[ca] += step; tpm[cb] -= step
-                    tmp = theta_star.copy(); tmp[ca] -= step; tmp[cb] += step
-                    tmm = theta_star.copy(); tmm[ca] -= step; tmm[cb] -= step
-                    D = (hess_red(tpp) - hess_red(tpm) - hess_red(tmp) + hess_red(tmm)) \
-                        / (4.0 * step * step)
-                T4[:, :, a, b_] = D
-                T4[:, :, b_, a] = D
+        a, b = np.triu_indices(n, 1)
+        lines = np.concatenate([E, E[a] + E[b]])
+    L = lines.shape[0]
+    d1 = np.zeros((n, n, n))
+    d2 = np.zeros((L, n, n))
+    for k in range(1, m + 1):
+        points = theta_star + (k * h) * np.concatenate([lines, -lines])
+        Hk = models.hvp_batch(spec, points, data, E)[:, :, idx]
+        Hp, Hm = Hk[:L], Hk[L:]  # Hp[l, j, i] = H(theta_star + k h line_l)[i, j]
+        d1 += (w1[k - 1] / h) * (Hp[:n] - Hm[:n])
+        if degree >= 3:
+            d2 += (w2[k - 1] / (h * h)) * ((Hp - H) + (Hm - H))
+    T3 = d1.transpose(2, 1, 0)
+    if degree < 3:
+        return T3, None
+    T4 = np.empty((n, n, n, n))
+    T4[:, :, np.arange(n), np.arange(n)] = d2[:n].transpose(2, 1, 0)
+    mixed = 0.5 * (d2[n:] - d2[a] - d2[b]).transpose(2, 1, 0)
+    T4[:, :, a, b] = mixed
+    T4[:, :, b, a] = mixed
     return T3, T4
 
 
-def _analytic_tensors(spec, theta_star, degree):
-    """Closed-form grad^3 / grad^4 for the analytic testbeds."""
-    n = spec.n
-    T3 = np.zeros((n, n, n)) if degree >= 2 else None
-    T4 = np.zeros((n, n, n, n)) if degree >= 3 else None
-    if spec.kind == "scalar_cubic":
-        c1 = spec.coefficients[1]
-        if T3 is not None:
-            T3[0, 0, 0] = 6.0 * c1 * theta_star[0]
-        if T4 is not None:
-            T4[0, 0, 0, 0] = 6.0 * c1
-    return T3, T4
-
-
-def from_model(spec, data, theta_star, degree, eta, mode="exact", mask=None,
-               fd_step=None):
+def from_model(spec, data, theta_star, degree, eta, mode="exact", mask=None):
     """Extract the update field of a model around theta_star.
 
     mode='exact' requires the model's gradient to be polynomial of degree
     <= `degree`; mode='taylor' accepts any model and flags the result as
     truncated when it is. mode='auto' picks exact when possible. With a
     mask, the field lives on the reduced coordinate space of unmasked
-    entries (masked coordinates pinned at zero).
+    entries (masked coordinates pinned at zero). Only the free Hessian
+    columns are evaluated, and grad^3 L / grad^4 L come from an exact
+    stencil over them, with no step-size error.
     """
     if degree not in (1, 2, 3):
         raise InputError(f"degree must be 1, 2 or 3, got {degree}")
@@ -256,35 +243,22 @@ def from_model(spec, data, theta_star, degree, eta, mode="exact", mask=None,
             f"model gradient has degree {gd} > requested degree {degree}; "
             "request taylor mode explicitly"
         )
-    idx, anchor_red = _restrict(theta_star, mask)
-    n = anchor_red.size if idx is not None else spec.n
+    idx = np.arange(spec.n) if mask is None \
+        else np.flatnonzero(np.asarray(mask, dtype=bool))
+    n = idx.size
 
-    g = models.grad(spec, theta_star, data)
-    H = models.hessian(spec, theta_star, data)
-    if idx is not None:
-        g = g[idx]
-        H = H[np.ix_(idx, idx)]
-
-    if fd_step is None:
-        fd_step = 0.05 if gd <= 3 else 1e-3
-
-    if spec.kind in models.ANALYTIC_KINDS:
-        T3, T4 = _analytic_tensors(spec, theta_star, degree)
-        if idx is not None and T3 is not None:
-            T3 = T3[np.ix_(idx, idx, idx)]
-        if idx is not None and T4 is not None:
-            T4 = T4[np.ix_(idx, idx, idx, idx)]
-    else:
-        T3, T4 = _third_fourth_tensors(spec, data, theta_star, idx, degree, fd_step)
-
-    terms = [sp.csr_matrix((-eta * g).reshape(n, 1)), sp.csr_matrix(-eta * H)]
+    g = models.grad(spec, theta_star, data)[idx]
+    E = np.eye(spec.n)[idx]
+    H = models.hvp_batch(spec, theta_star, data, E)[0][:, idx]  # H[j, i] = H_ij
+    terms = [sp.csr_matrix((-eta * g).reshape(n, 1)), sp.csr_matrix(-eta * H.T)]
     if degree >= 2:
+        T3, T4 = _derivative_tensors(spec, data, theta_star, idx, degree, H)
         F2 = symmetrize_slots((-0.5 * eta) * T3.reshape(n, n * n), 2, n)
         terms.append(sp.csr_matrix(F2))
     if degree >= 3:
         F3 = symmetrize_slots((-eta / 6.0) * T4.reshape(n, n ** 3), 3, n)
         terms.append(sp.csr_matrix(F3))
-    return PolyField(n=n, degree=degree, eta=eta, theta_star=anchor_red,
+    return PolyField(n=n, degree=degree, eta=eta, theta_star=theta_star[idx],
                      terms=terms, exact=(gd <= degree))
 
 

@@ -1,6 +1,8 @@
-"""Small shared helpers: seed derivation, Kronecker powers, float formatting."""
+"""Small shared helpers: seed derivation, Kronecker powers, norms, float
+formatting."""
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -26,6 +28,21 @@ def kron_power(v, k):
     for _ in range(k):
         out = np.kron(out, v)
     return out
+
+
+def norm2(x):
+    """Euclidean norm that stays finite while it is representable.
+
+    np.linalg.norm overflows once max|x| passes about 1e154; only then is
+    the norm recomputed on x / max|x|, so finite results keep their bits.
+    """
+    value = float(np.linalg.norm(x))
+    if math.isfinite(value):
+        return value
+    scale = float(np.max(np.abs(x)))
+    if not math.isfinite(scale):
+        return value
+    return scale * float(np.linalg.norm(np.asarray(x) / scale))
 
 
 def fmt17(x):

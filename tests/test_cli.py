@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import carlgd
-from carlgd import carleman, polyfield
+from carlgd import carleman, models, polyfield
 from carlgd.cli import main
 from carlgd.errors import ConvergenceError
 
@@ -258,6 +258,53 @@ def test_exit_code_capacity(tmp_path, capsys):
                "--out", str(tmp_path / "run")])
     assert rc == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--data", str(IRIS_CSV), "--order", "5", "--steps", "5",
+     "--eta", "0.05"],
+    ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
+     "--steps", "4", "--reupload", "4", "--order", "7", "--fraction", "0.37"],
+    ["kappa", "--set", f"data.path={IRIS_CSV}", "--order", "5"],
+])
+def test_capacity_checked_before_extraction(tmp_path, capsys, monkeypatch,
+                                            argv):
+    def no_hessians(*args, **kwargs):
+        raise AssertionError("Hessian evaluated before the capacity check")
+
+    monkeypatch.setattr(models, "hvp_batch", no_hessians)
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 3
+    assert "capacity error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("index,eigenvalue\n0,1.5\n1,abc\n", "line 3"),
+    ("index,eigenvalue\n0\n", "line 2"),
+    ("bin_left,bin_right,density\n0,1,x\n", "line 2"),
+    ("", "empty"),
+])
+def test_proxy_malformed_spectrum_csv(tmp_path, capsys, text, where):
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text(text)
+    rc = main(["proxy", "--spectrum", str(spectrum),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--model", "scalar_cubic", "--steps", "2"], "simulate.eta"),
+    (["simulate", "--model", "scalar_cubic", "--steps", "2"], "readout.shots"),
+    (["pipeline", "--data", str(IRIS_CSV)], "schedule.eta"),
+    (["pipeline", "--data", str(IRIS_CSV)], "pretrain.steps"),
+    (["pretrain", "--data", str(IRIS_CSV)], "pretrain.eta"),
+    (["pretrain", "--data", str(IRIS_CSV)], "seed"),
+    (["pretrain", "--data", str(IRIS_CSV)], "init.params"),
+])
+def test_malformed_config_values_exit_1(tmp_path, capsys, argv, key):
+    rc = main(argv + ["--set", f'{key}="x"', "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert key in capsys.readouterr().err
 
 
 def test_floats_emitted_with_17_significant_digits(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import carlgd
+from carlgd import models
 from carlgd.errors import DivergenceError, InputError, ParseError
 
 from conftest import IRIS_CSV
@@ -118,6 +119,44 @@ def test_mlp_hvp_vs_finite_difference_of_grad(iris):
                   - carlgd.grad(spec, theta - h * v, iris)) / (2 * h)
             hv = carlgd.hvp(spec, theta, iris, v)
             assert np.linalg.norm(hv - fd) < 1e-4 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("widths", [(4, 3, 3), (4, 5, 4, 3), (4, 3)])
+def test_hvp_batch_matches_hessian_and_single_products(iris, widths,
+                                                       monkeypatch):
+    spec = carlgd.ModelSpec(kind="mlp", layer_widths=widths,
+                            activation="quadratic_poly", alpha=0.1)
+    rng = np.random.default_rng(13)
+    points = rng.standard_normal((3, spec.n)) * 0.5
+    dirs = rng.standard_normal((5, spec.n))
+    # blocks of 4 pairs split both the points and the directions
+    monkeypatch.setattr(models, "_BATCH_PAIRS", 4)
+    out = models.hvp_batch(spec, points, iris, dirs)
+    assert out.shape == (3, 5, spec.n)
+    for p, theta in enumerate(points):
+        H = carlgd.hessian(spec, theta, iris)
+        scale = np.abs(H).max()
+        assert np.abs(H - H.T).max() <= 1e-13 * scale
+        for k, v in enumerate(dirs):
+            single = carlgd.hvp(spec, theta, iris, v)
+            assert np.linalg.norm(out[p, k] - single) \
+                <= 1e-13 * np.linalg.norm(single)
+            assert np.linalg.norm(out[p, k] - H @ v) \
+                <= 1e-13 * np.linalg.norm(single)
+
+
+def test_hvp_batch_testbeds_closed_form(diag_spec, cubic_spec):
+    out = models.hvp_batch(diag_spec, [[0.0, 0.0], [3.0, -2.0]], None,
+                           np.eye(2))
+    np.testing.assert_array_equal(out, [np.diag([1.0, 4.0])] * 2)
+    out = models.hvp_batch(cubic_spec, [[1.0], [2.0]], None, [[1.0], [0.5]])
+    np.testing.assert_array_equal(out[:, :, 0], [[4.0, 2.0], [13.0, 6.5]])
+
+
+def test_hvp_batch_rejects_wrong_widths(mlp_spec, iris):
+    with pytest.raises(InputError):
+        models.hvp_batch(mlp_spec, np.zeros((2, mlp_spec.n)), iris,
+                         np.zeros((1, mlp_spec.n - 1)))
 
 
 def test_dense_hessian_rejected_above_limit(mlp_spec, iris):

@@ -4,6 +4,7 @@ import pytest
 import carlgd
 from carlgd import pipeline
 from carlgd.errors import InputError
+from carlgd.util import norm2
 
 
 # --------------------------------------------------------------- pretrain
@@ -252,3 +253,14 @@ def test_schedule_validation():
         carlgd.Schedule(total_steps=10, eta=0.1, prune_fraction=0.0)
     with pytest.raises(InputError):
         carlgd.Schedule(total_steps=10, eta=-0.1)
+
+
+def test_norm2_finite_past_overflow():
+    with np.errstate(over="ignore"):
+        big = norm2(np.array([1e200, 1e200]))
+    assert big == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
+    rng = np.random.default_rng(2)
+    for x in (rng.standard_normal(27), np.zeros(3), np.array([1e150, 3e150])):
+        assert norm2(x) == np.linalg.norm(x)  # same bits in the normal range
+    assert norm2(np.array([np.inf, 1.0])) == np.inf
+    assert np.isnan(norm2(np.array([np.nan, 1.0])))

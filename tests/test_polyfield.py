@@ -105,6 +105,61 @@ def test_mlp_taylor_terms_against_probes(mlp_spec, iris):
         assert np.linalg.norm(got - want) < 1e-4 * max(np.linalg.norm(want), 1e-8)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_stencil_weights_exact_on_monomials(m):
+    w1, w2 = polyfield._stencil_weights(m)
+    for p in range(2 * m + 1):
+        d1 = sum(w * (k ** p - (-k) ** p) for k, w in enumerate(w1, 1))
+        d2 = sum(w * (k ** p + (-k) ** p - 2 * 0 ** p)
+                 for k, w in enumerate(w2, 1))
+        scale = sum((abs(u) + abs(v)) * k ** p
+                    for k, (u, v) in enumerate(zip(w1, w2), 1))
+        assert abs(d1 - (p == 1)) <= 1e-14 * scale
+        assert abs(d2 - 2 * (p == 2)) <= 1e-14 * scale
+
+
+def _taylor_coefficients(spec, data, anchor, u):
+    """Coefficients of s^0..s^6 of grad(anchor + s u), a polynomial of
+    degree grad_degree() <= 6, by exact interpolation on 7 nodes."""
+    s = np.linspace(-1.0, 1.0, 7)
+    G = np.array([carlgd.grad(spec, anchor + si * u, data) for si in s])
+    return np.linalg.solve(np.vander(s, increasing=True), G)
+
+
+def test_mlp_taylor_terms_exact_against_polynomial_stencil(mlp_spec, iris):
+    anchor = carlgd.init_params(mlp_spec, 7).values
+    eta = 0.05
+    fld = carlgd.from_model(mlp_spec, iris, anchor, 3, eta, mode="taylor")
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        u = rng.standard_normal(mlp_spec.n)
+        c = _taylor_coefficients(mlp_spec, iris, anchor, u)
+        uu = np.kron(u, u)
+        for term, want in ((fld.terms[2] @ uu, -eta * c[2]),
+                           (fld.terms[3] @ np.kron(uu, u), -eta * c[3])):
+            assert np.linalg.norm(term - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("degree, masked", [(2, False), (3, True)])
+def test_extraction_independent_of_stencil_step(mlp_spec, iris, monkeypatch,
+                                                degree, masked):
+    anchor = carlgd.init_params(mlp_spec, 11).values
+    mask = None
+    if masked:
+        mask = np.zeros(mlp_spec.n, dtype=bool)
+        mask[[0, 3, 7, 12, 16, 20, 25]] = True
+        anchor = np.where(mask, anchor, 0.0)
+    fld = carlgd.from_model(mlp_spec, iris, anchor, degree, 0.05,
+                            mode="taylor", mask=mask)
+    monkeypatch.setattr(polyfield, "_STENCIL_STEP",
+                        polyfield._STENCIL_STEP / 2)
+    halved = carlgd.from_model(mlp_spec, iris, anchor, degree, 0.05,
+                               mode="taylor", mask=mask)
+    for a, b in zip(fld.terms, halved.terms):
+        a, b = a.toarray(), b.toarray()
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
 def test_symmetrize_idempotent():
     rng = np.random.default_rng(6)
     n = 3
@@ -129,6 +184,15 @@ def test_masked_extraction_reduces_dimension(mlp_spec, iris):
     H = carlgd.hessian(mlp_spec, anchor, iris)
     np.testing.assert_allclose(fld.terms[1].toarray(),
                                -0.05 * H[np.ix_(idx, idx)], atol=1e-12)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_extraction_with_no_free_coordinates(mlp_spec, iris, degree):
+    fld = carlgd.from_model(mlp_spec, iris, np.zeros(mlp_spec.n), degree,
+                            0.05, mode="taylor",
+                            mask=np.zeros(mlp_spec.n, dtype=bool))
+    assert fld.n == 0
+    assert [t.shape for t in fld.terms] == [(0, 1)] + [(0, 0)] * degree
 
 
 def test_sparsify_identity_at_zero_threshold(diag_spec):
