@@ -6,6 +6,10 @@ rule: the block mapping order j = i+k-1 into order i is
 
     A[i][j] = sum_{p=1..i}  I^{(x)(p-1)} (x) F_k (x) I^{(x)(i-p)} .
 
+`embed` writes every block's entries from the triplets of F_k by index
+arithmetic into one canonical CSR matrix, adding the p-terms in order. No
+block is stored on its own: slice `CarlemanMatrix.matrix` at `offsets`.
+
 An order-0 block (a single stationary coordinate held at 1) carries the
 affine drift F_0; it is included only when the field actually has drift,
 so drift-free systems contribute no artificial marginal mode.
@@ -29,15 +33,31 @@ from .errors import (CapacityError, ConvergenceError, DegenerateStateError,
 from .util import kron_power
 
 
-def _transfer_block(Fk, i, k, n):
-    """sum_{p=1..i} I^{(p-1)} (x) F_k (x) I^{(i-p)} as a sparse matrix."""
-    total = None
-    for p in range(1, i + 1):
-        left = sp.identity(n ** (p - 1), format="csr")
-        right = sp.identity(n ** (i - p), format="csr")
-        term = sp.kron(sp.kron(left, Fk, format="csr"), right, format="csr")
-        total = term if total is None else total + term
-    return total.tocsr()
+def _kron_sum_entries(Fk, i, row0, col0, width):
+    """Row-major nonzeros (row, col, value) of sum_{p=1..i} I_{n^(p-1)} (x) F_k
+    (x) I_{n^(i-p)} at (row0, col0) of a `width`-column matrix, p-terms added in order."""
+    n, m = Fk.shape  # m = n^k
+    base = row0 * width + col0
+    entry = np.repeat(np.arange(n, dtype=np.int64) * width, np.diff(Fk.indptr)) + Fk.indices
+    key = np.empty((i, n ** (i - 1) * Fk.nnz), dtype=np.int64)  # row * width + col
+    val = np.empty(key.shape)
+    for p in range(1, i + 1):  # term p, laid out over (alpha, F entry, beta)
+        # F_k[r, c] goes to row (alpha*n + r)*b + beta, column (alpha*m + c)*b + beta
+        a, b = n ** (p - 1), n ** (i - p)
+        term = key[p - 1].reshape(a, Fk.nnz, b)
+        np.add(np.arange(a, dtype=np.int64)[:, None, None] * ((n * width + m) * b) + base,
+               entry[:, None] * b, out=term)
+        term += np.arange(b, dtype=np.int64) * (width + 1)
+        val[p - 1].reshape(term.shape)[...] = Fk.data[:, None]
+    order = np.argsort(key.ravel(), kind="stable")  # shared keys stay in p order
+    key, val = key.ravel()[order], val.ravel()[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    total, dup = val[first], np.flatnonzero(~first)
+    # add.at runs in array order, so each sum is (t_1 + t_2) + t_3 + ...
+    np.add.at(total, np.searchsorted(np.flatnonzero(first), dup) - 1, val[dup])
+    keep = total != 0
+    return np.divmod(key[first][keep], width) + (total[keep],)
 
 
 @dataclass
@@ -51,12 +71,8 @@ class CarlemanMatrix:
     block_orders: list  # orders of the stored blocks, e.g. [0, 1, 2]
     offsets: np.ndarray  # start offset of each block within the state vector
     D: int
-    blocks: dict  # (i_order, j_order) -> csr block
     matrix: sp.csr_matrix
     field: object = field(repr=False, default=None)
-
-    def block_dim(self, order):
-        return self.n ** order
 
     def order_one_slice(self):
         pos = self.block_orders.index(1)
@@ -115,6 +131,7 @@ def check_capacity(n, order, include_constant, max_dim):
 def embed(field_, order, max_dim=2_000_000, include_constant=None):
     """Build the truncated Carleman matrix of a PolyField.
 
+    A is one canonical CSR matrix, with each block's p-terms summed in order.
     `include_constant` defaults to auto: the order-0 block is kept exactly
     when the field has a nonzero constant term. Raises CapacityError when
     the total dimension would exceed `max_dim`.
@@ -125,38 +142,20 @@ def embed(field_, order, max_dim=2_000_000, include_constant=None):
     block_orders, dims = check_capacity(n, order, include_constant, max_dim)
     D = int(sum(dims))
     offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(np.int64)
-    pos = {j: p for p, j in enumerate(block_orders)}
-
-    blocks = {}
-    rows, cols, vals = [], [], []
-    for i in range(1, order + 1):
-        for k in range(0, d + 1):
-            j = i + k - 1
-            if j > order or (j == 0 and not include_constant):
-                continue
-            Fk = field_.terms[k]
-            if Fk.nnz == 0:
-                continue
-            blk = _transfer_block(Fk, i, k, n)
-            blk.sum_duplicates()
-            blk.eliminate_zeros()
-            if blk.nnz == 0:
-                continue
-            blocks[(i, j)] = blk
-            coo = blk.tocoo()
-            rows.append(coo.row + offsets[pos[i]])
-            cols.append(coo.col + offsets[pos[j]])
-            vals.append(coo.data)
-    if rows:
-        A = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(D, D),
-        ).tocsr()
-    else:
+    start = dict(zip(block_orders, offsets))
+    # every block (i, j = i+k-1) whose target order j is kept
+    blocks = [_kron_sum_entries(field_.terms[k], i, start[i], start[i + k - 1], D)
+              for i in range(1, order + 1) for k in range(d + 1) if i + k - 1 in start]
+    if blocks:
+        rows, cols, vals = zip(*blocks)
+        A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(D, D)).tocsr()
+        del blocks, rows, cols, vals  # free the triplets before the audit scans A
+    else:  # a degree-0 field without the constant block
         A = sp.csr_matrix((D, D))
     M = CarlemanMatrix(n=n, order=order, degree=d, include_constant=include_constant,
                        block_orders=block_orders, offsets=offsets, D=D,
-                       blocks=blocks, matrix=A, field=field_)
+                       matrix=A, field=field_)
     M.audit()
     return M
 

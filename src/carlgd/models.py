@@ -321,7 +321,8 @@ def loss(spec, params, data=None):
     """Evaluate L(theta); raises NumericOverflowError on non-finite values."""
     theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
     _check_inputs(spec, theta, data)
-    value = _loss_value(spec, theta, data)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
+        value = _loss_value(spec, theta, data)
     if not np.isfinite(value):
         raise NumericOverflowError("loss evaluated to a non-finite value")
     return value

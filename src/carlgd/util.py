@@ -36,7 +36,8 @@ def norm2(x):
     np.linalg.norm overflows once max|x| passes about 1e154; only then is
     the norm recomputed on x / max|x|, so finite results keep their bits.
     """
-    value = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):  # the overflow is handled below
+        value = float(np.linalg.norm(x))
     if math.isfinite(value):
         return value
     scale = float(np.max(np.abs(x)))

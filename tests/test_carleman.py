@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carlgd
 from carlgd import polyfield
@@ -41,15 +43,25 @@ def test_embed_scalar_cubic_matrix():
 def test_embed_degree_two_blocks():
     fld = random_field(2, 2, seed=0)
     M = carlgd.embed(fld, 2)
+    A = M.matrix.toarray()
+    start = dict(zip(M.block_orders, M.offsets))
+
+    def block(i, j):
+        return A[start[i]:start[i] + 2 ** i, start[j]:start[j] + 2 ** j]
+
     F1 = fld.terms[1].toarray()
     F2 = fld.terms[2].toarray()
-    np.testing.assert_allclose(M.blocks[(1, 1)].toarray(), F1)
-    np.testing.assert_allclose(M.blocks[(1, 2)].toarray(), F2)
+    np.testing.assert_allclose(block(1, 1), F1)
+    np.testing.assert_allclose(block(1, 2), F2)
     I = np.eye(2)
-    np.testing.assert_allclose(M.blocks[(2, 2)].toarray(),
-                               np.kron(F1, I) + np.kron(I, F1))
-    # F2 would target order 3, which is truncated away
-    assert (2, 3) not in M.blocks
+    np.testing.assert_allclose(block(2, 2), np.kron(F1, I) + np.kron(I, F1))
+    # F2 would target order 3, which is truncated away: the order-2 columns
+    # end the matrix, and the order-2 rows hold only the (2,1) and (2,2)
+    # blocks, so the (2,3) region is empty
+    assert M.D == start[2] + 4
+    F0 = fld.terms[0].toarray()
+    np.testing.assert_allclose(A[start[2]:, :start[2]], np.hstack(
+        [np.zeros((4, start[1])), np.kron(F0, I) + np.kron(I, F0)]))
 
 
 def dense_embed_oracle(fld, N):
@@ -93,6 +105,57 @@ def test_embed_against_dense_kronecker_oracle(mlp_spec, iris):
         dense = dense[1:, 1:]
     np.testing.assert_allclose(M.matrix.toarray(), dense, atol=1e-14)
     assert M.matrix.nnz == np.count_nonzero(dense)
+
+
+# Values whose sums depend on the order of addition (1e16 + 1 - 1e16) or
+# cancel exactly, so the property below sees both.
+FIELD_VALUES = np.array([1.0, -1.0, 0.1, -0.3, 2.5e-3, 1e16, -1e16])
+ORACLE_MAX_DIM = 128
+
+
+@st.composite
+def sparse_fields(draw):
+    """A slot-symmetrized sparse field, an order whose D stays under
+    ORACLE_MAX_DIM, and an explicit choice of the constant block."""
+    n = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 3))
+    fits = [N for N in range(1, 5) if sum(n ** j for j in range(N + 1)) <= ORACLE_MAX_DIM]
+    order = draw(st.sampled_from(fits))
+    density = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    terms = []
+    for k in range(degree + 1):
+        shape = (n, n ** k)
+        dense = rng.choice(FIELD_VALUES, size=shape) * (rng.random(shape) < density)
+        terms.append(sp.csr_matrix(polyfield.symmetrize_slots(dense, k, n)))
+    fld = polyfield.PolyField(n=n, degree=degree, eta=0.1,
+                              theta_star=np.zeros(n), terms=terms)
+    return fld, order, draw(st.booleans())
+
+
+def assert_canonical_csr(X):
+    """Sorted, unique column indices in every row and no stored zeros."""
+    assert X.format == "csr"
+    for r in range(X.shape[0]):
+        assert np.all(np.diff(X.indices[X.indptr[r]:X.indptr[r + 1]]) > 0)
+    assert np.all(X.data != 0)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(sparse_fields())
+def test_embed_step_operator_equals_dense_oracle_exactly(case):
+    fld, order, include_constant = case
+    M = carlgd.embed(fld, order, include_constant=include_constant)
+    dense = dense_embed_oracle(fld, order)
+    if not include_constant:
+        dense = dense[1:, 1:]
+    S = M.step_operator()
+    want = np.eye(M.D) + dense  # the oracle also adds the p-terms in order
+    assert np.array_equal(S.toarray(), want)
+    assert M.matrix.nnz == np.count_nonzero(dense)
+    assert S.nnz == np.count_nonzero(want)
+    assert_canonical_csr(M.matrix)
+    assert_canonical_csr(S)
 
 
 def test_embed_capacity_error():

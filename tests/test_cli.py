@@ -218,6 +218,21 @@ def test_exit_code_divergence(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_runaway_run_exits_0_with_warnings_as_errors(tmp_path, capsys):
+    # The lifted trajectory runs away from exact GD: the loss overflows to
+    # inf and err_l2 needs its rescaled norm. Neither may leak a warning.
+    out = tmp_path / "run"
+    rc = main(["simulate", "--model", "scalar_cubic", "--order", "8",
+               "--steps", "1000", "--eta", "0.1", "--degree", "3",
+               "--theta0", "0.6", "--shots", "10000", "--out", str(out)])
+    assert rc == 0
+    rows = read_csv(out / "trajectory.csv")
+    assert any(r["loss"] == "inf" for r in rows)
+    assert all(np.isfinite(float(r["err_l2"])) for r in rows)
+    capsys.readouterr()
+
+
 def test_exit_code_numeric_failures(tmp_path, capsys, monkeypatch):
     solve = carleman.solve
 
