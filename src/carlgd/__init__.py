@@ -7,8 +7,7 @@ from .models import (Dataset, ModelSpec, ParamVector, accuracy, grad, hessian,
                      hvp, init_params, load_iris, loss, sgd_reference)
 from .polyfield import PolyField, from_model, sparsify
 from .carleman import (CarlemanMatrix, GlobalSystem, ReadoutResult,
-                       build_global, condition_number, embed, initial_state,
-                       readout, solve, upload_stats)
+                       build_global, condition_number, embed, readout, solve)
 from .pipeline import (PipelineReport, Schedule, SegmentRecord, SimulateResult,
                        StepRecord, pretrain, prune_topk, run_pipeline, simulate)
 from .diagnostics import (DissipationReport, Spectrum, classify, cost_estimate,
@@ -20,8 +19,7 @@ __all__ = [
     "hvp", "init_params", "load_iris", "loss", "sgd_reference",
     "PolyField", "from_model", "sparsify",
     "CarlemanMatrix", "GlobalSystem", "ReadoutResult", "build_global",
-    "condition_number", "embed", "initial_state", "readout", "solve",
-    "upload_stats",
+    "condition_number", "embed", "readout", "solve",
     "PipelineReport", "Schedule", "SegmentRecord", "SimulateResult",
     "StepRecord", "pretrain", "prune_topk", "run_pipeline", "simulate",
     "DissipationReport", "Spectrum", "classify", "cost_estimate",

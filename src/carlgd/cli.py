@@ -354,7 +354,7 @@ def cmd_kappa(args):
     steps = config.typed(cfg, "kappa.steps", lambda v: [
         int(s) for s in (v.split(",") if isinstance(v, str) else v)])
     seed = config.typed(cfg, "seed", int)
-    degree = max(1, min(spec.grad_degree(), order, 3))
+    degree = pipeline._field_degree(spec, order)
     _, M = pipeline.lift(spec, data, np.zeros(spec.n), degree, eta, None, order)
     rows = []
     for T in steps:

@@ -236,15 +236,15 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
         fld, M = lift(spec, data, anchor, d, schedule.eta, mask, N, max_dim)
         y0 = M.initial_state(anchor[idx])
         G = carleman.build_global(M, y0, R)
-        norm0, nnz0 = carleman.upload_stats(y0)
         try:
             kappa = carleman.condition_number(G, method=kappa_method, seed=seed)
         except SingularSystemError:
             kappa = float("inf")
-        segments.append(SegmentRecord(segment=seg, start_step=steps_done,
-                                      kappa=kappa, kappa_method=kappa_method,
-                                      dim=M.D, upload_nnz=nnz0,
-                                      upload_norm=norm0))
+        segments.append(SegmentRecord(
+            segment=seg, start_step=steps_done, kappa=kappa,
+            kappa_method=kappa_method, dim=M.D,
+            upload_nnz=int(np.count_nonzero(y0)),
+            upload_norm=float(np.linalg.norm(y0))))
 
         Y = carleman.solve(G, raise_on_divergence=False)
         done = Y.shape[0] - 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carlgd
-from carlgd import polyfield
+from carlgd import carleman, pipeline, polyfield
 from carlgd.errors import (CapacityError, DegenerateStateError,
                            DivergenceError, InputError, NumericError,
                            SingularSystemError)
@@ -165,27 +167,48 @@ def test_embed_capacity_error():
     assert err.value.required == 1 + 4 + 16 + 64
 
 
-def test_audit_catches_tampering():
+def test_audit_catches_tampering(monkeypatch):
+    """embed checks each block's entries as they are written. One entry
+    put just above block (2, 1), in an order-1 row, or just left of it, in
+    the constant column, is rejected."""
     fld = random_field(2, 1, seed=3)
-    M = carlgd.embed(fld, 2, include_constant=True)
-    bad = M.matrix.tolil()
-    bad[0, 1] = 1.0  # constant row must stay empty
-    M.matrix = bad.tocsr()
-    with pytest.raises(InputError):
-        M.audit()
+    original = carleman._kron_sum_entries
+    for d_row, d_col in ((-1, 0), (0, -1)):
+        def tampered(Fk, i, row0, col0, width, d_row=d_row, d_col=d_col):
+            rows, cols, vals = original(Fk, i, row0, col0, width)
+            if (i, Fk.shape[1]) == (2, 1):  # block (2, 1), written from F_0
+                rows, cols, vals = (np.append(rows, row0 + d_row),
+                                    np.append(cols, col0 + d_col),
+                                    np.append(vals, 1.0))
+            return rows, cols, vals
+
+        with monkeypatch.context() as m:
+            m.setattr(carleman, "_kron_sum_entries", tampered)
+            with pytest.raises(InputError, match="block"):
+                carlgd.embed(fld, 2, include_constant=True)
+    carlgd.embed(fld, 2, include_constant=True)  # untampered: accepted
 
 
 # ----------------------------------------------------------- initial state
 
+def embedded(n, order, theta_star=None):
+    """Order-`order` embedding, constant block kept, of a linear field on
+    R^n anchored at `theta_star` (zero by default)."""
+    fld = random_field(n, 1, seed=8)
+    if theta_star is not None:
+        fld.theta_star = np.asarray(theta_star, dtype=float)
+    return carlgd.embed(fld, order, include_constant=True)
+
+
 def test_initial_state_at_anchor():
-    y = carlgd.initial_state(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 3)
+    y = embedded(2, 3, theta_star=[1.0, 2.0]).initial_state(np.array([1.0, 2.0]))
     want = np.zeros(1 + 2 + 4 + 8)
     want[0] = 1.0
     np.testing.assert_array_equal(y, want)
 
 
 def test_initial_state_kronecker_square():
-    y = carlgd.initial_state(np.array([1.0, 2.0]), np.zeros(2), 2)
+    y = embedded(2, 2).initial_state(np.array([1.0, 2.0]))
     np.testing.assert_array_equal(y, [1, 1, 2, 1, 2, 2, 4])
 
 
@@ -194,7 +217,7 @@ def test_initial_state_sparse_block_counts():
     delta = np.zeros(5)
     q = 2
     delta[rng.choice(5, q, replace=False)] = rng.standard_normal(q)
-    y = carlgd.initial_state(delta, np.zeros(5), 3)
+    y = embedded(5, 3).initial_state(delta)
     sizes = [1, 5, 25, 125]
     off = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     for j in range(4):
@@ -203,9 +226,21 @@ def test_initial_state_sparse_block_counts():
 
 
 def test_upload_stats():
-    norm, nnz = carlgd.upload_stats(np.array([1.0, 0.0, 3.0, 4.0]))
-    assert norm == pytest.approx(np.sqrt(26.0))
-    assert nnz == 3
+    """Each segment record carries the l2 norm and the nonzero count of its
+    upload state. Anchored at the segment start, that state is the
+    constant coordinate alone."""
+    spec = carlgd.ModelSpec(kind="diag_quadratic", coefficients=(1.0, 4.0))
+    params = carlgd.ParamVector([1.0, 0.5], mask=[True, True])
+    sched = carlgd.Schedule(total_steps=4, eta=0.1, reupload_period=2,
+                            classical_refine_steps=0, carleman_order=2)
+    report = pipeline.run_pipeline(spec, None, sched, params)
+    _, M = pipeline.lift(spec, None, params.values, 1, 0.1, params.mask, 2)
+    y0 = M.initial_state(params.values)
+    assert np.count_nonzero(y0) == 1
+    for rec in report.segments:
+        assert rec.dim == M.D == 7
+        assert rec.upload_norm == np.linalg.norm(y0) == 1.0
+        assert rec.upload_nnz == 1
 
 
 # ------------------------------------------------------------------ solve
@@ -246,7 +281,9 @@ def test_solve_equals_global_triangular_solve():
     fld = scalar_field(-0.2, -0.05, anchor=0.3)
     M = carlgd.embed(fld, 3)
     G = carlgd.build_global(M, M.initial_state(np.array([0.8])), 12)
-    z = spsolve_triangular(G.matrix().tocsr(), G.rhs(), lower=True)
+    b = np.zeros((G.T + 1) * G.D)
+    b[:G.D] = G.y0
+    z = spsolve_triangular(G.matrix().tocsr(), b, lower=True)
     np.testing.assert_allclose(z.reshape(13, -1), carlgd.solve(G),
                                rtol=1e-12, atol=1e-14)
 
@@ -460,6 +497,70 @@ def test_lanczos_kappa_iteration_cap_raises():
     G = carlgd.build_global(M, M.initial_state(np.array([1.0])), 200)
     with pytest.raises(NumericError):
         carlgd.condition_number(G, "power_iteration", max_iter=1)
+
+
+def test_lanczos_kappa_matches_dense_svd_on_pruned_iris_system(mlp_spec, iris):
+    """A D = 111, T = 10 segment system of the pruned Iris pipeline. Its
+    two largest squared singular values lie about 0.2% apart, so the
+    recurrence, which does not reorthogonalise, must resolve a close gap."""
+    pruned = pipeline.prune_topk(
+        pipeline.pretrain(mlp_spec, iris, steps=200, eta=0.05, seed=0), 0.37)
+    anchor = pruned.values
+    _, M = pipeline.lift(mlp_spec, iris, anchor,
+                         pipeline._field_degree(mlp_spec, 2), 0.05,
+                         pruned.mask, 2)
+    G = carlgd.build_global(M, M.initial_state(anchor[pruned.mask]), 10)
+    assert (G.T + 1) * G.D == 1221
+    kd = carlgd.condition_number(G, "dense_svd")
+    kp = carlgd.condition_number(G, "power_iteration")
+    assert abs(kp - kd) <= 1e-8 * kd
+
+
+@pytest.mark.parametrize("T", [1, 5, 40])
+def test_lanczos_kappa_zero_step_operator(T, monkeypatch):
+    """S = 0 makes L the identity. Both recurrences meet beta = 0 (to
+    rounding) at their first step and must stop there, dividing by
+    nothing."""
+    M = carlgd.embed(scalar_field(-1.0, 0.0), 1)
+    G = carlgd.build_global(M, M.initial_state(np.array([1.0])), T)
+    assert G.S.nnz == 0
+    substitutions = []
+    solve_lower = carlgd.GlobalSystem.solve_lower
+
+    def counted(self, w):
+        substitutions.append(w)
+        return solve_lower(self, w)
+
+    monkeypatch.setattr(carlgd.GlobalSystem, "solve_lower", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kappa = carlgd.condition_number(G, "power_iteration")
+    assert abs(kappa - 1.0) <= 4 * np.finfo(float).eps
+    assert len(substitutions) == 1
+
+
+@pytest.mark.parametrize("T", [1, 5])
+def test_lanczos_kappa_huge_step_operator(T):
+    """With S = 1 + 1e100 the tridiagonal entries reach 1e200, whose squares
+    overflow: they are scaled before the eigensolve, so sigma_max still
+    comes out as 1e100 and the system is reported singular."""
+    M = carlgd.embed(scalar_field(1e100, 0.0), 1)
+    G = carlgd.build_global(M, M.initial_state(np.array([1.0])), T)
+    with pytest.raises(SingularSystemError) as err:
+        carlgd.condition_number(G, "power_iteration")
+    assert err.value.sigma_max == pytest.approx(1e100, rel=1e-8)
+
+
+def test_lanczos_overflowing_recurrence_gives_inf():
+    """Each apply of 1e308 * ones((2, 2)) is finite, but the top eigenvalue
+    is past the float range, and so is alpha_1 from seed 8's start vector:
+    the recurrence returns inf and warns about nothing."""
+    def apply(v):
+        return np.full(2, 1e308 * v.sum())
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert carleman._lanczos_top(apply, 2, 8, 1e-8, 10) == np.inf
 
 
 def test_singular_system_detected():

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,29 @@ def test_simulate_matches_library_solve(tmp_path):
     G = carleman.build_global(M, M.initial_state(np.array([0.5])), 50)
     Y = carleman.solve(G)
     np.testing.assert_array_equal(got, Y[:, M.order_one_slice()].ravel())
+
+
+def test_pipeline_leaves_sparse_linalg_unloaded(tmp_path):
+    """kappa runs its own Lanczos recurrence, so a pipeline op, kappa
+    included, never imports scipy.sparse.linalg (ARPACK). Checked in a
+    fresh interpreter, where no other test has imported it."""
+    argv = ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "20",
+            "--steps", "4", "--reupload", "2", "--refine", "0",
+            "--order", "2", "--fraction", "0.2", "--eta", "0.05",
+            "--set", "pipeline.kappa_method=power_iteration",
+            "--out", str(tmp_path / "run")]
+    code = ("import sys\n"
+            "from carlgd.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(rc, 'scipy.sparse.linalg' in sys.modules)\n")
+    src = str(Path(carlgd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert read_csv(tmp_path / "run" / "segments.csv")[0]["kappa_method"] \
+        == "power_iteration"
 
 
 def test_pipeline_deterministic_across_runs(tmp_path):
