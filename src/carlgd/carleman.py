@@ -87,6 +87,12 @@ class CarlemanMatrix:
         return np.concatenate(parts)
 
     def step_operator(self):
+        """S = I + A in canonical CSR, built once per matrix and shared by
+        every global system made from it."""
+        return self._step
+
+    @cached_property
+    def _step(self):
         S = (sp.identity(self.D, format="csr") + self.matrix).tocsr()
         S.sum_duplicates()
         S.eliminate_zeros()
@@ -150,9 +156,24 @@ def embed(field_, order, max_dim=2_000_000, include_constant=None):
                           matrix=A, field=field_)
 
 
+# kappa multiplies by a dense copy of S while that copy takes at most this
+# many bytes (512 KiB, so D <= 256). Most of a sparse product on a small S
+# is scipy's per-call dispatch: at D = 111, S @ z takes 9.0 us sparse and
+# 4.6 us dense. On pruned Iris systems at T = 20, a whole kappa is faster
+# dense at D = 273 (59 against 65 ms) and slower at D = 343 (84 against
+# 59 ms); at D = 1 111 one dense S @ z takes 260 us against 37.5 us.
+_DENSE_BYTES = 1 << 19
+
+
 @dataclass
 class GlobalSystem:
-    """All T Euler steps stacked into one block-bidiagonal linear system."""
+    """All T Euler steps stacked into one block-bidiagonal linear system.
+
+    `S` is the canonical CSR step operator, which `solve` iterates. The
+    substitutions and the gram of `condition_number` multiply by S and S^T
+    as C-contiguous dense arrays instead while D * D * 8 bytes is at most
+    `_DENSE_BYTES` (512 KiB, so D <= 256), and as CSR above that.
+    """
 
     T: int
     D: int
@@ -161,9 +182,12 @@ class GlobalSystem:
     _L: sp.csr_matrix = field(default=None, repr=False)
 
     @cached_property
-    def St(self):
-        """S^T in CSR form, for back substitution and L^T products."""
-        return self.S.T.tocsr()
+    def _products(self):
+        """(S, S^T) for kappa's products: dense when small, else CSR."""
+        if self.D * self.D * 8 <= _DENSE_BYTES:
+            S = self.S.toarray()
+            return S, np.ascontiguousarray(S.T)
+        return self.S, self.S.T.tocsr()
 
     def matrix(self):
         if self._L is None:
@@ -180,20 +204,22 @@ class GlobalSystem:
 
     def solve_lower(self, w):
         """Forward substitution L z = w for an arbitrary right-hand side."""
+        S = self._products[0]
         W = w.reshape(self.T + 1, self.D)
         Z = np.empty_like(W)
         Z[0] = W[0]
         for t in range(1, self.T + 1):
-            Z[t] = W[t] + self.S @ Z[t - 1]
+            Z[t] = W[t] + S @ Z[t - 1]
         return Z.reshape(-1)
 
     def solve_lower_t(self, w):
         """Back substitution L^T u = w."""
+        St = self._products[1]
         W = w.reshape(self.T + 1, self.D)
         U = np.empty_like(W)
         U[self.T] = W[self.T]
         for t in range(self.T - 1, -1, -1):
-            U[t] = W[t] + self.St @ U[t + 1]
+            U[t] = W[t] + St @ U[t + 1]
         return U.reshape(-1)
 
     def export_coo(self, path):
@@ -310,31 +336,34 @@ def _lanczos_top(apply, dim, seed, tol, max_iter):
     q_prev = np.zeros(dim)
     alpha, beta = [], []
     b = 0.0
-    for k in range(1, max_iter + 1):
-        w = apply(q)
-        if not np.all(np.isfinite(w)):
-            return np.inf
-        with np.errstate(over="ignore", invalid="ignore"):  # checked by b
+    # an overflow in `apply` or the recurrence is checked and returned as inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iter + 1):
+            w = apply(q)
+            if not np.all(np.isfinite(w)):
+                return np.inf
             a = float(q @ w)
             w -= a * q
             w -= b * q_prev
-        b = norm2(w)
-        if not math.isfinite(b):
-            return np.inf
-        alpha.append(a)
-        beta.append(b)
-        collapsed = b <= tol * abs(a)  # as alpha_k <= theta and |s_k| <= 1
-        if collapsed or k % _CHECK_EVERY == 0 or k == max_iter:
-            # scaled by a power of two, exactly, so that stebz's squares of
-            # the entries neither overflow nor underflow
-            scale = math.ldexp(1.0, math.frexp(max(map(abs, alpha)))[1] - 1)
-            theta, s = eigh_tridiagonal(np.divide(alpha, scale),
-                                        np.divide(beta[:-1], scale),
-                                        select="i", select_range=(k - 1, k - 1))
-            theta = scale * float(theta[0])
-            if collapsed or b * abs(s[-1, 0]) <= tol * theta:
-                return theta
-        q_prev, q = q, w / b
+            b = math.sqrt(w @ w)  # the bits of np.linalg.norm on 1-D input
+            if not math.isfinite(b):
+                b = norm2(w)
+                if not math.isfinite(b):
+                    return np.inf
+            alpha.append(a)
+            beta.append(b)
+            collapsed = b <= tol * abs(a)  # as alpha_k <= theta and |s_k| <= 1
+            if collapsed or k % _CHECK_EVERY == 0 or k == max_iter:
+                # scaled by a power of two, exactly, so that stebz's squares
+                # of the entries neither overflow nor underflow
+                scale = math.ldexp(1.0, math.frexp(max(map(abs, alpha)))[1] - 1)
+                theta, s = eigh_tridiagonal(np.divide(alpha, scale),
+                                            np.divide(beta[:-1], scale),
+                                            select="i", select_range=(k - 1, k - 1))
+                theta = scale * float(theta[0])
+                if collapsed or b * abs(s[-1, 0]) <= tol * theta:
+                    return theta
+            q_prev, q = q, w / b
     raise ConvergenceError(
         f"Lanczos did not converge in {max_iter} steps "
         f"(dimension {dim}, tol {tol:g})")
@@ -349,7 +378,9 @@ def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
     (`_lanczos_top`) finds sigma_max^2 = lambda_max(L^T L),
     applied blockwise from S, and 1/sigma_min^2 = lambda_max((L L^T)^-1),
     applied by forward and back substitution, from start vectors seeded by
-    `seed` and `seed + 1`. Each stops once its Ritz residual is at most
+    `seed` and `seed + 1`. Both operators multiply by a dense copy of S
+    while it takes at most `_DENSE_BYTES` = 512 KiB (D <= 256), and by the
+    CSR S above that. Each stops once its Ritz residual is at most
     `tol` times its Ritz value theta, so theta is off by about
     tol^2 * theta^2 / gap: at the default 1e-8, under 1e-14 relative when
     the top eigenvalue is separated by more than 1% of theta. `max_iter`
@@ -373,12 +404,18 @@ def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
         if G.T == 0:
             return 1.0  # L is the identity
         shape = (G.T + 1, G.D)
+        S, St = G._products
+        dense = isinstance(S, np.ndarray)
 
         def gram(v):  # L^T L v, with L = I - (shift (x) S)
             Z = v.reshape(shape)
             W = Z.copy()
-            W[1:] -= (G.S @ Z[:-1].T).T  # W = L z
-            W[:-1] -= (G.St @ W[1:].T).T  # W = L^T W (rhs is a new array)
+            if dense:  # row-major products: (S @ Z.T).T is slower in BLAS
+                W[1:] -= Z[:-1] @ St  # W = L z
+                W[:-1] -= W[1:] @ S  # W = L^T W (rhs is a new array)
+            else:  # column products, which scipy runs in its CSR kernel
+                W[1:] -= (S @ Z[:-1].T).T
+                W[:-1] -= (St @ W[1:].T).T
             return W.reshape(-1)
 
         def inverse_gram(v):  # (L L^T)^-1 v

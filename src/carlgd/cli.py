@@ -356,9 +356,9 @@ def cmd_kappa(args):
     seed = config.typed(cfg, "seed", int)
     degree = pipeline._field_degree(spec, order)
     _, M = pipeline.lift(spec, data, np.zeros(spec.n), degree, eta, None, order)
+    y0 = M.initial_state(theta0)
     rows = []
-    for T in steps:
-        y0 = M.initial_state(theta0)
+    for T in steps:  # every T shares M's step operator S
         G = carleman.build_global(M, y0, T)
         rows.append((T,
                      carleman.condition_number(G, method=cfg["kappa.method"],

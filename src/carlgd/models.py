@@ -214,7 +214,11 @@ def _loss_value(spec, theta, data):
         t = theta[0]
         return 0.5 * c0 * t * t + 0.25 * c1 * t ** 4
     _, H_list = _mlp_forward(spec, theta, data.features)
-    R = H_list[-1] - data.one_hot
+    return _mse(H_list[-1], data)
+
+
+def _mse(out, data):
+    R = out - data.one_hot
     return 0.5 * float(np.sum(R * R)) / data.n_samples
 
 
@@ -328,6 +332,18 @@ def loss(spec, params, data=None):
     return value
 
 
+def loss_accuracy(spec, params, data):
+    """An MLP's loss and accuracy from one forward pass: the values of
+    `loss` and `accuracy`, except that a non-finite loss is returned, not
+    raised."""
+    theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
+    _check_inputs(spec, theta, data)
+    with np.errstate(over="ignore", invalid="ignore"):  # left to the caller
+        out = _mlp_forward(spec, theta, data.features)[1][-1]
+        value = _mse(out, data)
+    return value, float(np.mean(np.argmax(out, axis=1) == data.labels))
+
+
 def grad(spec, params, data=None):
     """Exact gradient of the loss (closed form or backpropagation)."""
     theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
@@ -361,15 +377,16 @@ def hessian(spec, params, data=None, dense_limit=4096):
 
 
 def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
-                  noise_seed=None, noise_scale=0.0, divergence_bound=1e8,
+                  noise_seed=None, divergence_bound=1e8,
                   raise_on_divergence=True):
     """Classical (stochastic) gradient-descent reference trajectory.
 
-    theta(t+1) = theta(t) - eta * grad L(theta(t)) [+ noise], with the
-    gradient taken over the full set or a seeded minibatch of `batch`
-    samples per step. Masked coordinates stay exactly zero. Returns an
-    array of shape (steps+1, n); with raise_on_divergence=False a diverged
-    run returns the trajectory up to the last in-bounds step instead.
+    theta(t+1) = theta(t) - eta * grad L(theta(t)), with the gradient taken
+    over the full set or a minibatch of `batch` samples per step, drawn
+    with `default_rng(noise_seed)`. Masked coordinates stay exactly zero.
+    Returns an array of shape (steps+1, n); with raise_on_divergence=False
+    a diverged run returns the trajectory up to the last in-bounds step
+    instead.
     """
     if eta < 0:
         raise InputError("eta must be >= 0")
@@ -380,9 +397,7 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
     stochastic = batch is not None and data is not None and batch < data.n_samples
     if batch is not None and data is not None and batch > data.n_samples:
         raise InputError(f"batch {batch} exceeds {data.n_samples} samples")
-    rng = None
-    if stochastic or noise_scale:
-        rng = np.random.default_rng(noise_seed)
+    rng = np.random.default_rng(noise_seed) if stochastic else None
     traj = np.empty((steps + 1, theta.size))
     traj[0] = theta
     for t in range(1, steps + 1):
@@ -392,8 +407,6 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
             d = data.subset(idx)
         g = _grad_values(spec, theta, d)
         theta = theta - eta * g
-        if noise_scale:
-            theta = theta + noise_scale * rng.standard_normal(theta.size)
         if mask is not None:
             theta[~mask] = 0.0
         if not np.all(np.isfinite(theta)) or np.linalg.norm(theta) > divergence_bound:

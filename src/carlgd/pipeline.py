@@ -125,15 +125,17 @@ def lift(spec, data, anchor, degree, eta, mask, order, max_dim=2_000_000):
 
 
 def _loss_acc(spec, theta, data):
+    """Loss and accuracy of one step; the accuracy is NaN for a model that
+    does not classify. A loss that overflows reads inf, to keep reporting
+    usable on runs that blow up."""
+    if spec.kind == "mlp" and data is not None:
+        lv, acc = models.loss_accuracy(spec, theta, data)  # one forward pass
+        return (lv if math.isfinite(lv) else float("inf")), acc
     try:
         lv = models.loss(spec, theta, data)
     except NumericOverflowError:
-        lv = float("inf")  # keep reporting usable on runs that blow up
-    if spec.kind == "mlp" and data is not None:
-        acc = models.accuracy(spec, models.ParamVector(theta), data)
-    else:
-        acc = float("nan")
-    return lv, acc
+        lv = float("inf")
+    return lv, float("nan")
 
 
 @dataclass

@@ -579,6 +579,86 @@ def test_dense_svd_rejected_when_too_large():
         carlgd.condition_number(G, "dense_svd", dense_limit=5)
 
 
+@pytest.fixture(scope="module")
+def pruned_iris(mlp_spec, iris):
+    """Pretrained 4-3-3 Iris weights pruned to 10, as in the pipeline."""
+    return pipeline.prune_topk(
+        pipeline.pretrain(mlp_spec, iris, steps=200, eta=0.05, seed=0), 0.37)
+
+
+def lift_pruned_iris(mlp_spec, iris, pruned, order):
+    _, M = pipeline.lift(mlp_spec, iris, pruned.values,
+                         pipeline._field_degree(mlp_spec, order), 0.05,
+                         pruned.mask, order)
+    return M, M.initial_state(pruned.values[pruned.mask])
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_lanczos_kappa_dense_and_sparse_products(mlp_spec, iris, pruned_iris,
+                                                 dense, monkeypatch):
+    """The D = 111 pruned Iris system, with the dense cut just above and
+    just below its S: both representations match the dense SVD."""
+    M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, 2)
+    assert M.D == 111
+    dense_bytes = M.D * M.D * 8
+    monkeypatch.setattr(carleman, "_DENSE_BYTES",
+                        dense_bytes if dense else dense_bytes - 1)
+    G = carlgd.build_global(M, y0, 10)
+    kd = carlgd.condition_number(G, "dense_svd")
+    kp = carlgd.condition_number(G, "power_iteration")
+    assert abs(kp - kd) <= 1e-8 * kd
+    S, St = G._products
+    assert isinstance(S, np.ndarray) is dense
+    assert isinstance(St, np.ndarray) is dense
+    if dense:
+        assert S.flags.c_contiguous and St.flags.c_contiguous
+        np.testing.assert_array_equal(S, G.S.toarray())
+        np.testing.assert_array_equal(St, G.S.toarray().T)
+
+
+def test_lanczos_kappa_keeps_large_step_operator_sparse(mlp_spec, iris,
+                                                        pruned_iris, monkeypatch):
+    """A D = 1 111 order-3 system is over the dense cut: kappa runs on the
+    CSR S and S^T, and agrees with the dense products."""
+    M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, 3)
+    assert M.D == 1111
+    G = carlgd.build_global(M, y0, 3)
+    kappa = carlgd.condition_number(G, "power_iteration")
+    assert all(sp.issparse(op) for op in G._products)
+    monkeypatch.setattr(carleman, "_DENSE_BYTES", M.D * M.D * 8)
+    G = carlgd.build_global(M, y0, 3)
+    assert abs(carlgd.condition_number(G, "power_iteration") - kappa) <= 1e-8 * kappa
+    assert isinstance(G._products[0], np.ndarray)
+
+
+def test_lanczos_overflow_leaves_error_state_unchanged():
+    """With S = 1 + 1e100, the dense substitutions overflow at T = 5 and
+    the recurrence's w @ w overflows; the floating-point error state after
+    kappa is still the caller's."""
+    M = carlgd.embed(scalar_field(1e100, 0.0), 1)
+    G = carlgd.build_global(M, M.initial_state(np.array([1.0])), 5)
+    assert isinstance(G._products[0], np.ndarray)
+    before = np.geterr()
+    with pytest.raises(SingularSystemError):
+        carlgd.condition_number(G, "power_iteration")
+    assert np.geterr() == before
+
+
+def test_solve_stays_on_csr_after_kappa(mlp_spec, iris, pruned_iris):
+    """kappa's dense copy of S leaves `solve` iterating the canonical CSR
+    S, bit for bit."""
+    M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, 2)
+    G = carlgd.build_global(M, y0, 10)
+    carlgd.condition_number(G, "power_iteration")
+    assert isinstance(G._products[0], np.ndarray)
+    Y = carlgd.solve(G)
+    y = y0.copy()
+    for t in range(1, 11):
+        y = M.step_operator() @ y
+        assert np.array_equal(Y[t], y)
+    assert M.step_operator() is G.S
+
+
 # ------------------------------------------------------------------ export
 
 def test_export_coo_round_trip(tmp_path):

@@ -48,6 +48,14 @@ def test_mlp_loss_matches_reference_forward(mlp_spec, iris):
     assert abs(carlgd.loss(mlp_spec, params, iris) - expected) < 1e-12
 
 
+def test_loss_accuracy_equals_separate_calls_bitwise(mlp_spec, iris):
+    for seed in range(3):
+        theta = carlgd.init_params(mlp_spec, seed).values
+        assert models.loss_accuracy(mlp_spec, theta, iris) == (
+            carlgd.loss(mlp_spec, theta, iris),
+            carlgd.accuracy(mlp_spec, carlgd.ParamVector(theta), iris))
+
+
 def test_mlp_grad_matches_finite_differences(mlp_spec, iris):
     rng = np.random.default_rng(0)
     h = 1e-4

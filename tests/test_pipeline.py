@@ -264,3 +264,15 @@ def test_norm2_finite_past_overflow():
         assert norm2(x) == np.linalg.norm(x)  # same bits in the normal range
     assert norm2(np.array([np.inf, 1.0])) == np.inf
     assert np.isnan(norm2(np.array([np.nan, 1.0])))
+
+
+def test_loss_acc_reads_inf_for_overflowing_loss(mlp_spec, cubic_spec, iris):
+    """`models.loss` raises on these MLP weights; the one forward pass of
+    `models.loss_accuracy` returns the overflow, silently, and the record
+    reads inf next to the accuracy."""
+    with pytest.raises(carlgd.models.NumericOverflowError):
+        carlgd.loss(mlp_spec, np.full(mlp_spec.n, 1e100), iris)
+    lv, acc = pipeline._loss_acc(mlp_spec, np.full(mlp_spec.n, 1e100), iris)
+    assert lv == np.inf and 0.0 <= acc <= 1.0
+    lv, acc = pipeline._loss_acc(cubic_spec, np.array([1e100]), None)
+    assert lv == np.inf and np.isnan(acc)
