@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal, svdvals
 
 from .errors import (CapacityError, ConvergenceError, DegenerateStateError,
-                     DivergenceError, InputError, SingularSystemError)
+                     InputError, SingularSystemError)
 from .util import kron_power, norm2
 
 
@@ -99,6 +99,11 @@ class CarlemanMatrix:
         return S
 
 
+# Budget on the embedding dimension D, shared by `embed` and the capacity
+# check that runs before a field is extracted.
+MAX_DIM = 2_000_000
+
+
 def check_capacity(n, order, include_constant, max_dim):
     """Dimensions of the blocks kept in an order-`order` embedding of an
     n-dimensional field; raises CapacityError when their total D exceeds
@@ -116,7 +121,7 @@ def check_capacity(n, order, include_constant, max_dim):
     return block_orders, dims
 
 
-def embed(field_, order, max_dim=2_000_000, include_constant=None):
+def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
     """Build the truncated Carleman matrix of a PolyField.
 
     A is one canonical CSR matrix, with each block's p-terms summed in order.
@@ -242,19 +247,17 @@ def build_global(M, y0, T):
     return GlobalSystem(T=T, D=M.D, S=M.step_operator(), y0=y0.copy())
 
 
-def solve(G, raise_on_divergence=True):
-    """Solve L z = b by forward substitution; returns the trajectory
-    (T+1, D) with y_t = S^t y(0). Non-finite entries raise DivergenceError
-    with the offending step (or truncate the result when asked not to)."""
+def solve(G):
+    """Solve L z = b by forward substitution on the CSR S; returns the
+    trajectory (T+1, D) with y_t = S^t y(0), cut before the first step
+    with a non-finite entry. Fewer than T+1 rows therefore mean the lifted
+    run left the floating-point range at step `len(Y)`."""
     Y = np.empty((G.T + 1, G.D))
     Y[0] = G.y0
     y = G.y0
     for t in range(1, G.T + 1):
         y = G.S @ y
         if not np.all(np.isfinite(y)):
-            if raise_on_divergence:
-                raise DivergenceError(f"Carleman trajectory non-finite at step {t}",
-                                      step=t)
             return Y[:t]
         Y[t] = y
     return Y

@@ -159,6 +159,17 @@ def _spectrum_from_csv(path):
                                 ritz_weights=w / w.sum())
 
 
+def _pretrain(cfg, spec, data):
+    """Dense pre-training as the config's `pretrain.*` keys and seed set it."""
+    seed = config.typed(cfg, "seed", int)
+    return pipeline.pretrain(spec, data,
+                             steps=config.typed(cfg, "pretrain.steps", int),
+                             eta=config.typed(cfg, "pretrain.eta", float),
+                             batch=cfg["pretrain.batch"],
+                             seed=sub_seed(seed, "minibatch"),
+                             params0=config.initial_point(cfg, spec))
+
+
 def cmd_pretrain(args):
     started = time.perf_counter()
     cfg = config.resolve(args.config, _overrides(args, {
@@ -166,14 +177,7 @@ def cmd_pretrain(args):
         "eta": "pretrain.eta", "batch": "pretrain.batch", "seed": "seed"}))
     out = _outdir(args)
     spec = config.build_model(cfg)
-    data = config.load_dataset(cfg)
-    seed = config.typed(cfg, "seed", int)
-    params = pipeline.pretrain(spec, data,
-                               steps=config.typed(cfg, "pretrain.steps", int),
-                               eta=config.typed(cfg, "pretrain.eta", float),
-                               batch=cfg["pretrain.batch"],
-                               seed=sub_seed(seed, "minibatch"),
-                               params0=config.initial_point(cfg, spec))
+    params = _pretrain(cfg, spec, config.load_dataset(cfg))
     _write_params(out / "params.csv", params)
     write_manifest(out, "pretrain", cfg, ["params.csv"], started)
     print(f"pretrained {params.n} parameters -> {out / 'params.csv'}")
@@ -257,15 +261,9 @@ def cmd_pipeline(args):
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     sched = config.build_schedule(cfg)
-    seed = config.typed(cfg, "seed", int)
-    dense = pipeline.pretrain(spec, data,
-                              steps=config.typed(cfg, "pretrain.steps", int),
-                              eta=config.typed(cfg, "pretrain.eta", float),
-                              batch=cfg["pretrain.batch"],
-                              seed=sub_seed(seed, "minibatch"),
-                              params0=config.initial_point(cfg, spec))
-    pruned = pipeline.prune_topk(dense, sched.prune_fraction)
-    report = pipeline.run_pipeline(spec, data, sched, pruned, seed=seed,
+    pruned = pipeline.prune_topk(_pretrain(cfg, spec, data), sched.prune_fraction)
+    report = pipeline.run_pipeline(spec, data, sched, pruned,
+                                   seed=config.typed(cfg, "seed", int),
                                    kappa_method=cfg["pipeline.kappa_method"])
     _write_trajectory(out / "trajectory.csv", report.steps)
     write_csv(out / "segments.csv",

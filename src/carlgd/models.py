@@ -417,17 +417,11 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
     return traj
 
 
-def predict(spec, params, data):
-    if spec.kind != "mlp":
-        raise InputError("predict is only defined for mlp models")
-    theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
-    _, H_list = _mlp_forward(spec, theta, data.features)
-    return np.argmax(H_list[-1], axis=1)
-
-
 def accuracy(spec, params, data):
     """Fraction of samples whose argmax output matches the label."""
-    return float(np.mean(predict(spec, params, data) == data.labels))
+    if spec.kind != "mlp":
+        raise InputError("accuracy is only defined for mlp models")
+    return loss_accuracy(spec, params, data)[1]
 
 
 def load_iris(path):

@@ -7,16 +7,23 @@ Each segment re-anchors the polynomial field at the current parameters
 steps, reads the parameters back out, then takes c exact gradient-descent
 steps. Per-step trajectory error is measured against an exact sparse GD
 run over the same schedule, so it restarts at zero at every re-upload.
+
+One kernel, `_segment`, runs a segment for both `run_pipeline` and
+`simulate` (a single segment with no refinement). The download is the
+last row of its readout trajectory, theta_star plus the order-1 block of
+the final state. A segment whose lifted run goes non-finite, or whose
+exact run leaves its bound, is cut at that step: `run_pipeline` reports
+it as `diverged_at`, `simulate` raises DivergenceError.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import carleman, models, polyfield
-from .errors import (InputError, NumericError, NumericOverflowError,
-                     SingularSystemError)
+from .errors import (DivergenceError, InputError, NumericError,
+                     NumericOverflowError, SingularSystemError)
 from .util import norm2
 
 
@@ -112,16 +119,38 @@ def _field_degree(spec, order):
     return max(1, min(spec.grad_degree(), order, 3))
 
 
-def lift(spec, data, anchor, degree, eta, mask, order, max_dim=2_000_000):
+def lift(spec, data, anchor, degree, eta, mask, order):
     """Field around `anchor` and its order-`order` embedding. The capacity
-    is checked from the free dimension and the drift before any Hessian
-    is evaluated."""
+    is checked against `carleman.MAX_DIM` from the free dimension and the
+    drift before any Hessian is evaluated."""
     idx = np.arange(spec.n) if mask is None else np.flatnonzero(mask)
     drift = bool(np.any(eta * models.grad(spec, anchor, data)[idx]))
-    carleman.check_capacity(idx.size, order, drift, max_dim)
+    carleman.check_capacity(idx.size, order, drift, carleman.MAX_DIM)
     fld = polyfield.from_model(spec, data, anchor, degree, eta, mode="auto",
                                mask=mask)
-    return fld, carleman.embed(fld, order, max_dim=max_dim)
+    return fld, carleman.embed(fld, order)
+
+
+def _segment(spec, data, start, anchor, degree, eta, order, steps):
+    """One linearised segment from the ParamVector `start`: lift around
+    `anchor`, upload start's free coordinates, run `steps` Carleman steps
+    and exact GD from `start`, and cut both to the steps both completed.
+
+    Returns (field, CarlemanMatrix, GlobalSystem, states Y, approx, exact).
+    approx is the download of every state, theta_star plus its order-1
+    block, in the full coordinates; fewer than `steps` + 1 rows mean that
+    one of the runs left bounds at step `len(Y)`.
+    """
+    free = start.free_indices()
+    fld, M = lift(spec, data, anchor, degree, eta, start.mask, order)
+    G = carleman.build_global(M, M.initial_state(start.values[free]), steps)
+    Y = carleman.solve(G)
+    exact = models.sgd_reference(spec, start, data, eta=eta, steps=Y.shape[0] - 1,
+                                 raise_on_divergence=False)
+    Y = Y[:exact.shape[0]]
+    approx = np.zeros((Y.shape[0], spec.n))
+    approx[:, free] = fld.theta_star + Y[:, M.order_one_slice()]
+    return fld, M, G, Y, approx, exact
 
 
 def _loss_acc(spec, theta, data):
@@ -138,6 +167,20 @@ def _loss_acc(spec, theta, data):
     return lv, float("nan")
 
 
+def _records(spec, data, approx, exact, step0, seg, phase):
+    """One StepRecord per row of `approx`, numbered from `step0`, with the
+    error against the same row of `exact`."""
+    records = []
+    for t, (th, ex) in enumerate(zip(approx, exact)):
+        diff = th - ex
+        lv, acc = _loss_acc(spec, th, data)
+        records.append(StepRecord(step=step0 + t, loss=lv, accuracy=acc,
+                                  err_l2=norm2(diff),
+                                  err_linf=float(np.max(np.abs(diff))),
+                                  segment=seg, phase=phase))
+    return records
+
+
 @dataclass
 class SimulateResult:
     approx: np.ndarray  # (steps+1, n) Carleman-readout trajectory
@@ -145,24 +188,25 @@ class SimulateResult:
     records: list  # StepRecord per step
     dim: int  # Carleman dimension D
     field: polyfield.PolyField
-    final_state: np.ndarray  # full Carleman state at the last computed step
+    final_state: np.ndarray  # full Carleman state at the last step
     has_constant: bool
-    diverged_at: int = None
 
 
 def simulate(spec, data, params0, eta, order, steps, anchor="start",
-             degree=None, mask=None, max_dim=2_000_000,
-             raise_on_divergence=True):
-    """Single-segment Carleman simulation of gradient descent.
+             degree=None):
+    """Single-segment Carleman simulation of gradient descent: one pipeline
+    segment, with no refinement, over the free coordinates of `params0`.
 
     The field is anchored at `anchor`: 'start' (the trajectory start,
     matching the pipeline's re-anchoring), 'zero', or an explicit point.
-    Returns approximate and exact trajectories plus per-step records.
+    Returns approximate and exact trajectories plus per-step records; the
+    approximate one is theta_star plus the order-1 block of each state.
+    Raises DivergenceError, with `step` the first step at which the lifted
+    run went non-finite or exact GD left its bound, when either happens
+    within `steps`.
     """
     pv = params0 if isinstance(params0, models.ParamVector) \
         else models.ParamVector(np.asarray(params0, float))
-    if mask is None:
-        mask = pv.mask
     theta0 = pv.values
     if isinstance(anchor, str):
         if anchor == "start":
@@ -174,40 +218,20 @@ def simulate(spec, data, params0, eta, order, steps, anchor="start",
     else:
         anchor_vec = np.asarray(anchor, dtype=float).ravel()
     d = degree if degree is not None else _field_degree(spec, order)
-    fld, M = lift(spec, data, anchor_vec, d, eta, mask, order, max_dim)
-    idx = np.flatnonzero(mask) if mask is not None else np.arange(spec.n)
-    y0 = M.initial_state(theta0[idx])
-    G = carleman.build_global(M, y0, steps)
-    Y = carleman.solve(G, raise_on_divergence=raise_on_divergence)
-    done = Y.shape[0] - 1
-    exact = models.sgd_reference(spec, pv, data, eta=eta, steps=done,
-                                 raise_on_divergence=raise_on_divergence)
-    if exact.shape[0] - 1 < done:  # the exact reference left bounds first
-        done = exact.shape[0] - 1
-        Y = Y[:done + 1]
-    diverged_at = None if done == steps else done + 1
-    sl = M.order_one_slice()
-    approx = np.zeros((done + 1, spec.n))
-    records = []
-    for t in range(done + 1):
-        th = np.zeros(spec.n)
-        th[idx] = fld.theta_star + Y[t, sl]
-        approx[t] = th
-        diff = th - exact[t]
-        lv, acc = _loss_acc(spec, th, data)
-        records.append(StepRecord(
-            step=t, loss=lv, accuracy=acc,
-            err_l2=norm2(diff),
-            err_linf=float(np.max(np.abs(diff))),
-            segment=0, phase="carleman"))
-    return SimulateResult(approx=approx, exact=exact, records=records,
-                          dim=M.D, field=fld, final_state=Y[done],
-                          has_constant=M.include_constant,
-                          diverged_at=diverged_at)
+    fld, M, _, Y, approx, exact = _segment(spec, data, pv, anchor_vec, d, eta,
+                                           order, steps)
+    if Y.shape[0] <= steps:
+        raise DivergenceError(f"trajectory diverged at step {Y.shape[0]}",
+                              step=Y.shape[0])
+    return SimulateResult(approx=approx, exact=exact,
+                          records=_records(spec, data, approx, exact, 0, 0,
+                                           "carleman"),
+                          dim=M.D, field=fld, final_state=Y[-1],
+                          has_constant=M.include_constant)
 
 
 def run_pipeline(spec, data, schedule, params0, seed=0,
-                 kappa_method="power_iteration", max_dim=2_000_000):
+                 kappa_method="power_iteration"):
     """Run the segmented prune/re-upload pipeline from masked parameters.
 
     Gradients are full batch, so the run is fully deterministic. On
@@ -219,14 +243,11 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
     if params0.n != spec.n:
         raise InputError("parameter length does not match the model")
     mask = params0.mask.copy()
-    idx = np.flatnonzero(mask)
     theta = params0.values.copy()
     N = schedule.carleman_order
     d = _field_degree(spec, N)
 
-    lv, acc = _loss_acc(spec, theta, data)
-    steps = [StepRecord(step=0, loss=lv, accuracy=acc, err_l2=0.0,
-                        err_linf=0.0, segment=0, phase="carleman")]
+    steps = _records(spec, data, theta[None], theta[None], 0, 0, "carleman")
     segments = []
     steps_done = 0
     seg = 0
@@ -234,10 +255,9 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
 
     while steps_done < schedule.total_steps and diverged_at is None:
         R = min(schedule.reupload_period, schedule.total_steps - steps_done)
-        anchor = theta.copy()
-        fld, M = lift(spec, data, anchor, d, schedule.eta, mask, N, max_dim)
-        y0 = M.initial_state(anchor[idx])
-        G = carleman.build_global(M, y0, R)
+        _, M, G, _, approx, exact = _segment(
+            spec, data, models.ParamVector(theta, mask=mask), theta, d,
+            schedule.eta, N, R)
         try:
             kappa = carleman.condition_number(G, method=kappa_method, seed=seed)
         except SingularSystemError:
@@ -245,43 +265,20 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
         segments.append(SegmentRecord(
             segment=seg, start_step=steps_done, kappa=kappa,
             kappa_method=kappa_method, dim=M.D,
-            upload_nnz=int(np.count_nonzero(y0)),
-            upload_norm=float(np.linalg.norm(y0))))
+            upload_nnz=int(np.count_nonzero(G.y0)),
+            upload_norm=float(np.linalg.norm(G.y0))))
 
-        Y = carleman.solve(G, raise_on_divergence=False)
-        done = Y.shape[0] - 1
-        exact = models.sgd_reference(spec, models.ParamVector(anchor, mask=mask),
-                                     data, eta=schedule.eta, steps=done,
-                                     raise_on_divergence=False)
-        if exact.shape[0] - 1 < done:
-            done = exact.shape[0] - 1
-            Y = Y[:done + 1]
-        sl = M.order_one_slice()
-        first_err = None
-        for t in range(1, done + 1):
-            th = np.zeros(spec.n)
-            th[idx] = fld.theta_star + Y[t, sl]
-            diff = th - exact[t]
-            e2 = norm2(diff)
-            if t == 1:
-                first_err = e2
-            lv, acc = _loss_acc(spec, th, data)
-            steps.append(StepRecord(step=steps_done + t, loss=lv, accuracy=acc,
-                                    err_l2=e2,
-                                    err_linf=float(np.max(np.abs(diff))),
-                                    segment=seg, phase="carleman"))
-            theta = th
-        if done > 0 and first_err != 0.0:
+        lifted = _records(spec, data, approx[1:], exact[1:], steps_done + 1,
+                          seg, "carleman")
+        if lifted and lifted[0].err_l2 != 0.0:
             raise NumericError(
-                f"error did not reset at segment {seg} start: {first_err}")
-        if done < R:
-            diverged_at = steps_done + done + 1
+                f"error did not reset at segment {seg} start: {lifted[0].err_l2}")
+        steps += lifted
+        theta = approx[-1]  # download: the readout of the last state
+        if len(lifted) < R:
+            diverged_at = steps_done + len(lifted) + 1
             break
         steps_done += R
-        # download: exact readout of the final segment state
-        theta = np.zeros(spec.n)
-        theta[idx] = carleman.readout(Y[done], fld.theta_star,
-                                      has_constant=M.include_constant).params
 
         c = min(schedule.classical_refine_steps,
                 schedule.total_steps - steps_done)
@@ -289,15 +286,11 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
             refine = models.sgd_reference(spec, models.ParamVector(theta, mask=mask),
                                           data, eta=schedule.eta, steps=c,
                                           raise_on_divergence=False)
-            done_c = refine.shape[0] - 1
-            for t in range(1, done_c + 1):
-                lv, acc = _loss_acc(spec, refine[t], data)
-                steps.append(StepRecord(step=steps_done + t, loss=lv,
-                                        accuracy=acc, err_l2=0.0, err_linf=0.0,
-                                        segment=seg, phase="classical_refine"))
-            theta = refine[-1].copy()
-            steps_done += done_c
-            if done_c < c:
+            steps += _records(spec, data, refine[1:], refine[1:],
+                              steps_done + 1, seg, "classical_refine")
+            theta = refine[-1]
+            steps_done += refine.shape[0] - 1
+            if refine.shape[0] <= c:
                 diverged_at = steps_done + 1
                 break
         seg += 1

@@ -296,15 +296,20 @@ def test_global_matrix_nnz_invariant():
     assert L.nnz == (G.T + 1) * G.D + G.T * G.S.nnz
 
 
-def test_solve_divergence_reports_step():
+def test_solve_divergence_reports_step(diag_spec):
     fld = scalar_field(2.0, 0.0)  # multiplier 3 per step
     M = carlgd.embed(fld, 1)
     G = carlgd.build_global(M, M.initial_state(np.array([1e300])), 500)
+    Y = carlgd.solve(G)  # the finite prefix: 1e300 * 3^t overflows at t = 18
+    assert Y.shape == (18, 1) and np.all(np.isfinite(Y))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(G.S @ Y[-1]).all()
+    # exact GD on 0.5 (x^2 + 4 y^2) at eta = 5 multiplies y by -19 per step,
+    # so |theta| first passes the 1e8 bound at step 7 (19^7 = 8.9e8)
     with pytest.raises(DivergenceError) as err:
-        carlgd.solve(G)
-    assert 0 < err.value.step <= 500
-    truncated = carlgd.solve(G, raise_on_divergence=False)
-    assert truncated.shape[0] == err.value.step
+        pipeline.simulate(diag_spec, None, carlgd.ParamVector([1.0, 1.0]),
+                          eta=5.0, order=1, steps=50)
+    assert err.value.step == 7
 
 
 def test_degree_one_exactness_any_order(diag_spec):

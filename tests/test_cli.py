@@ -263,8 +263,8 @@ def test_runaway_run_exits_0_with_warnings_as_errors(tmp_path, capsys):
 def test_exit_code_numeric_failures(tmp_path, capsys, monkeypatch):
     solve = carleman.solve
 
-    def solve_off(G, raise_on_divergence=True):  # error no longer resets
-        return solve(G, raise_on_divergence) + 1e-3
+    def solve_off(G):  # error no longer resets
+        return solve(G) + 1e-3
 
     def kappa_unconverged(*args, **kwargs):
         raise ConvergenceError("Lanczos did not converge")

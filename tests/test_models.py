@@ -56,6 +56,13 @@ def test_loss_accuracy_equals_separate_calls_bitwise(mlp_spec, iris):
             carlgd.accuracy(mlp_spec, carlgd.ParamVector(theta), iris))
 
 
+def test_accuracy_on_overflowing_forward_pass_warns_nothing(mlp_spec, iris):
+    # every weight at 1e160 overflows the forward pass; under the suite's
+    # error::RuntimeWarning filter a leaked warning fails the call
+    acc = carlgd.accuracy(mlp_spec, np.full(mlp_spec.n, 1e160), iris)
+    assert 0.0 <= acc <= 1.0
+
+
 def test_mlp_grad_matches_finite_differences(mlp_spec, iris):
     rng = np.random.default_rng(0)
     h = 1e-4

@@ -244,6 +244,25 @@ def test_simulate_masked_keeps_masked_zero(mlp_spec, iris):
     assert np.all(res.exact[:, ~pruned.mask] == 0.0)
 
 
+def test_simulate_is_one_pipeline_segment(mlp_spec, iris):
+    dense = pipeline.pretrain(mlp_spec, iris, steps=100, eta=0.05, seed=0)
+    pruned = pipeline.prune_topk(dense, 0.37)
+    T = 12
+    sched = carlgd.Schedule(total_steps=T, eta=0.05, reupload_period=T,
+                            classical_refine_steps=0, carleman_order=2,
+                            prune_fraction=0.37)
+    report = pipeline.run_pipeline(mlp_spec, iris, sched, pruned, seed=0)
+    sim = pipeline.simulate(mlp_spec, iris, pruned, eta=0.05, order=2,
+                            steps=T, anchor="start")
+    assert len(report.segments) == 1 and report.diverged_at is None
+    assert len(report.steps) == len(sim.records) == T + 1
+    for a, b in zip(report.steps[1:], sim.records[1:]):
+        assert (a.step, a.segment, a.phase) == (b.step, b.segment, b.phase)
+        assert np.array([a.loss, a.accuracy, a.err_l2, a.err_linf]).tobytes() \
+            == np.array([b.loss, b.accuracy, b.err_l2, b.err_linf]).tobytes()
+    assert np.array_equal(report.final.values, sim.approx[-1])
+
+
 def test_schedule_validation():
     with pytest.raises(InputError):
         carlgd.Schedule(total_steps=0, eta=0.1)
