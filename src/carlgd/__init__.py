@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .models import (Dataset, ModelSpec, ParamVector, accuracy, grad, hessian,
                      hvp, init_params, load_iris, loss, sgd_reference)
-from .polyfield import PolyField, from_model, sparsify
+from .polyfield import PolyField, from_model
 from .carleman import (CarlemanMatrix, GlobalSystem, ReadoutResult,
                        build_global, condition_number, embed, readout, solve)
 from .pipeline import (PipelineReport, Schedule, SegmentRecord, SimulateResult,
@@ -17,7 +17,7 @@ from .diagnostics import (DissipationReport, Spectrum, classify, cost_estimate,
 __all__ = [
     "Dataset", "ModelSpec", "ParamVector", "accuracy", "grad", "hessian",
     "hvp", "init_params", "load_iris", "loss", "sgd_reference",
-    "PolyField", "from_model", "sparsify",
+    "PolyField", "from_model",
     "CarlemanMatrix", "GlobalSystem", "ReadoutResult", "build_global",
     "condition_number", "embed", "readout", "solve",
     "PipelineReport", "Schedule", "SegmentRecord", "SimulateResult",

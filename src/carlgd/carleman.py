@@ -71,7 +71,7 @@ class CarlemanMatrix:
     offsets: np.ndarray  # start offset of each block within the state vector
     D: int
     matrix: sp.csr_matrix
-    field: object = field(repr=False, default=None)
+    field: object = field(repr=False)
 
     def order_one_slice(self):
         pos = self.block_orders.index(1)
@@ -82,7 +82,7 @@ class CarlemanMatrix:
         theta0 = np.asarray(theta0, dtype=float).ravel()
         if theta0.size != self.n:
             raise InputError(f"theta0 length {theta0.size} != dimension {self.n}")
-        delta = theta0 - self.field.theta_star if self.field is not None else theta0
+        delta = theta0 - self.field.theta_star
         parts = [kron_power(delta, j) for j in self.block_orders]
         return np.concatenate(parts)
 
@@ -177,14 +177,14 @@ class GlobalSystem:
     `S` is the canonical CSR step operator, which `solve` iterates. The
     substitutions and the gram of `condition_number` multiply by S and S^T
     as C-contiguous dense arrays instead while D * D * 8 bytes is at most
-    `_DENSE_BYTES` (512 KiB, so D <= 256), and as CSR above that.
+    `_DENSE_BYTES` (512 KiB, so D <= 256), and as CSR above that. L itself
+    is assembled only by `matrix()`, for the dense-SVD kappa.
     """
 
     T: int
     D: int
     S: sp.csr_matrix
     y0: np.ndarray
-    _L: sp.csr_matrix = field(default=None, repr=False)
 
     @cached_property
     def _products(self):
@@ -195,17 +195,15 @@ class GlobalSystem:
         return self.S, self.S.T.tocsr()
 
     def matrix(self):
-        if self._L is None:
-            shift = sp.csr_matrix(
-                (np.ones(self.T), (np.arange(1, self.T + 1), np.arange(self.T))),
-                shape=(self.T + 1, self.T + 1),
-            )
-            L = (sp.identity((self.T + 1) * self.D, format="csr")
-                 - sp.kron(shift, self.S, format="csr")).tocsr()
-            L.sum_duplicates()
-            L.eliminate_zeros()
-            self._L = L
-        return self._L
+        shift = sp.csr_matrix(
+            (np.ones(self.T), (np.arange(1, self.T + 1), np.arange(self.T))),
+            shape=(self.T + 1, self.T + 1),
+        )
+        L = (sp.identity((self.T + 1) * self.D, format="csr")
+             - sp.kron(shift, self.S, format="csr")).tocsr()
+        L.sum_duplicates()
+        L.eliminate_zeros()
+        return L
 
     def solve_lower(self, w):
         """Forward substitution L z = w for an arbitrary right-hand side."""
@@ -226,15 +224,6 @@ class GlobalSystem:
         for t in range(self.T - 1, -1, -1):
             U[t] = W[t] + St @ U[t + 1]
         return U.reshape(-1)
-
-    def export_coo(self, path):
-        """Plain-text sparse export: header `rows cols nnz`, then
-        `row col value` per line (0-based indices)."""
-        L = self.matrix().tocoo()
-        with open(path, "w") as f:
-            f.write(f"{L.shape[0]} {L.shape[1]} {L.nnz}\n")
-            for r, c, v in zip(L.row, L.col, L.data):
-                f.write(f"{r} {c} {float(v)!r}\n")
 
 
 def build_global(M, y0, T):
@@ -268,17 +257,16 @@ class ReadoutResult:
     params: np.ndarray
     l2_error: float
     linf_error: float
-    shots: int = None
+    shots: int
 
 
-def readout(y, theta_star, shots=None, seed=None, has_constant=True):
-    """Recover parameters from a solution state.
+def readout(y, theta_star, shots, seed=None, has_constant=True):
+    """Sampled (tomographic) readout of parameters from a solution state.
 
-    Exact mode (shots=None) returns theta_star + order-1 block. Tomography
-    mode draws `shots` samples from the normalized amplitude distribution
-    of the full state, estimates order-1 magnitudes from counts, takes
-    signs from the exact state, and reports the l2/linf estimation error
-    against the exact readout.
+    Draws `shots` samples from the normalized amplitude distribution of
+    the full state, estimates order-1 magnitudes from counts, takes signs
+    from the exact state, and reports the l2/linf estimation error against
+    the exact readout theta_star + order-1 block.
     """
     y = np.asarray(y, dtype=float).ravel()
     theta_star = np.asarray(theta_star, dtype=float).ravel()
@@ -287,9 +275,6 @@ def readout(y, theta_star, shots=None, seed=None, has_constant=True):
     if y.size < off + n:
         raise InputError("state too short for the requested readout")
     block = y[off:off + n]
-    exact = theta_star + block
-    if shots is None:
-        return ReadoutResult(params=exact, l2_error=0.0, linf_error=0.0)
     if shots <= 0:
         raise InputError("shots must be a positive integer")
     if not np.all(np.isfinite(y)):

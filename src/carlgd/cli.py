@@ -289,6 +289,9 @@ def cmd_hessian(args):
         "model": "model.kind", "data": "data.path", "method": "hessian.method",
         "lanczos_k": "hessian.lanczos_k", "probes": "hessian.probes",
         "bins": "hessian.bins", "seed": "seed"}))
+    bins = config.typed(cfg, "hessian.bins", int)
+    if bins < 1:
+        raise InputError(f"hessian.bins must be >= 1, got {bins}")
     out = _outdir(args)
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
@@ -305,8 +308,7 @@ def cmd_hessian(args):
                   list(enumerate(spect.eigenvalues)))
     else:
         pts, _ = spect.points_weights()
-        edges = np.linspace(pts.min() - 1e-9, pts.max() + 1e-9,
-                            config.typed(cfg, "hessian.bins", int) + 1)
+        edges = np.linspace(pts.min() - 1e-9, pts.max() + 1e-9, bins + 1)
         dens = spect.density(edges)
         write_csv(out / "spectrum.csv", ["bin_left", "bin_right", "density"],
                   [(edges[i], edges[i + 1], dens[i]) for i in range(dens.size)])

@@ -117,6 +117,8 @@ def spectrum(spec, params, data=None, method="direct", k=80, probes=16,
         return Spectrum(n=n, method="direct", eigenvalues=lam)
     if method != "lanczos":
         raise InputError(f"unknown spectrum method {method!r}")
+    if k < 1 or probes < 1:
+        raise InputError(f"Lanczos needs k >= 1 and probes >= 1, got {k}, {probes}")
 
     full = np.zeros(spec.n)
 

@@ -15,10 +15,6 @@ class ParseError(InputError):
     """Malformed data file; message carries the offending line number."""
 
 
-class DegreeMismatchError(InputError):
-    """Exact field extraction requested below the model's gradient degree."""
-
-
 class EmptySupportError(InputError):
     """Error-proxy spectrum has no eigenvalue beyond the magnitude threshold."""
 

@@ -390,11 +390,15 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
     """
     if eta < 0:
         raise InputError("eta must be >= 0")
+    if steps < 0:
+        raise InputError(f"step count must be >= 0, got {steps}")
     pv = params0 if isinstance(params0, ParamVector) else ParamVector(np.asarray(params0, float))
     theta = pv.values.copy()
     _check_inputs(spec, theta, data)
     mask = pv.mask
     stochastic = batch is not None and data is not None and batch < data.n_samples
+    if batch is not None and batch < 1:
+        raise InputError(f"batch must be >= 1, got {batch}")
     if batch is not None and data is not None and batch > data.n_samples:
         raise InputError(f"batch {batch} exceeds {data.n_samples} samples")
     rng = np.random.default_rng(noise_seed) if stochastic else None

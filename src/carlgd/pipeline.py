@@ -126,8 +126,7 @@ def lift(spec, data, anchor, degree, eta, mask, order):
     idx = np.arange(spec.n) if mask is None else np.flatnonzero(mask)
     drift = bool(np.any(eta * models.grad(spec, anchor, data)[idx]))
     carleman.check_capacity(idx.size, order, drift, carleman.MAX_DIM)
-    fld = polyfield.from_model(spec, data, anchor, degree, eta, mode="auto",
-                               mask=mask)
+    fld = polyfield.from_model(spec, data, anchor, degree, eta, mask=mask)
     return fld, carleman.embed(fld, order)
 
 

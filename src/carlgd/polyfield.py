@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import models
-from .errors import DegreeMismatchError, InputError
+from .errors import InputError
 
 _STENCIL_STEP = 0.5  # any step is exact; this one keeps rounding low
 
@@ -36,13 +36,6 @@ def symmetrize_slots(mat, k, n):
     for p in perms:
         acc += T.transpose((0,) + p)
     return (acc / len(perms)).reshape(n, n ** k)
-
-
-def max_row_col_nnz(mat):
-    m = mat.tocsr()
-    rows = np.diff(m.indptr).max() if m.shape[0] else 0
-    cols = np.diff(m.tocsc().indptr).max() if m.shape[1] else 0
-    return int(max(rows, cols))
 
 
 @dataclass
@@ -92,76 +85,8 @@ class PolyField:
             out += term @ v
         return out
 
-    def sparsity(self):
-        """Max stored-nonzero count over any row or column of any term."""
-        return max(max_row_col_nnz(t) for t in self.terms)
-
     def nnz(self):
         return int(sum(t.nnz for t in self.terms))
-
-    def save_coo(self, path):
-        """Write a text coordinate list: `k i j_1 .. j_k value` per line."""
-        with open(path, "w") as f:
-            f.write(f"# polyfield n={self.n} degree={self.degree} "
-                    f"eta={self.eta!r} exact={int(self.exact)}\n")
-            f.write("# theta_star "
-                    + " ".join(repr(float(v)) for v in self.theta_star) + "\n")
-            for k, term in enumerate(self.terms):
-                coo = term.tocoo()
-                for r, c, val in zip(coo.row, coo.col, coo.data):
-                    multi = []
-                    cc = int(c)
-                    for _ in range(k):
-                        multi.append(cc % self.n)
-                        cc //= self.n
-                    multi.reverse()
-                    idx = " ".join(str(m) for m in multi)
-                    f.write(f"{k} {r}{' ' + idx if idx else ''} "
-                            f"{float(val)!r}\n")
-
-    @classmethod
-    def load_coo(cls, path):
-        n = degree = None
-        eta = 1.0
-        exact = True
-        theta_star = None
-        entries = []
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    parts = line[1:].split()
-                    if parts and parts[0] == "polyfield":
-                        kv = dict(p.split("=") for p in parts[1:])
-                        n, degree = int(kv["n"]), int(kv["degree"])
-                        eta = float(kv["eta"])
-                        exact = bool(int(kv["exact"]))
-                    elif parts and parts[0] == "theta_star":
-                        theta_star = np.array([float(v) for v in parts[1:]])
-                    continue
-                parts = line.split()
-                k = int(parts[0])
-                r = int(parts[1])
-                multi = [int(m) for m in parts[2:2 + k]]
-                val = float(parts[2 + k])
-                col = 0
-                for m in multi:
-                    col = col * n + m
-                entries.append((k, r, col, val))
-        if n is None or theta_star is None:
-            raise InputError("missing polyfield header")
-        terms = []
-        for k in range(degree + 1):
-            rows = [(r, c, v) for (kk, r, c, v) in entries if kk == k]
-            if rows:
-                r, c, v = zip(*rows)
-            else:
-                r, c, v = [], [], []
-            terms.append(sp.csr_matrix((v, (r, c)), shape=(n, n ** k)))
-        return cls(n=n, degree=degree, eta=eta, theta_star=theta_star,
-                   terms=terms, exact=exact)
 
 
 def _stencil_weights(m):
@@ -215,16 +140,16 @@ def _derivative_tensors(spec, data, theta_star, idx, degree, H):
     return T3, T4
 
 
-def from_model(spec, data, theta_star, degree, eta, mode="exact", mask=None):
+def from_model(spec, data, theta_star, degree, eta, mask=None):
     """Extract the update field of a model around theta_star.
 
-    mode='exact' requires the model's gradient to be polynomial of degree
-    <= `degree`; mode='taylor' accepts any model and flags the result as
-    truncated when it is. mode='auto' picks exact when possible. With a
-    mask, the field lives on the reduced coordinate space of unmasked
-    entries (masked coordinates pinned at zero). Only the free Hessian
-    columns are evaluated, and grad^3 L / grad^4 L come from an exact
-    stencil over them, with no step-size error.
+    The terms are the Taylor terms of order 0..`degree`. When the model's
+    gradient is a polynomial of degree <= `degree` they are the whole
+    field (`exact` is True); otherwise the field is truncated and `exact`
+    is False. With a mask, the field lives on the reduced coordinate
+    space of unmasked entries (masked coordinates pinned at zero). Only
+    the free Hessian columns are evaluated, and grad^3 L / grad^4 L come
+    from an exact stencil over them, with no step-size error.
     """
     if degree not in (1, 2, 3):
         raise InputError(f"degree must be 1, 2 or 3, got {degree}")
@@ -233,16 +158,6 @@ def from_model(spec, data, theta_star, degree, eta, mode="exact", mask=None):
     theta_star = np.asarray(theta_star, dtype=float).ravel()
     if theta_star.size != spec.n:
         raise InputError(f"anchor length {theta_star.size} != model n={spec.n}")
-    gd = spec.grad_degree()
-    if mode == "auto":
-        mode = "exact" if gd <= degree else "taylor"
-    if mode not in ("exact", "taylor"):
-        raise InputError(f"unknown extraction mode {mode!r}")
-    if mode == "exact" and gd > degree:
-        raise DegreeMismatchError(
-            f"model gradient has degree {gd} > requested degree {degree}; "
-            "request taylor mode explicitly"
-        )
     idx = np.arange(spec.n) if mask is None \
         else np.flatnonzero(np.asarray(mask, dtype=bool))
     n = idx.size
@@ -259,31 +174,4 @@ def from_model(spec, data, theta_star, degree, eta, mode="exact", mask=None):
         F3 = symmetrize_slots((-eta / 6.0) * T4.reshape(n, n ** 3), 3, n)
         terms.append(sp.csr_matrix(F3))
     return PolyField(n=n, degree=degree, eta=eta, theta_star=theta_star[idx],
-                     terms=terms, exact=(gd <= degree))
-
-
-@dataclass
-class SparsifyResult:
-    field: PolyField
-    s: int  # max row/column nonzero count after thresholding
-    dropped_mass: float  # l1 mass of dropped entries / total l1 mass
-
-
-def sparsify(field, threshold):
-    """Drop entries with |value| < threshold from every term."""
-    if threshold < 0:
-        raise InputError("threshold must be >= 0")
-    total = kept = 0.0
-    new_terms = []
-    for term in field.terms:
-        t = term.copy().tocsr()
-        total += np.abs(t.data).sum()
-        t.data[np.abs(t.data) < threshold] = 0.0
-        t.eliminate_zeros()
-        kept += np.abs(t.data).sum()
-        new_terms.append(t)
-    new_field = PolyField(n=field.n, degree=field.degree, eta=field.eta,
-                          theta_star=field.theta_star.copy(), terms=new_terms,
-                          exact=field.exact)
-    dropped = 0.0 if total == 0 else (total - kept) / total
-    return SparsifyResult(field=new_field, s=new_field.sparsity(), dropped_mass=dropped)
+                     terms=terms, exact=spec.grad_degree() <= degree)

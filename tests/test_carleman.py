@@ -100,7 +100,7 @@ def test_embed_against_dense_kronecker_oracle(mlp_spec, iris):
     pruned = pipeline.prune_topk(trained, 0.2)
     assert pruned.mask.sum() == 6
     sub = carlgd.from_model(mlp_spec, iris, pruned.values, 2, 0.05,
-                            mode="taylor", mask=pruned.mask)
+                            mask=pruned.mask)
     M = carlgd.embed(sub, 2)
     dense = dense_embed_oracle(sub, 2)
     if not M.include_constant:
@@ -373,13 +373,6 @@ def test_truncation_error_improves_with_order(cubic_spec, mlp_spec, iris):
 
 
 # ---------------------------------------------------------------- readout
-
-def test_readout_exact():
-    y = np.array([1.0, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0])
-    res = carlgd.readout(y, np.zeros(2), has_constant=True)
-    np.testing.assert_array_equal(res.params, [0.3, 0.4])
-    assert res.l2_error == 0.0
-
 
 def test_readout_all_mass_on_constant():
     y = np.zeros(7)
@@ -662,23 +655,3 @@ def test_solve_stays_on_csr_after_kappa(mlp_spec, iris, pruned_iris):
         y = M.step_operator() @ y
         assert np.array_equal(Y[t], y)
     assert M.step_operator() is G.S
-
-
-# ------------------------------------------------------------------ export
-
-def test_export_coo_round_trip(tmp_path):
-    fld = random_field(2, 1, seed=7)
-    M = carlgd.embed(fld, 2, include_constant=True)
-    G = carlgd.build_global(M, M.initial_state(np.zeros(2)), 3)
-    path = tmp_path / "system.txt"
-    G.export_coo(path)
-    lines = path.read_text().strip().splitlines()
-    rows, cols, nnz = (int(v) for v in lines[0].split())
-    L = G.matrix()
-    assert (rows, cols, nnz) == (L.shape[0], L.shape[1], L.nnz)
-    assert len(lines) == nnz + 1
-    rebuilt = np.zeros((rows, cols))
-    for line in lines[1:]:
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    np.testing.assert_array_equal(rebuilt, L.toarray())

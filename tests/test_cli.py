@@ -319,6 +319,24 @@ def test_capacity_checked_before_extraction(tmp_path, capsys, monkeypatch,
     assert "capacity error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--data", str(IRIS_CSV), "--steps", "-1"],
+    ["pretrain", "--data", str(IRIS_CSV), "--steps", "-3"],
+    ["pretrain", "--data", str(IRIS_CSV), "--batch", "0"],
+    ["pretrain", "--data", str(IRIS_CSV), "--batch", "-2"],
+    ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "-1"],
+    ["hessian", "--data", str(IRIS_CSV), "--method", "lanczos", "--probes", "0"],
+    ["hessian", "--data", str(IRIS_CSV), "--method", "lanczos", "--bins", "0"],
+    ["hessian", "--data", str(IRIS_CSV), "--method", "lanczos",
+     "--lanczos-k", "0"],
+])
+def test_bad_counts_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(out.glob("*")) == []
+
+
 @pytest.mark.parametrize("text, where", [
     ("index,eigenvalue\n0,1.5\n1,abc\n", "line 3"),
     ("index,eigenvalue\n0\n", "line 2"),

@@ -3,7 +3,7 @@ import pytest
 
 import carlgd
 from carlgd import polyfield
-from carlgd.errors import DegreeMismatchError, InputError
+from carlgd.errors import InputError
 
 
 def test_diag_quadratic_extraction(diag_spec):
@@ -21,15 +21,11 @@ def test_scalar_cubic_extraction_at_origin(cubic_spec):
     assert fld.terms[3].toarray()[0, 0] == pytest.approx(-0.1, abs=1e-15)
 
 
-def test_exact_mode_degree_mismatch(cubic_spec, mlp_spec, iris):
-    with pytest.raises(DegreeMismatchError):
-        carlgd.from_model(cubic_spec, None, np.zeros(1), 1, 0.1, mode="exact")
-    with pytest.raises(DegreeMismatchError):
-        carlgd.from_model(mlp_spec, iris, np.zeros(mlp_spec.n), 2, 0.05,
-                          mode="exact")
-    fld = carlgd.from_model(mlp_spec, iris, np.zeros(mlp_spec.n), 2, 0.05,
-                            mode="taylor")
-    assert not fld.exact
+def test_exact_flag_follows_gradient_degree(cubic_spec, mlp_spec, iris):
+    assert not carlgd.from_model(cubic_spec, None, np.zeros(1), 1, 0.1).exact
+    assert carlgd.from_model(cubic_spec, None, np.zeros(1), 3, 0.1).exact
+    assert not carlgd.from_model(mlp_spec, iris, np.zeros(mlp_spec.n), 2,
+                                 0.05).exact
 
 
 def test_eval_examples(diag_spec):
@@ -71,7 +67,7 @@ def test_exact_mode_round_trip(iris):
     rng = np.random.default_rng(5)
     for spec, data, degree in cases:
         anchor = rng.standard_normal(spec.n) * 0.5
-        fld = carlgd.from_model(spec, data, anchor, degree, 0.1, mode="exact")
+        fld = carlgd.from_model(spec, data, anchor, degree, 0.1)
         for _ in range(20):
             delta = rng.standard_normal(spec.n)
             delta /= max(1.0, np.linalg.norm(delta))
@@ -84,7 +80,7 @@ def test_exact_mode_round_trip(iris):
 def test_mlp_taylor_terms_against_probes(mlp_spec, iris):
     anchor = carlgd.init_params(mlp_spec, 7).values
     eta = 0.05
-    fld = carlgd.from_model(mlp_spec, iris, anchor, 2, eta, mode="taylor")
+    fld = carlgd.from_model(mlp_spec, iris, anchor, 2, eta)
     rng = np.random.default_rng(8)
     # F1 = -eta H, probed through exact Hessian-vector products
     for _ in range(5):
@@ -129,7 +125,7 @@ def _taylor_coefficients(spec, data, anchor, u):
 def test_mlp_taylor_terms_exact_against_polynomial_stencil(mlp_spec, iris):
     anchor = carlgd.init_params(mlp_spec, 7).values
     eta = 0.05
-    fld = carlgd.from_model(mlp_spec, iris, anchor, 3, eta, mode="taylor")
+    fld = carlgd.from_model(mlp_spec, iris, anchor, 3, eta)
     rng = np.random.default_rng(9)
     for _ in range(3):
         u = rng.standard_normal(mlp_spec.n)
@@ -149,12 +145,10 @@ def test_extraction_independent_of_stencil_step(mlp_spec, iris, monkeypatch,
         mask = np.zeros(mlp_spec.n, dtype=bool)
         mask[[0, 3, 7, 12, 16, 20, 25]] = True
         anchor = np.where(mask, anchor, 0.0)
-    fld = carlgd.from_model(mlp_spec, iris, anchor, degree, 0.05,
-                            mode="taylor", mask=mask)
+    fld = carlgd.from_model(mlp_spec, iris, anchor, degree, 0.05, mask=mask)
     monkeypatch.setattr(polyfield, "_STENCIL_STEP",
                         polyfield._STENCIL_STEP / 2)
-    halved = carlgd.from_model(mlp_spec, iris, anchor, degree, 0.05,
-                               mode="taylor", mask=mask)
+    halved = carlgd.from_model(mlp_spec, iris, anchor, degree, 0.05, mask=mask)
     for a, b in zip(fld.terms, halved.terms):
         a, b = a.toarray(), b.toarray()
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
@@ -175,8 +169,7 @@ def test_masked_extraction_reduces_dimension(mlp_spec, iris):
     mask[[1, 4, 16, 22]] = True
     anchor = np.zeros(mlp_spec.n)
     anchor[mask] = [0.2, -0.1, 0.3, 0.4]
-    fld = carlgd.from_model(mlp_spec, iris, anchor, 2, 0.05, mode="taylor",
-                            mask=mask)
+    fld = carlgd.from_model(mlp_spec, iris, anchor, 2, 0.05, mask=mask)
     assert fld.n == 4
     idx = np.flatnonzero(mask)
     g = carlgd.grad(mlp_spec, anchor, iris)
@@ -189,70 +182,6 @@ def test_masked_extraction_reduces_dimension(mlp_spec, iris):
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_extraction_with_no_free_coordinates(mlp_spec, iris, degree):
     fld = carlgd.from_model(mlp_spec, iris, np.zeros(mlp_spec.n), degree,
-                            0.05, mode="taylor",
-                            mask=np.zeros(mlp_spec.n, dtype=bool))
+                            0.05, mask=np.zeros(mlp_spec.n, dtype=bool))
     assert fld.n == 0
     assert [t.shape for t in fld.terms] == [(0, 1)] + [(0, 0)] * degree
-
-
-def test_sparsify_identity_at_zero_threshold(diag_spec):
-    fld = carlgd.from_model(diag_spec, None, np.array([1.0, 1.0]), 1, 0.1)
-    res = carlgd.sparsify(fld, 0.0)
-    assert res.dropped_mass == 0.0
-    assert res.s == fld.sparsity()
-    for a, b in zip(res.field.terms, fld.terms):
-        assert (a != b).nnz == 0
-
-
-def test_sparsify_drops_small_entries():
-    import scipy.sparse as sp
-    terms = [sp.csr_matrix(np.zeros((2, 1))),
-             sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1e-9]]))]
-    fld = polyfield.PolyField(n=2, degree=1, eta=0.1,
-                              theta_star=np.zeros(2), terms=terms)
-    res = carlgd.sparsify(fld, 1e-6)
-    assert res.field.terms[1].nnz == 1
-    assert res.dropped_mass == pytest.approx(1e-9 / (1.0 + 1e-9))
-
-
-def test_sparsify_dropped_mass_matches_dense_norms(mlp_spec, iris):
-    anchor = carlgd.init_params(mlp_spec, 3).values
-    fld = carlgd.from_model(mlp_spec, iris, anchor, 2, 0.05, mode="taylor")
-    tau = 1e-4
-    res = carlgd.sparsify(fld, tau)
-    dense_total = sum(np.abs(t.toarray()).sum() for t in fld.terms)
-    dense_kept = sum(np.abs(np.where(np.abs(t.toarray()) < tau, 0.0,
-                                     t.toarray())).sum() for t in fld.terms)
-    assert res.dropped_mass == pytest.approx(1.0 - dense_kept / dense_total)
-
-
-def test_sparsity_matches_brute_force():
-    import scipy.sparse as sp
-    rng = np.random.default_rng(12)
-    n = 8
-    dense1 = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
-    dense2 = rng.standard_normal((n, n * n)) * (rng.random((n, n * n)) < 0.05)
-    fld = polyfield.PolyField(
-        n=n, degree=2, eta=0.1, theta_star=np.zeros(n),
-        terms=[sp.csr_matrix(np.zeros((n, 1))),
-               sp.csr_matrix(dense1),
-               sp.csr_matrix(polyfield.symmetrize_slots(dense2, 2, n))])
-    want = 0
-    for t in fld.terms:
-        arr = t.toarray()
-        want = max(want,
-                   int((arr != 0).sum(axis=1).max()),
-                   int((arr != 0).sum(axis=0).max()))
-    assert fld.sparsity() == want
-
-
-def test_save_load_round_trip(tmp_path, cubic_spec):
-    fld = carlgd.from_model(cubic_spec, None, np.array([0.5]), 3, 0.1)
-    path = tmp_path / "field.txt"
-    fld.save_coo(path)
-    back = polyfield.PolyField.load_coo(path)
-    assert back.n == fld.n and back.degree == fld.degree
-    assert back.eta == fld.eta and back.exact == fld.exact
-    np.testing.assert_array_equal(back.theta_star, fld.theta_star)
-    for a, b in zip(back.terms, fld.terms):
-        assert (a != b).nnz == 0
