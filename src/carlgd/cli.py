@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: pretrain, prune, simulate, pipeline, hessian, proxy, kappa,
-report. Every run writes its CSV artifacts plus a manifest.json echoing the
-fully resolved config, the seed, versions and wall-clock time; re-running a
-manifest reproduces the CSVs bitwise in deterministic (full-batch) mode.
+report. Each flag's dest is the config key it sets (`--help` shows it).
+`main` runs every command but report: it resolves and type-checks the
+whole config, makes --out, calls `cmd_<name>(args, cfg, out)` and writes
+the one manifest.json from the outputs and exit code that returns. The
+manifest echoes the resolved config, versions and wall-clock time;
+re-running it reproduces the CSVs bitwise in deterministic (full-batch) mode.
 
 Exit codes: 0 success, 1 validation/usage error, 2 numeric failure,
 3 capacity error.
@@ -21,16 +24,12 @@ import scipy
 
 from . import __version__, carleman, config, diagnostics, models, pipeline
 from .errors import CapacityError, InputError, NumericError, ParseError
-from .util import fmt17, sub_seed
-
-
-class _UsageError(InputError):
-    pass
+from .util import fmt17, open_input, sub_seed
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{message}\n{self.format_usage()}")
+        raise InputError(f"{message}\n{self.format_usage()}")
 
 
 def _fmt(value):
@@ -64,21 +63,17 @@ def write_manifest(out, command, cfg, outputs, started):
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
-def _outdir(args):
-    if not args.out:
-        raise InputError("--out directory is required")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# Parser dests that are not config keys; every other dest is the key its
+# flag sets.
+CLI_ONLY = {"config", "out", "set", "params", "spectrum", "run", "command",
+            "func"}
 
 
-def _overrides(args, mapping):
-    ov = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            ov[key] = value
-    for item in getattr(args, "set", None) or []:
+def _overrides(args):
+    """The given flags' values by key, then each --set key=value in turn."""
+    ov = {key: value for key, value in vars(args).items()
+          if value is not None and key not in CLI_ONLY}
+    for item in args.set or []:
         if "=" not in item:
             raise InputError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
@@ -92,7 +87,7 @@ def _overrides(args, mapping):
 
 def _params_from_csv(path):
     values, mask = [], []
-    with open(path) as f:
+    with open_input(path) as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
@@ -130,7 +125,7 @@ def _write_trajectory(path, records):
 
 
 def _spectrum_from_csv(path):
-    with open(path) as f:
+    with open_input(path) as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
@@ -161,72 +156,43 @@ def _spectrum_from_csv(path):
 
 def _pretrain(cfg, spec, data):
     """Dense pre-training as the config's `pretrain.*` keys and seed set it."""
-    seed = config.typed(cfg, "seed", int)
     return pipeline.pretrain(spec, data,
-                             steps=config.typed(cfg, "pretrain.steps", int),
-                             eta=config.typed(cfg, "pretrain.eta", float),
+                             steps=cfg["pretrain.steps"],
+                             eta=cfg["pretrain.eta"],
                              batch=cfg["pretrain.batch"],
-                             seed=sub_seed(seed, "minibatch"),
+                             seed=sub_seed(cfg["seed"], "minibatch"),
                              params0=config.initial_point(cfg, spec))
 
 
-def cmd_pretrain(args):
-    started = time.perf_counter()
-    cfg = config.resolve(args.config, _overrides(args, {
-        "model": "model.kind", "data": "data.path", "steps": "pretrain.steps",
-        "eta": "pretrain.eta", "batch": "pretrain.batch", "seed": "seed"}))
-    out = _outdir(args)
+def cmd_pretrain(args, cfg, out):
     spec = config.build_model(cfg)
     params = _pretrain(cfg, spec, config.load_dataset(cfg))
     _write_params(out / "params.csv", params)
-    write_manifest(out, "pretrain", cfg, ["params.csv"], started)
     print(f"pretrained {params.n} parameters -> {out / 'params.csv'}")
-    return 0
+    return ["params.csv"], 0
 
 
-def cmd_prune(args):
-    started = time.perf_counter()
-    cfg = config.resolve(args.config, _overrides(args, {
-        "fraction": "schedule.prune_fraction", "seed": "seed"}))
-    out = _outdir(args)
+def cmd_prune(args, cfg, out):
     if not args.params:
         raise InputError("--params pointing at a pretrain params.csv is required")
     params = _params_from_csv(args.params)
-    pruned = pipeline.prune_topk(
-        params, config.typed(cfg, "schedule.prune_fraction", float))
+    pruned = pipeline.prune_topk(params, cfg["schedule.prune_fraction"])
     _write_params(out / "masked_params.csv", pruned)
-    write_manifest(out, "prune", cfg, ["masked_params.csv"], started)
     kept = int(pruned.mask.sum())
     print(f"kept {kept}/{pruned.n} parameters -> {out / 'masked_params.csv'}")
-    return 0
+    return ["masked_params.csv"], 0
 
 
-def cmd_simulate(args):
-    started = time.perf_counter()
-    cfg = config.resolve(args.config, _overrides(args, {
-        "model": "model.kind", "data": "data.path", "order": "simulate.order",
-        "steps": "simulate.steps", "eta": "simulate.eta",
-        "degree": "simulate.degree", "anchor": "simulate.anchor",
-        "theta0": "init.params", "shots": "readout.shots", "seed": "seed"}))
-    out = _outdir(args)
+def cmd_simulate(args, cfg, out):
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     params0 = config.initial_point(cfg, spec)
-    anchor = cfg["simulate.anchor"]
-    if isinstance(anchor, list):
-        anchor = config.typed(cfg, "simulate.anchor", config.float_array)
-    seed = config.typed(cfg, "seed", int)
-    degree, shots = cfg["simulate.degree"], cfg["readout.shots"]
-    if degree is not None:
-        degree = config.typed(cfg, "simulate.degree", int)
-    if shots is not None:
-        shots = config.typed(cfg, "readout.shots", int)
     result = pipeline.simulate(spec, data, params0,
-                               eta=config.typed(cfg, "simulate.eta", float),
-                               order=config.typed(cfg, "simulate.order", int),
-                               steps=config.typed(cfg, "simulate.steps", int),
-                               anchor=anchor,
-                               degree=degree)
+                               eta=cfg["simulate.eta"],
+                               order=cfg["simulate.order"],
+                               steps=cfg["simulate.steps"],
+                               anchor=cfg["simulate.anchor"],
+                               degree=cfg["simulate.degree"])
     _write_trajectory(out / "trajectory.csv", result.records)
     n = result.approx.shape[1]
     header = (["step"] + [f"param_{i}" for i in range(n)]
@@ -235,35 +201,27 @@ def cmd_simulate(args):
             for t in range(result.approx.shape[0])]
     write_csv(out / "params.csv", header, rows)
     outputs = ["trajectory.csv", "params.csv"]
-    if shots is not None:
+    if cfg["readout.shots"] is not None:
         ro = carleman.readout(result.final_state, result.field.theta_star,
-                              shots=shots, seed=sub_seed(seed, "tomography"),
+                              shots=cfg["readout.shots"],
+                              seed=sub_seed(cfg["seed"], "tomography"),
                               has_constant=result.has_constant)
         write_csv(out / "readout.csv", ["index", "estimate", "l2_error", "linf_error"],
                   [(i, v, ro.l2_error, ro.linf_error)
                    for i, v in enumerate(ro.params)])
         outputs.append("readout.csv")
-    write_manifest(out, "simulate", cfg, outputs, started)
     print(f"simulated {cfg['simulate.steps']} steps at order "
           f"{cfg['simulate.order']} (D={result.dim}) -> {out}")
-    return 0
+    return outputs, 0
 
 
-def cmd_pipeline(args):
-    started = time.perf_counter()
-    cfg = config.resolve(args.config, _overrides(args, {
-        "data": "data.path", "steps": "schedule.steps",
-        "reupload": "schedule.reupload_period", "refine": "schedule.refine_steps",
-        "order": "schedule.order", "fraction": "schedule.prune_fraction",
-        "eta": "schedule.eta", "pretrain_steps": "pretrain.steps",
-        "seed": "seed"}))
-    out = _outdir(args)
+def cmd_pipeline(args, cfg, out):
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     sched = config.build_schedule(cfg)
     pruned = pipeline.prune_topk(_pretrain(cfg, spec, data), sched.prune_fraction)
     report = pipeline.run_pipeline(spec, data, sched, pruned,
-                                   seed=config.typed(cfg, "seed", int),
+                                   seed=cfg["seed"],
                                    kappa_method=cfg["pipeline.kappa_method"])
     _write_trajectory(out / "trajectory.csv", report.steps)
     write_csv(out / "segments.csv",
@@ -272,37 +230,28 @@ def cmd_pipeline(args):
               [(s.segment, s.start_step, s.kappa, s.kappa_method, s.dim,
                 s.upload_nnz, s.upload_norm) for s in report.segments])
     _write_params(out / "final_params.csv", report.final)
-    write_manifest(out, "pipeline", cfg,
-                   ["trajectory.csv", "segments.csv", "final_params.csv"],
-                   started)
     last = report.steps[-1]
     status = ("diverged at step "
               f"{report.diverged_at}" if report.diverged_at else "completed")
     print(f"pipeline {status}: {len(report.segments)} segments, "
           f"final loss {last.loss:.6g} -> {out}")
-    return 0 if report.diverged_at is None else 2
+    return (["trajectory.csv", "segments.csv", "final_params.csv"],
+            0 if report.diverged_at is None else 2)
 
 
-def cmd_hessian(args):
-    started = time.perf_counter()
-    cfg = config.resolve(args.config, _overrides(args, {
-        "model": "model.kind", "data": "data.path", "method": "hessian.method",
-        "lanczos_k": "hessian.lanczos_k", "probes": "hessian.probes",
-        "bins": "hessian.bins", "seed": "seed"}))
-    bins = config.typed(cfg, "hessian.bins", int)
+def cmd_hessian(args, cfg, out):
+    bins = cfg["hessian.bins"]
     if bins < 1:
         raise InputError(f"hessian.bins must be >= 1, got {bins}")
-    out = _outdir(args)
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     point = _params_from_csv(args.params) if args.params \
         else config.initial_point(cfg, spec)
     method = cfg["hessian.method"]
     spect = diagnostics.spectrum(spec, point, data, method=method,
-                                 k=config.typed(cfg, "hessian.lanczos_k", int),
-                                 probes=config.typed(cfg, "hessian.probes", int),
-                                 seed=sub_seed(config.typed(cfg, "seed", int),
-                                               "lanczos"))
+                                 k=cfg["hessian.lanczos_k"],
+                                 probes=cfg["hessian.probes"],
+                                 seed=sub_seed(cfg["seed"], "lanczos"))
     if spect.is_exact():
         write_csv(out / "spectrum.csv", ["index", "eigenvalue"],
                   list(enumerate(spect.eigenvalues)))
@@ -312,48 +261,33 @@ def cmd_hessian(args):
         dens = spect.density(edges)
         write_csv(out / "spectrum.csv", ["bin_left", "bin_right", "density"],
                   [(edges[i], edges[i + 1], dens[i]) for i in range(dens.size)])
-    write_manifest(out, "hessian", cfg, ["spectrum.csv"], started)
     print(f"spectrum ({method}, n={spect.n}) -> {out / 'spectrum.csv'}")
-    return 0
+    return ["spectrum.csv"], 0
 
 
-def cmd_proxy(args):
-    started = time.perf_counter()
-    cfg = config.resolve(args.config, _overrides(args, {
-        "eta": "proxy.eta", "tmax": "proxy.tmax", "threshold": "proxy.threshold",
-        "scale": "proxy.scale", "seed": "seed"}))
-    out = _outdir(args)
+def cmd_proxy(args, cfg, out):
     if not args.spectrum:
         raise InputError("--spectrum CSV is required")
     spect = _spectrum_from_csv(args.spectrum)
-    t_range = range(config.typed(cfg, "proxy.tmax", int) + 1)
+    t_range = range(cfg["proxy.tmax"] + 1)
     E = diagnostics.error_proxy(spect,
-                                eta=config.typed(cfg, "proxy.eta", float),
+                                eta=cfg["proxy.eta"],
                                 t_range=t_range,
-                                threshold=config.typed(cfg, "proxy.threshold",
-                                                       float),
+                                threshold=cfg["proxy.threshold"],
                                 scale=cfg["proxy.scale"])
     write_csv(out / "proxy.csv", ["t", "E"], list(zip(t_range, E)))
-    write_manifest(out, "proxy", cfg, ["proxy.csv"], started)
     print(f"proxy over t=0..{cfg['proxy.tmax']} -> {out / 'proxy.csv'}")
-    return 0
+    return ["proxy.csv"], 0
 
 
-def cmd_kappa(args):
-    started = time.perf_counter()
-    cfg = config.resolve(args.config, _overrides(args, {
-        "model": "model.kind", "eta": "kappa.eta", "order": "kappa.order",
-        "steps_list": "kappa.steps", "method": "kappa.method", "seed": "seed"}))
-    out = _outdir(args)
+def cmd_kappa(args, cfg, out):
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     theta0 = np.ones(spec.n) if cfg["init.params"] is None \
-        else config.typed(cfg, "init.params", config.float_array)
-    order = config.typed(cfg, "kappa.order", int)
-    eta = config.typed(cfg, "kappa.eta", float)
-    steps = config.typed(cfg, "kappa.steps", lambda v: [
-        int(s) for s in (v.split(",") if isinstance(v, str) else v)])
-    seed = config.typed(cfg, "seed", int)
+        else np.array(cfg["init.params"])
+    order = cfg["kappa.order"]
+    eta = cfg["kappa.eta"]
+    steps = cfg["kappa.steps"]
     degree = pipeline._field_degree(spec, order)
     _, M = pipeline.lift(spec, data, np.zeros(spec.n), degree, eta, None, order)
     y0 = M.initial_state(theta0)
@@ -362,12 +296,11 @@ def cmd_kappa(args):
         G = carleman.build_global(M, y0, T)
         rows.append((T,
                      carleman.condition_number(G, method=cfg["kappa.method"],
-                                               seed=seed),
+                                               seed=cfg["seed"]),
                      cfg["kappa.method"]))
     write_csv(out / "kappa.csv", ["T", "kappa", "method"], rows)
-    write_manifest(out, "kappa", cfg, ["kappa.csv"], started)
     print(f"kappa over T={steps} -> {out / 'kappa.csv'}")
-    return 0
+    return ["kappa.csv"], 0
 
 
 def cmd_report(args):
@@ -412,77 +345,78 @@ def build_parser():
     def common(p):
         p.add_argument("--config", help="JSON config (or manifest) file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key")
 
     p = sub.add_parser("pretrain", help="dense classical pre-training")
     common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--model", dest="model.kind")
+    p.add_argument("--data", dest="data.path")
+    p.add_argument("--steps", dest="pretrain.steps")
+    p.add_argument("--eta", dest="pretrain.eta")
+    p.add_argument("--batch", dest="pretrain.batch")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("prune", help="magnitude pruning of pretrained params")
     common(p)
     p.add_argument("--params", help="params.csv from pretrain")
-    p.add_argument("--fraction", type=float)
+    p.add_argument("--fraction", dest="schedule.prune_fraction")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("simulate", help="single-segment Carleman simulation")
     common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--order", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--anchor", choices=["start", "zero"])
-    p.add_argument("--theta0", type=lambda s: [float(v) for v in s.split(",")])
-    p.add_argument("--shots", type=int)
+    p.add_argument("--model", dest="model.kind")
+    p.add_argument("--data", dest="data.path")
+    p.add_argument("--order", dest="simulate.order")
+    p.add_argument("--steps", dest="simulate.steps")
+    p.add_argument("--eta", dest="simulate.eta")
+    p.add_argument("--degree", dest="simulate.degree")
+    p.add_argument("--anchor", dest="simulate.anchor", choices=["start", "zero"])
+    p.add_argument("--theta0", dest="init.params")
+    p.add_argument("--shots", dest="readout.shots")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pipeline", help="pretrain + prune + segmented run")
     common(p)
-    p.add_argument("--data")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--reupload", type=int)
-    p.add_argument("--refine", type=int)
-    p.add_argument("--order", type=int)
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--pretrain-steps", dest="pretrain_steps", type=int)
+    p.add_argument("--data", dest="data.path")
+    p.add_argument("--steps", dest="schedule.steps")
+    p.add_argument("--reupload", dest="schedule.reupload_period")
+    p.add_argument("--refine", dest="schedule.refine_steps")
+    p.add_argument("--order", dest="schedule.order")
+    p.add_argument("--fraction", dest="schedule.prune_fraction")
+    p.add_argument("--eta", dest="schedule.eta")
+    p.add_argument("--pretrain-steps", dest="pretrain.steps")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("hessian", help="Hessian spectrum at a point")
     common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
+    p.add_argument("--model", dest="model.kind")
+    p.add_argument("--data", dest="data.path")
     p.add_argument("--params", help="evaluate at these parameters")
-    p.add_argument("--method", choices=["direct", "lanczos"])
-    p.add_argument("--lanczos-k", dest="lanczos_k", type=int)
-    p.add_argument("--probes", type=int)
-    p.add_argument("--bins", type=int)
+    p.add_argument("--method", dest="hessian.method", choices=["direct", "lanczos"])
+    p.add_argument("--lanczos-k", dest="hessian.lanczos_k")
+    p.add_argument("--probes", dest="hessian.probes")
+    p.add_argument("--bins", dest="hessian.bins")
     p.set_defaults(func=cmd_hessian)
 
     p = sub.add_parser("proxy", help="spectral error proxy from a spectrum CSV")
     common(p)
     p.add_argument("--spectrum")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tmax", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--scale", choices=["eta", "raw"])
+    p.add_argument("--eta", dest="proxy.eta")
+    p.add_argument("--tmax", dest="proxy.tmax")
+    p.add_argument("--threshold", dest="proxy.threshold")
+    p.add_argument("--scale", dest="proxy.scale", choices=["eta", "raw"])
     p.set_defaults(func=cmd_proxy)
 
     p = sub.add_parser("kappa", help="condition number vs step count")
     common(p)
-    p.add_argument("--model")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--order", type=int)
-    p.add_argument("--steps-list", dest="steps_list")
-    p.add_argument("--method", choices=["dense_svd", "power_iteration"])
+    p.add_argument("--model", dest="model.kind")
+    p.add_argument("--eta", dest="kappa.eta")
+    p.add_argument("--order", dest="kappa.order")
+    p.add_argument("--steps-list", dest="kappa.steps")
+    p.add_argument("--method", dest="kappa.method",
+                   choices=["dense_svd", "power_iteration"])
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("report", help="summarize an existing run directory")
@@ -497,7 +431,17 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.command == "report":
+            return cmd_report(args)
+        started = time.perf_counter()
+        cfg = config.resolve(args.config, _overrides(args))
+        if not args.out:
+            raise InputError("--out directory is required")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs, rc = args.func(args, cfg, out)
+        write_manifest(out, args.command, cfg, outputs, started)
+        return rc
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

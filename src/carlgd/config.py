@@ -3,6 +3,11 @@
 A run is described by a JSON object with flat dotted keys; command-line
 flags override individual keys, and the resolved config is echoed into the
 run manifest so any run can be reproduced from its manifest alone.
+
+`SCHEMA` maps each key to its default and its converter. `resolve` passes
+every value through its key's converter before any work starts, so a
+value of the wrong type is rejected whatever command reads it, and the
+resolved config holds typed, JSON-native values.
 """
 
 import json
@@ -11,59 +16,88 @@ import numpy as np
 
 from . import models, pipeline
 from .errors import InputError
+from .util import open_input, sub_seed
 
-DEFAULTS = {
-    "seed": 0,
-    "model.kind": "mlp",
-    "model.layer_widths": [4, 3, 3],
-    "model.activation": "quadratic_poly",
-    "model.alpha": 0.1,
-    "model.loss": "mse",
-    "model.coefficients": None,  # per-kind default when unset
-    "data.path": None,
-    "init.params": None,  # explicit start point; otherwise seeded init
-    "pretrain.steps": 200,
-    "pretrain.eta": 0.05,
-    "pretrain.batch": None,
-    "schedule.steps": 100,
-    "schedule.reupload_period": 100,
-    "schedule.refine_steps": 10,
-    "schedule.order": 2,
-    "schedule.prune_fraction": 0.1,
-    "schedule.eta": 0.05,
-    "simulate.steps": 50,
-    "simulate.order": 2,
-    "simulate.eta": 0.05,
-    "simulate.degree": None,
-    "simulate.anchor": "start",
-    "readout.shots": None,
-    "hessian.method": "direct",
-    "hessian.lanczos_k": 80,
-    "hessian.probes": 16,
-    "hessian.bins": 40,
-    "proxy.eta": 1.0,
-    "proxy.tmax": 100,
-    "proxy.threshold": 0.4,
-    "proxy.scale": "eta",
-    "kappa.method": "dense_svd",
-    "kappa.steps": [5, 10, 20, 40],
-    "kappa.order": 1,
-    "kappa.eta": 0.1,
-    "pipeline.kappa_method": "power_iteration",
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _list(item):
+    """Converter to a list of `item`s from a list, one value or a
+    comma-separated string ("5,10")."""
+    def convert(value):
+        if isinstance(value, str):
+            value = value.split(",")
+        elif not isinstance(value, (list, tuple)):
+            value = [value]
+        return [item(v) for v in value]
+    return convert
+
+
+def _anchor(value):
+    return value if isinstance(value, str) else _list(float)(value)
+
+
+# key -> (default, converter). `resolve` passes every value through its
+# key's converter, so this table is the one place that knows a key's type.
+SCHEMA = {
+    "seed": (0, int),
+    "model.kind": ("mlp", _text),
+    "model.layer_widths": ([4, 3, 3], _list(int)),
+    "model.activation": ("quadratic_poly", _text),
+    "model.alpha": (0.1, float),
+    "model.loss": ("mse", _text),
+    "model.coefficients": (None, _optional(_list(float))),  # None: per kind
+    "data.path": (None, _optional(_text)),
+    "init.params": (None, _optional(_list(float))),  # None: seeded init
+    "pretrain.steps": (200, int),
+    "pretrain.eta": (0.05, float),
+    "pretrain.batch": (None, _optional(int)),
+    "schedule.steps": (100, int),
+    "schedule.reupload_period": (100, int),
+    "schedule.refine_steps": (10, int),
+    "schedule.order": (2, int),
+    "schedule.prune_fraction": (0.1, float),
+    "schedule.eta": (0.05, float),
+    "simulate.steps": (50, int),
+    "simulate.order": (2, int),
+    "simulate.eta": (0.05, float),
+    "simulate.degree": (None, _optional(int)),
+    "simulate.anchor": ("start", _anchor),  # 'start', 'zero' or a point
+    "readout.shots": (None, _optional(int)),
+    "hessian.method": ("direct", _text),
+    "hessian.lanczos_k": (80, int),
+    "hessian.probes": (16, int),
+    "hessian.bins": (40, int),
+    "proxy.eta": (1.0, float),
+    "proxy.tmax": (100, int),
+    "proxy.threshold": (0.4, float),
+    "proxy.scale": ("eta", _text),
+    "kappa.method": ("dense_svd", _text),
+    "kappa.steps": ([5, 10, 20, 40], _list(int)),
+    "kappa.order": (1, int),
+    "kappa.eta": (0.1, float),
+    "pipeline.kappa_method": ("power_iteration", _text),
 }
+DEFAULTS = {key: default for key, (default, _) in SCHEMA.items()}
 
 
 def load_config(path):
     """Read a config file; a run manifest (with a nested 'config' object)
     is unwrapped so manifests can be re-run directly."""
-    try:
-        with open(path) as f:
+    with open_input(path) as f:
+        try:
             obj = json.load(f)
-    except FileNotFoundError:
-        raise InputError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise InputError(f"malformed config {path}: {e}")
-    if "config" in obj and "command" in obj:
+        except json.JSONDecodeError as e:
+            raise InputError(f"malformed config {path}: {e}")
+    if isinstance(obj, dict) and "config" in obj and "command" in obj:
         obj = obj["config"]
     if not isinstance(obj, dict):
         raise InputError(f"config root must be an object: {path}")
@@ -71,28 +105,22 @@ def load_config(path):
 
 
 def resolve(config_path=None, overrides=None):
-    """DEFAULTS < config file < flag overrides, with unknown keys rejected."""
+    """DEFAULTS < config file < flag overrides, each value passed through
+    its key's converter. An unknown key, or a value its converter rejects,
+    raises InputError naming the key."""
     cfg = dict(DEFAULTS)
     for source in (load_config(config_path) if config_path else {}, overrides or {}):
         for key, value in source.items():
-            if key not in DEFAULTS:
+            if key not in SCHEMA:
                 raise InputError(f"unknown config key {key!r}")
             cfg[key] = value
+    for key, value in cfg.items():
+        try:
+            cfg[key] = SCHEMA[key][1](value)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"config key {key!r} has invalid value "
+                             f"{value!r}") from None
     return cfg
-
-
-def float_array(value):
-    return np.asarray(value, dtype=float)
-
-
-def typed(cfg, key, convert):
-    """cfg[key] passed through `convert` (int, float, float_array, ...);
-    a value it rejects raises InputError naming the key."""
-    try:
-        return convert(cfg[key])
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"config key {key!r} has invalid value "
-                         f"{cfg[key]!r}") from None
 
 
 def build_model(cfg):
@@ -101,7 +129,7 @@ def build_model(cfg):
         return models.ModelSpec(kind="mlp",
                                 layer_widths=tuple(cfg["model.layer_widths"]),
                                 activation=cfg["model.activation"],
-                                alpha=typed(cfg, "model.alpha", float),
+                                alpha=cfg["model.alpha"],
                                 loss_kind=cfg["model.loss"])
     coeffs = cfg["model.coefficients"]
     if coeffs is None:
@@ -112,12 +140,12 @@ def build_model(cfg):
 
 def build_schedule(cfg):
     return pipeline.Schedule(
-        total_steps=typed(cfg, "schedule.steps", int),
-        eta=typed(cfg, "schedule.eta", float),
-        reupload_period=typed(cfg, "schedule.reupload_period", int),
-        classical_refine_steps=typed(cfg, "schedule.refine_steps", int),
-        carleman_order=typed(cfg, "schedule.order", int),
-        prune_fraction=typed(cfg, "schedule.prune_fraction", float))
+        total_steps=cfg["schedule.steps"],
+        eta=cfg["schedule.eta"],
+        reupload_period=cfg["schedule.reupload_period"],
+        classical_refine_steps=cfg["schedule.refine_steps"],
+        carleman_order=cfg["schedule.order"],
+        prune_fraction=cfg["schedule.prune_fraction"])
 
 
 def load_dataset(cfg):
@@ -129,10 +157,9 @@ def load_dataset(cfg):
 
 def initial_point(cfg, spec):
     if cfg["init.params"] is not None:
-        values = typed(cfg, "init.params", float_array)
+        values = np.array(cfg["init.params"])
         if values.size != spec.n:
             raise InputError(
                 f"init.params has {values.size} entries, model needs {spec.n}")
         return models.ParamVector(values)
-    from .util import sub_seed
-    return models.init_params(spec, sub_seed(typed(cfg, "seed", int), "init"))
+    return models.init_params(spec, sub_seed(cfg["seed"], "init"))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, InputError, NumericOverflowError, ParseError
+from .util import open_input
 
 ANALYTIC_KINDS = ("diag_quadratic", "scalar_cubic")
 MODEL_KINDS = ANALYTIC_KINDS + ("mlp",)
@@ -333,12 +334,14 @@ def loss(spec, params, data=None):
 
 
 def loss_accuracy(spec, params, data):
-    """An MLP's loss and accuracy from one forward pass: the values of
-    `loss` and `accuracy`, except that a non-finite loss is returned, not
-    raised."""
+    """Loss and accuracy from one forward pass: the values of `loss` and
+    `accuracy`, except that a non-finite loss is returned, not raised, and
+    an analytic testbed's accuracy is NaN."""
     theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
     _check_inputs(spec, theta, data)
     with np.errstate(over="ignore", invalid="ignore"):  # left to the caller
+        if spec.kind != "mlp":
+            return _loss_value(spec, theta, data), float("nan")
         out = _mlp_forward(spec, theta, data.features)[1][-1]
         value = _mse(out, data)
     return value, float(np.mean(np.argmax(out, axis=1) == data.labels))
@@ -436,7 +439,7 @@ def load_iris(path):
     names mapped to 0..K-1 in sorted order.
     """
     rows = []
-    with open(path, newline="") as f:
+    with open_input(path, newline="") as f:
         reader = csv.reader(f)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):

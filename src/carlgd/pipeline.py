@@ -23,7 +23,7 @@ import numpy as np
 
 from . import carleman, models, polyfield
 from .errors import (DivergenceError, InputError, NumericError,
-                     NumericOverflowError, SingularSystemError)
+                     SingularSystemError)
 from .util import norm2
 
 
@@ -156,14 +156,8 @@ def _loss_acc(spec, theta, data):
     """Loss and accuracy of one step; the accuracy is NaN for a model that
     does not classify. A loss that overflows reads inf, to keep reporting
     usable on runs that blow up."""
-    if spec.kind == "mlp" and data is not None:
-        lv, acc = models.loss_accuracy(spec, theta, data)  # one forward pass
-        return (lv if math.isfinite(lv) else float("inf")), acc
-    try:
-        lv = models.loss(spec, theta, data)
-    except NumericOverflowError:
-        lv = float("inf")
-    return lv, float("nan")
+    lv, acc = models.loss_accuracy(spec, theta, data)  # one forward pass
+    return (lv if math.isfinite(lv) else float("inf")), acc
 
 
 def _records(spec, data, approx, exact, step0, seg, phase):

@@ -1,10 +1,12 @@
-"""Small shared helpers: seed derivation, Kronecker powers, norms, float
-formatting."""
+"""Small shared helpers: seed derivation, Kronecker powers, norms, input
+files, float formatting."""
 
 import hashlib
 import math
 
 import numpy as np
+
+from .errors import InputError
 
 
 def sub_seed(seed, name):
@@ -44,6 +46,15 @@ def norm2(x):
     if not math.isfinite(scale):
         return value
     return scale * float(np.linalg.norm(np.asarray(x) / scale))
+
+
+def open_input(path, **kwargs):
+    """open(path) for reading; an OSError becomes an InputError naming the
+    path."""
+    try:
+        return open(path, **kwargs)
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror}") from None
 
 
 def fmt17(x):

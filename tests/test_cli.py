@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import carlgd
-from carlgd import carleman, models, polyfield
-from carlgd.cli import main
+from carlgd import carleman, config, models, polyfield
+from carlgd.cli import CLI_ONLY, build_parser, main
 from carlgd.errors import ConvergenceError
 
 from conftest import IRIS_CSV
@@ -360,11 +361,48 @@ def test_proxy_malformed_spectrum_csv(tmp_path, capsys, text, where):
     (["pretrain", "--data", str(IRIS_CSV)], "pretrain.eta"),
     (["pretrain", "--data", str(IRIS_CSV)], "seed"),
     (["pretrain", "--data", str(IRIS_CSV)], "init.params"),
+    (["pretrain", "--data", str(IRIS_CSV)], "pretrain.batch"),
+    (["pretrain", "--data", str(IRIS_CSV)], "model.layer_widths"),
+    (["simulate", "--model", "diag_quadratic", "--steps", "2"],
+     "model.coefficients"),
 ])
 def test_malformed_config_values_exit_1(tmp_path, capsys, argv, key):
     rc = main(argv + ["--set", f'{key}="x"', "--out", str(tmp_path / "run")])
     assert rc == 1
     assert key in capsys.readouterr().err
+
+
+def test_every_key_checked_whatever_the_command_reads(tmp_path, capsys):
+    params = tmp_path / "params.csv"
+    params.write_text("index,value\n0,1.5\n1,-0.5\n")
+    out = tmp_path / "run"
+    rc = main(["prune", "--params", str(params), "--fraction", "0.5",
+               "--set", 'simulate.steps="x"', "--out", str(out)])
+    assert rc == 1
+    assert "simulate.steps" in capsys.readouterr().err
+    assert not (out / "masked_params.csv").exists()
+
+
+def test_every_option_dest_is_a_config_key_or_cli_only():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in config.DEFAULTS or action.dest in CLI_ONLY, \
+                    (name, action.dest)
+
+
+@pytest.mark.parametrize("argv", [
+    ["prune", "--params", "/nonexistent.csv", "--fraction", "0.5"],
+    ["hessian", "--params", "/nonexistent.csv"],
+    ["pretrain", "--data", "/nonexistent.csv"],
+    ["proxy", "--spectrum", "/nonexistent.csv"],
+    ["simulate", "--data", str(IRIS_CSV.parent)],
+])
+def test_unreadable_input_file_exits_1(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read ")
 
 
 def test_floats_emitted_with_17_significant_digits(tmp_path):

@@ -48,12 +48,16 @@ def test_mlp_loss_matches_reference_forward(mlp_spec, iris):
     assert abs(carlgd.loss(mlp_spec, params, iris) - expected) < 1e-12
 
 
-def test_loss_accuracy_equals_separate_calls_bitwise(mlp_spec, iris):
+def test_loss_accuracy_equals_separate_calls_bitwise(mlp_spec, cubic_spec,
+                                                     iris):
     for seed in range(3):
         theta = carlgd.init_params(mlp_spec, seed).values
         assert models.loss_accuracy(mlp_spec, theta, iris) == (
             carlgd.loss(mlp_spec, theta, iris),
             carlgd.accuracy(mlp_spec, carlgd.ParamVector(theta), iris))
+        theta = carlgd.init_params(cubic_spec, seed).values
+        lv, acc = models.loss_accuracy(cubic_spec, theta, None)
+        assert lv == carlgd.loss(cubic_spec, theta) and np.isnan(acc)
 
 
 def test_accuracy_on_overflowing_forward_pass_warns_nothing(mlp_spec, iris):
