@@ -7,8 +7,11 @@ rule: the block mapping order j = i+k-1 into order i is
     A[i][j] = sum_{p=1..i}  I^{(x)(p-1)} (x) F_k (x) I^{(x)(i-p)} .
 
 `embed` writes every block's entries from the triplets of F_k by index
-arithmetic into one canonical CSR matrix, adding the p-terms in order. No
+arithmetic into one canonical `CSR` matrix, adding the p-terms in order. No
 block is stored on its own: slice `CarlemanMatrix.matrix` at `offsets`.
+`CSR` is this package's own sparse matrix, so the lift and the solve run
+on numpy alone; scipy is imported only where kappa, spectra or an explicit
+scipy matrix need it.
 
 An order-0 block (a single stationary coordinate held at 1) carries the
 affine drift F_0; it is included only when the field actually has drift,
@@ -25,17 +28,109 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, svdvals
 
 from .errors import (CapacityError, ConvergenceError, DegenerateStateError,
                      InputError, SingularSystemError)
 from .util import kron_power, norm2
 
+# `CSR @ x` runs its numpy kernel while the padded ELL block has at most
+# this many slots, and scipy's csr_matvec above that. The numpy kernel
+# costs about 5.5 ns a slot: at 2^16 slots (D = 1 024, 64 entries a row) a
+# product takes 0.37 ms against scipy's 0.035 ms, so the 0.12 s import of
+# scipy.sparse pays for itself after about 360 products. The D = 111
+# pruned Iris step operator has 7 215 slots (34 against 4.4 us a product).
+_ELL_SLOTS = 1 << 16
+
+
+class CSR:
+    """A canonical CSR matrix: in each row the column indices are sorted and
+    unique, and no stored value is zero. `indptr` and `indices` are int32
+    while the shape and nnz fit in it, as in scipy.
+
+    `A @ x` takes a 1-D x and gives the bits of scipy's `csr_matvec`, which
+    sums each row left to right from +0.0. Up to `_ELL_SLOTS` slots it runs
+    on a padded ELL block of (width + 1, rows) slots, the rows' entries
+    stored down its columns below a leading row of zeros. The leading row
+    and the padding multiply 0.0 by a 0.0 appended to x, so they add
+    exactly +0.0 whatever x holds, and `np.add.accumulate` down the columns
+    adds in row order. Above that it hands off to scipy, imported then.
+    An overflowing product warns about nothing, as in scipy.
+    """
+
+    def __init__(self, indptr, indices, data, shape):
+        index = np.int32 if max(*shape, len(data)) < 2 ** 31 else np.int64
+        self.indptr = np.asarray(indptr, dtype=index)
+        self.indices = np.asarray(indices, dtype=index)
+        self.data = np.asarray(data, dtype=float)
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @classmethod
+    def from_keys(cls, key, data, shape):
+        """From ascending, unique keys row * shape[1] + col and their values."""
+        rows, cols = shape
+        indptr = np.searchsorted(key, np.arange(rows + 1, dtype=np.int64) * cols)
+        return cls(indptr, key - key // max(cols, 1) * cols, data, shape)
+
+    @classmethod
+    def from_dense(cls, a):
+        """The nonzeros of a 2-D array."""
+        a = np.asarray(a, dtype=float)
+        key = np.flatnonzero(a)
+        return cls.from_keys(key, a.ravel()[key], a.shape)
+
+    @property
+    def nnz(self):
+        return self.data.size
+
+    def _rows(self):
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self):
+        out = np.zeros(self.shape)
+        out[self._rows(), self.indices] = self.data
+        return out
+
+    def to_scipy(self):
+        """The same matrix as a scipy.sparse csr_matrix."""
+        import scipy.sparse as sp
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+    @cached_property
+    def _kernel(self):
+        """(values, columns) of the padded ELL block, or the scipy matrix
+        when the block would have more than `_ELL_SLOTS` slots."""
+        rows, cols = self.shape
+        width = int(np.diff(self.indptr).max(initial=0))
+        if (width + 1) * rows > _ELL_SLOTS:
+            return self.to_scipy()
+        r = self._rows()
+        slot = np.arange(1, self.nnz + 1) - self.indptr[r]
+        values = np.zeros((width + 1, rows))
+        values[slot, r] = self.data
+        columns = np.full((width + 1, rows), cols, dtype=np.intp)  # x[cols] = 0.0
+        columns[slot, r] = self.indices
+        return values, columns
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.shape != (self.shape[1],):
+            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {x.shape}")
+        kernel = self._kernel
+        if not isinstance(kernel, tuple):
+            return kernel @ x
+        values, columns = kernel
+        xp = np.empty(x.size + 1)
+        xp[:-1] = x
+        xp[-1] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.add.accumulate(values * xp.take(columns), axis=0)[-1]
+
 
 def _kron_sum_entries(Fk, i, row0, col0, width):
-    """Row-major nonzeros (row, col, value) of sum_{p=1..i} I_{n^(p-1)} (x) F_k
-    (x) I_{n^(i-p)} at (row0, col0) of a `width`-column matrix, p-terms added in order."""
+    """Nonzeros of sum_{p=1..i} I_{n^(p-1)} (x) F_k (x) I_{n^(i-p)} at (row0, col0)
+    of a `width`-column matrix, p-terms added in order: ascending keys
+    row * width + col and their values."""
     n, m = Fk.shape  # m = n^k
     base = row0 * width + col0
     entry = np.repeat(np.arange(n, dtype=np.int64) * width, np.diff(Fk.indptr)) + Fk.indices
@@ -57,7 +152,7 @@ def _kron_sum_entries(Fk, i, row0, col0, width):
     # add.at runs in array order, so each sum is (t_1 + t_2) + t_3 + ...
     np.add.at(total, np.searchsorted(np.flatnonzero(first), dup) - 1, val[dup])
     keep = total != 0
-    return np.divmod(key[first][keep], width) + (total[keep],)
+    return key[first][keep], total[keep]
 
 
 @dataclass
@@ -70,7 +165,7 @@ class CarlemanMatrix:
     block_orders: list  # orders of the stored blocks, e.g. [0, 1, 2]
     offsets: np.ndarray  # start offset of each block within the state vector
     D: int
-    matrix: sp.csr_matrix
+    matrix: CSR
     field: object = field(repr=False)
 
     def order_one_slice(self):
@@ -93,10 +188,28 @@ class CarlemanMatrix:
 
     @cached_property
     def _step(self):
-        S = (sp.identity(self.D, format="csr") + self.matrix).tocsr()
-        S.sum_duplicates()
-        S.eliminate_zeros()
-        return S
+        """The identity merged into A row by row, with no re-sort: a stored
+        diagonal a becomes 1 + a, dropped when that is 0, and a missing one
+        is inserted as 1 where its key row * D + row sorts among A's keys."""
+        A, D = self.matrix, self.D
+        key = A._rows() * D + A.indices  # ascending, as A is canonical
+        diag = np.arange(D) * (D + 1)
+        at = np.searchsorted(key, diag)
+        stored = np.zeros(D, dtype=bool)
+        inside = at < A.nnz
+        stored[inside] = key[at[inside]] == diag[inside]
+        data = A.data.copy()
+        data[at[stored]] += 1.0
+        vanished = np.zeros(D, dtype=bool)
+        vanished[stored] = data[at[stored]] == 0
+        new = np.flatnonzero(~stored)
+        indices = np.insert(A.indices, at[new], new)
+        data = np.insert(data, at[new], 1.0)
+        if vanished.any():
+            keep = data != 0
+            indices, data = indices[keep], data[keep]
+        counts = np.diff(A.indptr) + ~stored - vanished
+        return CSR(np.concatenate([[0], np.cumsum(counts)]), indices, data, A.shape)
 
 
 # Budget on the embedding dimension D, shared by `embed` and the capacity
@@ -124,7 +237,9 @@ def check_capacity(n, order, include_constant, max_dim):
 def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
     """Build the truncated Carleman matrix of a PolyField.
 
-    A is one canonical CSR matrix, with each block's p-terms summed in order.
+    A is one canonical `CSR` matrix, with each block's p-terms summed in
+    order, built from the blocks' keys by one sort; keys of different
+    blocks never collide, so nothing is summed across blocks.
     Each block's entries are checked to lie inside the block as they are
     written (InputError otherwise), so A never needs a structure scan.
     `include_constant` defaults to auto: the order-0 block is kept exactly
@@ -138,24 +253,25 @@ def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
     D = int(sum(dims))
     offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(np.int64)
     start = dict(zip(block_orders, offsets))
-    blocks = []
+    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for i in range(1, order + 1):
         for k in range(d + 1):
             j = i + k - 1
             if j not in start:  # target order truncated away
                 continue
-            rows, cols, vals = _kron_sum_entries(field_.terms[k], i, start[i], start[j], D)
-            if rows.size and not (start[i] <= rows.min() and rows.max() < start[i] + n ** i
-                                  and start[j] <= cols.min() and cols.max() < start[j] + n ** j):
-                raise InputError(f"block-structure check failed: an entry of block ({i},{j}) "
-                                 "lies outside it")
-            blocks.append((rows, cols, vals))
-    if blocks:
-        rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-        del blocks  # free the per-block triplets before the CSR conversion
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(D, D)).tocsr()
-    else:  # a degree-0 field without the constant block
-        A = sp.csr_matrix((D, D))
+            key, val = _kron_sum_entries(field_.terms[k], i, start[i], start[j], D)
+            if key.size:
+                cols = key - key // D * D
+                if not (start[i] <= key.min() // D and key.max() // D < start[i] + n ** i
+                        and start[j] <= cols.min() and cols.max() < start[j] + n ** j):
+                    raise InputError(f"block-structure check failed: an entry of block "
+                                     f"({i},{j}) lies outside it")
+            keys.append(key)
+            vals.append(val)
+    key, val = np.concatenate(keys), np.concatenate(vals)
+    del keys, vals  # free the per-block arrays before the sort
+    perm = np.argsort(key, kind="stable")  # merges the blocks' sorted runs
+    A = CSR.from_keys(key[perm], val[perm], (D, D))
     return CarlemanMatrix(n=n, order=order, include_constant=include_constant,
                           block_orders=block_orders, offsets=offsets, D=D,
                           matrix=A, field=field_)
@@ -174,33 +290,36 @@ _DENSE_BYTES = 1 << 19
 class GlobalSystem:
     """All T Euler steps stacked into one block-bidiagonal linear system.
 
-    `S` is the canonical CSR step operator, which `solve` iterates. The
+    `S` is the canonical `CSR` step operator, which `solve` iterates. The
     substitutions and the gram of `condition_number` multiply by S and S^T
     as C-contiguous dense arrays instead while D * D * 8 bytes is at most
-    `_DENSE_BYTES` (512 KiB, so D <= 256), and as CSR above that. L itself
-    is assembled only by `matrix()`, for the dense-SVD kappa.
+    `_DENSE_BYTES` (512 KiB, so D <= 256), and as scipy CSR matrices above
+    that. L itself is assembled only by `matrix()`, for the dense-SVD kappa.
     """
 
     T: int
     D: int
-    S: sp.csr_matrix
+    S: CSR
     y0: np.ndarray
 
     @cached_property
     def _products(self):
-        """(S, S^T) for kappa's products: dense when small, else CSR."""
+        """(S, S^T) for kappa's products: dense when small, else scipy CSR."""
         if self.D * self.D * 8 <= _DENSE_BYTES:
             S = self.S.toarray()
             return S, np.ascontiguousarray(S.T)
-        return self.S, self.S.T.tocsr()
+        S = self.S.to_scipy()
+        return S, S.T.tocsr()
 
     def matrix(self):
+        """L as a scipy.sparse csr_matrix."""
+        import scipy.sparse as sp
         shift = sp.csr_matrix(
             (np.ones(self.T), (np.arange(1, self.T + 1), np.arange(self.T))),
             shape=(self.T + 1, self.T + 1),
         )
         L = (sp.identity((self.T + 1) * self.D, format="csr")
-             - sp.kron(shift, self.S, format="csr")).tocsr()
+             - sp.kron(shift, self.S.to_scipy(), format="csr")).tocsr()
         L.sum_duplicates()
         L.eliminate_zeros()
         return L
@@ -319,6 +438,8 @@ def _lanczos_top(apply, dim, seed, tol, max_iter):
     (Parlett). `max_iter` counts steps; hitting it raises ConvergenceError.
     Returns inf when `apply` or the recurrence overflows.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     q = np.random.default_rng(seed).standard_normal(dim)
     q /= np.linalg.norm(q)
     q_prev = np.zeros(dim)
@@ -386,6 +507,7 @@ def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
                 f"dense SVD rejected for dimension {dim} > {dense_limit}; "
                 "use power_iteration"
             )
+        from scipy.linalg import svdvals
         sig = svdvals(G.matrix().toarray())
         smax, smin = float(sig[0]), float(sig[-1])
     elif method == "power_iteration":

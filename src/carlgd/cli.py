@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, carleman, config, diagnostics, models, pipeline
 from .errors import CapacityError, InputError, NumericError, ParseError
@@ -47,6 +46,7 @@ def write_csv(path, header, rows):
 
 
 def write_manifest(out, command, cfg, outputs, started):
+    import scipy  # the package alone: its version, with no submodule
     manifest = {
         "command": command,
         "config": cfg,

@@ -15,7 +15,6 @@ reduce to the plain negated eigenvalues (`scale='raw'` keeps that variant).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import models
 from .errors import EmptySupportError, InputError
@@ -66,6 +65,8 @@ def histogram_l1(a, b, nbins=20, pad=1e-9):
 
 def _lanczos_probe(matvec, n, k, rng):
     """One stochastic Lanczos quadrature probe: Ritz values and weights."""
+    from scipy.linalg import eigh_tridiagonal
+
     v = rng.choice([-1.0, 1.0], size=n)
     v /= np.linalg.norm(v)
     V = [v]

@@ -7,18 +7,19 @@ shifted coordinates delta = theta - theta_star, as a finite sum
 
 with the learning rate folded into every term: F_0 = -eta grad L(theta_star),
 F_1 = -eta H(theta_star), F_2 = -(eta/2) grad^3 L, F_3 = -(eta/6) grad^4 L.
-Terms are stored as sparse n x n^k maps, symmetrized over their Kronecker
-input slots. grad^3 L and grad^4 L come from exact polynomial stencils
-over Hessian columns, so every term is exact up to rounding.
+Terms are stored as sparse n x n^k maps (`carleman.CSR`), symmetrized over
+their Kronecker input slots. grad^3 L and grad^4 L come from exact
+polynomial stencils over Hessian columns, so every term is exact up to
+rounding.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import models
+from .carleman import CSR
 from .errors import InputError
 
 _STENCIL_STEP = 0.5  # any step is exact; this one keeps rounding low
@@ -46,7 +47,7 @@ class PolyField:
     degree: int
     eta: float
     theta_star: np.ndarray
-    terms: list  # terms[k]: csr matrix of shape (n, n**k)
+    terms: list  # terms[k]: CSR of shape (n, n**k); given dense or with toarray()
     exact: bool = True  # False when the model's gradient degree exceeds `degree`
 
     def __post_init__(self):
@@ -55,35 +56,13 @@ class PolyField:
             raise InputError("need one term per order 0..degree")
         fixed = []
         for k, t in enumerate(self.terms):
-            t = sp.csr_matrix(t)
+            t = np.asarray(t.toarray() if hasattr(t, "toarray") else t, dtype=float)
             if t.shape != (self.n, self.n ** k):
                 raise InputError(
                     f"term {k} has shape {t.shape}, expected {(self.n, self.n ** k)}"
                 )
-            t.sum_duplicates()
-            t.eliminate_zeros()
-            fixed.append(t)
+            fixed.append(CSR.from_dense(t))
         self.terms = fixed
-
-    def f0(self):
-        return np.asarray(self.terms[0].todense()).ravel()
-
-    def eval(self, theta):
-        """Field value at an absolute point theta."""
-        theta = np.asarray(theta, dtype=float).ravel()
-        if theta.size != self.n:
-            raise InputError(f"point length {theta.size}, field dimension {self.n}")
-        return self.eval_delta(theta - self.theta_star)
-
-    def eval_delta(self, delta):
-        delta = np.asarray(delta, dtype=float).ravel()
-        out = np.zeros(self.n)
-        v = np.ones(1)
-        for k, term in enumerate(self.terms):
-            if k > 0:
-                v = np.kron(v, delta)
-            out += term @ v
-        return out
 
     def nnz(self):
         return int(sum(t.nnz for t in self.terms))
@@ -165,13 +144,11 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
     g = models.grad(spec, theta_star, data)[idx]
     E = np.eye(spec.n)[idx]
     H = models.hvp_batch(spec, theta_star, data, E)[0][:, idx]  # H[j, i] = H_ij
-    terms = [sp.csr_matrix((-eta * g).reshape(n, 1)), sp.csr_matrix(-eta * H.T)]
+    terms = [(-eta * g).reshape(n, 1), -eta * H.T]
     if degree >= 2:
         T3, T4 = _derivative_tensors(spec, data, theta_star, idx, degree, H)
-        F2 = symmetrize_slots((-0.5 * eta) * T3.reshape(n, n * n), 2, n)
-        terms.append(sp.csr_matrix(F2))
+        terms.append(symmetrize_slots((-0.5 * eta) * T3.reshape(n, n * n), 2, n))
     if degree >= 3:
-        F3 = symmetrize_slots((-eta / 6.0) * T4.reshape(n, n ** 3), 3, n)
-        terms.append(sp.csr_matrix(F3))
+        terms.append(symmetrize_slots((-eta / 6.0) * T4.reshape(n, n ** 3), 3, n))
     return PolyField(n=n, degree=degree, eta=eta, theta_star=theta_star[idx],
                      terms=terms, exact=spec.grad_degree() <= degree)

@@ -136,10 +136,15 @@ def sparse_fields(draw):
 
 
 def assert_canonical_csr(X):
-    """Sorted, unique column indices in every row and no stored zeros."""
-    assert X.format == "csr"
+    """Row pointers from 0 to nnz, sorted unique in-range column indices in
+    every row, no stored zeros, and int32 indices, as scipy keeps them."""
+    assert X.indptr.dtype == X.indices.dtype == np.int32
+    assert X.indptr.shape == (X.shape[0] + 1,)
+    assert X.indptr[0] == 0 and X.indptr[-1] == X.nnz == X.indices.size == X.data.size
+    assert np.all(np.diff(X.indptr) >= 0)
     for r in range(X.shape[0]):
         assert np.all(np.diff(X.indices[X.indptr[r]:X.indptr[r + 1]]) > 0)
+    assert np.all((0 <= X.indices) & (X.indices < X.shape[1]))
     assert np.all(X.data != 0)
 
 
@@ -175,12 +180,11 @@ def test_audit_catches_tampering(monkeypatch):
     original = carleman._kron_sum_entries
     for d_row, d_col in ((-1, 0), (0, -1)):
         def tampered(Fk, i, row0, col0, width, d_row=d_row, d_col=d_col):
-            rows, cols, vals = original(Fk, i, row0, col0, width)
+            keys, vals = original(Fk, i, row0, col0, width)
             if (i, Fk.shape[1]) == (2, 1):  # block (2, 1), written from F_0
-                rows, cols, vals = (np.append(rows, row0 + d_row),
-                                    np.append(cols, col0 + d_col),
-                                    np.append(vals, 1.0))
-            return rows, cols, vals
+                keys = np.append(keys, (row0 + d_row) * width + col0 + d_col)
+                vals = np.append(vals, 1.0)
+            return keys, vals
 
         with monkeypatch.context() as m:
             m.setattr(carleman, "_kron_sum_entries", tampered)
@@ -370,6 +374,99 @@ def test_truncation_error_improves_with_order(cubic_spec, mlp_spec, iris):
                                 steps=20, anchor="start")
         by_order.append(max(r.err_l2 for r in res.records))
     assert by_order[1] < 0.5 * by_order[0]
+
+
+# ------------------------------------------------------------- CSR @ x
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def spanning(rng, size):
+    """Values of both signs with magnitudes from 1e-8 to 1e8."""
+    return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 8, size)
+
+
+def left_to_right(A, x):
+    """Each row summed in stored order from +0.0, one rounding per step."""
+    out = []
+    for r in range(A.shape[0]):
+        total = 0.0
+        for j in range(A.indptr[r], A.indptr[r + 1]):
+            total += float(A.data[j]) * float(x[A.indices[j]])
+        out.append(total)
+    return np.array(out)
+
+
+def test_csr_matvec_sums_each_row_left_to_right_from_positive_zero():
+    """Row 0 adds 1e16, 1, -1e16 in that order: 1e16 + 1 rounds back to
+    1e16, so the sum is 0, where adding 1e16 - 1e16 first gives 1. Row 1's
+    one product is -0.0, and +0.0 + -0.0 is +0.0. Row 2 is empty."""
+    dense = np.array([[1e16, 1.0, -1e16, 0.0],
+                      [0.0, 0.0, 0.0, -1.0],
+                      [0.0, 0.0, 0.0, 0.0]])
+    A = carleman.CSR.from_dense(dense)
+    x = np.array([1.0, 1.0, 1.0, 0.0])
+    got = A @ x
+    assert np.array_equal(bits(got), bits([0.0, 0.0, 0.0]))
+    assert (1e16 - 1e16) + 1.0 == 1.0  # the other order differs
+    assert np.array_equal(bits(got), bits(left_to_right(A, x)))
+    assert np.array_equal(bits(got), bits(sp.csr_matrix(dense) @ x))
+
+
+def matvec_case(rows, cols, widths, seed):
+    """A (rows, cols) matrix whose row r has widths[r % len(widths)] entries
+    spanning 1e-8 .. 1e8 at random columns."""
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((rows, cols))
+    for r in range(rows):
+        w = widths[r % len(widths)]
+        dense[r, rng.choice(cols, w, replace=False)] = spanning(rng, w)
+    return dense
+
+
+# (rows, cols, row widths, under the ELL cut): every power-of-two width
+# with empty rows between, a pruned-Iris-sized system, an empty matrix,
+# and the two sides of the cut at width 60.
+MATVEC_CASES = [
+    (11, 80, [0, 1, 2, 4, 8, 16, 32, 64, 0, 3, 64], True),
+    (111, 111, [2, 9, 17, 40, 64], True),
+    (5, 7, [0], True),
+    (1_000, 1_200, [60], True),
+    (1_100, 1_200, [60], False),
+]
+
+
+@pytest.mark.parametrize("rows, cols, widths, under", MATVEC_CASES,
+                         ids=["pow2-widths", "iris-sized", "empty", "under-cut", "over-cut"])
+def test_csr_matvec_bitwise_equals_scipy(rows, cols, widths, under):
+    dense = matvec_case(rows, cols, widths, seed=rows)
+    A = carleman.CSR.from_dense(dense)
+    assert rows * (max(widths) + 1) <= carleman._ELL_SLOTS or not under
+    assert isinstance(A._kernel, tuple) is under  # numpy ELL or scipy
+    B = sp.csr_matrix(dense)
+    rng = np.random.default_rng(cols)
+    for _ in range(20):
+        x = spanning(rng, cols)
+        assert np.array_equal(bits(A @ x), bits(B @ x))
+    # non-finite entries reach only the rows that store their column: the
+    # ELL padding adds +0.0 whatever x holds
+    x[rng.choice(cols, 2, replace=False)] = [np.inf, np.nan]
+    assert np.array_equal(bits(A @ x), bits(B @ x))
+    with pytest.raises(ValueError):
+        A @ np.ones(cols + 1)
+
+
+def test_csr_matvec_overflow_warns_nothing():
+    """Products past the float range give inf, and inf - inf gives nan, as
+    in scipy, with no RuntimeWarning (the suite makes one an error)."""
+    dense = np.array([[1e300, 0.0], [1e300, -1e300]])
+    x = np.array([1e300, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = carleman.CSR.from_dense(dense) @ x
+    assert np.isposinf(got[0]) and np.isnan(got[1])
+    assert np.array_equal(bits(got), bits(sp.csr_matrix(dense) @ x))
 
 
 # ---------------------------------------------------------------- readout

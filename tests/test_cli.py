@@ -39,27 +39,54 @@ def test_simulate_matches_library_solve(tmp_path):
     np.testing.assert_array_equal(got, Y[:, M.order_one_slice()].ravel())
 
 
-def test_pipeline_leaves_sparse_linalg_unloaded(tmp_path):
-    """kappa runs its own Lanczos recurrence, so a pipeline op, kappa
-    included, never imports scipy.sparse.linalg (ARPACK). Checked in a
-    fresh interpreter, where no other test has imported it."""
-    argv = ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "20",
-            "--steps", "4", "--reupload", "2", "--refine", "0",
-            "--order", "2", "--fraction", "0.2", "--eta", "0.05",
-            "--set", "pipeline.kappa_method=power_iteration",
-            "--out", str(tmp_path / "run")]
-    code = ("import sys\n"
+def scipy_loaded(argv):
+    """In a fresh interpreter, where no other test has imported scipy: the
+    scipy.sparse and scipy.linalg modules loaded after `import carlgd`, the
+    exit code of `main(argv)` and the modules loaded after it."""
+    code = ("import json, sys\n"
+            "parts = ('scipy.sparse', 'scipy.linalg')\n"
+            "import carlgd\n"
+            "after_import = [p for p in parts if p in sys.modules]\n"
             "from carlgd.cli import main\n"
             f"rc = main({argv!r})\n"
-            "print(rc, 'scipy.sparse.linalg' in sys.modules)\n")
+            "print(json.dumps([after_import, rc,\n"
+            "                  [p for p in parts if p in sys.modules]]))\n")
     src = str(Path(carlgd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
-    assert read_csv(tmp_path / "run" / "segments.csv")[0]["kappa_method"] \
-        == "power_iteration"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
+    """The lift and the solve run on numpy alone: importing carlgd and a
+    simulate run load neither scipy.sparse nor scipy.linalg. The manifest
+    still records the scipy version."""
+    out = tmp_path / "run"
+    after_import, rc, after_run = scipy_loaded(
+        ["simulate", "--model", "scalar_cubic", "--order", "3", "--steps", "50",
+         "--eta", "0.1", "--theta0", "0.5", "--out", str(out)])
+    assert (after_import, rc, after_run) == ([], 0, [])
+    versions = json.loads((out / "manifest.json").read_text())["versions"]
+    assert isinstance(versions["scipy"], str)
+
+
+def test_pipeline_leaves_sparse_linalg_unloaded(tmp_path):
+    """A D = 111 pipeline op, kappa included, loads scipy.linalg for the
+    Ritz test of kappa's Lanczos recurrence, and never scipy.sparse: the
+    solve multiplies by the package's own CSR, and kappa by a dense copy
+    of S, at this size."""
+    argv = ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "20",
+            "--steps", "4", "--reupload", "2", "--refine", "0",
+            "--order", "2", "--fraction", "0.37", "--eta", "0.05",
+            "--set", "pipeline.kappa_method=power_iteration",
+            "--out", str(tmp_path / "run")]
+    after_import, rc, after_run = scipy_loaded(argv)
+    assert (after_import, rc, after_run) == ([], 0, ["scipy.linalg"])
+    segment = read_csv(tmp_path / "run" / "segments.csv")[0]
+    assert segment["kappa_method"] == "power_iteration"
+    assert segment["D"] == "111"
 
 
 def test_pipeline_deterministic_across_runs(tmp_path):
