@@ -35,10 +35,11 @@ from .util import kron_power, norm2
 
 # `CSR @ x` runs its numpy kernel while the padded ELL block has at most
 # this many slots, and scipy's csr_matvec above that. The numpy kernel
-# costs about 5.5 ns a slot: at 2^16 slots (D = 1 024, 64 entries a row) a
-# product takes 0.37 ms against scipy's 0.035 ms, so the 0.12 s import of
-# scipy.sparse pays for itself after about 360 products. The D = 111
-# pruned Iris step operator has 7 215 slots (34 against 4.4 us a product).
+# costs about 2.5 ns a slot, mostly the gather of x: at 2^16 slots (D =
+# 1 024, 64 entries a row) a product takes 0.16-0.20 ms against scipy's
+# 0.06 ms, so the 0.12 s import of scipy.sparse pays for itself after
+# about 1 000 products. A D = 111 pruned Iris operator of 8 658 slots takes
+# 25-40 against 7-10 us a product.
 _ELL_SLOTS = 1 << 16
 
 
@@ -52,8 +53,10 @@ class CSR:
     on a padded ELL block of (width + 1, rows) slots, the rows' entries
     stored down its columns below a leading row of zeros. The leading row
     and the padding multiply 0.0 by a 0.0 appended to x, so they add
-    exactly +0.0 whatever x holds, and `np.add.accumulate` down the columns
-    adds in row order. Above that it hands off to scipy, imported then.
+    exactly +0.0 whatever x holds. `np.add.reduce(axis=0)` then adds the
+    slot rows in order, each one to the running sums of every row at once,
+    so each row is summed left to right. Above that it hands off to scipy,
+    imported then.
     An overflowing product warns about nothing, as in scipy.
     """
 
@@ -124,7 +127,7 @@ class CSR:
         xp[:-1] = x
         xp[-1] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.add.accumulate(values * xp.take(columns), axis=0)[-1]
+            return np.add.reduce(values * xp.take(columns), axis=0)
 
 
 def _kron_sum_entries(Fk, i, row0, col0, width):
@@ -419,6 +422,25 @@ def readout(y, theta_star, shots, seed=None, has_constant=True):
                          shots=shots)
 
 
+def _top_ritz(d, e):
+    """Top eigenvalue of the symmetric tridiagonal matrix with diagonal d
+    and off-diagonal e, and the last entry of its unit eigenvector: the
+    bits of scipy's `eigh_tridiagonal(d, e, select="i", select_range=(k - 1,
+    k - 1))`, from the same LAPACK calls (bisection, then inverse
+    iteration) without the wrapper's argument checks."""
+    from scipy.linalg.lapack import dstebz, dstein
+
+    k = d.size
+    if k == 1:
+        return float(d[0]), 1.0
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info == 0:
+        v, info = dstein(d, e, w[:m], iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info {info})")
+    return float(w[0]), float(v[-1, 0])
+
+
 # Lanczos steps between convergence tests. A test costs about one gram
 # apply, and the recurrence runs up to this many steps past convergence.
 _CHECK_EVERY = 8
@@ -438,8 +460,6 @@ def _lanczos_top(apply, dim, seed, tol, max_iter):
     (Parlett). `max_iter` counts steps; hitting it raises ConvergenceError.
     Returns inf when `apply` or the recurrence overflows.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     q = np.random.default_rng(seed).standard_normal(dim)
     q /= np.linalg.norm(q)
     q_prev = np.zeros(dim)
@@ -448,9 +468,7 @@ def _lanczos_top(apply, dim, seed, tol, max_iter):
     # an overflow in `apply` or the recurrence is checked and returned as inf
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iter + 1):
-            w = apply(q)
-            if not np.all(np.isfinite(w)):
-                return np.inf
+            w = apply(q)  # a non-finite w makes b non-finite below
             a = float(q @ w)
             w -= a * q
             w -= b * q_prev
@@ -466,11 +484,10 @@ def _lanczos_top(apply, dim, seed, tol, max_iter):
                 # scaled by a power of two, exactly, so that stebz's squares
                 # of the entries neither overflow nor underflow
                 scale = math.ldexp(1.0, math.frexp(max(map(abs, alpha)))[1] - 1)
-                theta, s = eigh_tridiagonal(np.divide(alpha, scale),
-                                            np.divide(beta[:-1], scale),
-                                            select="i", select_range=(k - 1, k - 1))
-                theta = scale * float(theta[0])
-                if collapsed or b * abs(s[-1, 0]) <= tol * theta:
+                theta, s = _top_ritz(np.divide(alpha, scale),
+                                     np.divide(beta[:-1], scale))
+                theta *= scale
+                if collapsed or b * abs(s) <= tol * theta:
                     return theta
             q_prev, q = q, w / b
     raise ConvergenceError(

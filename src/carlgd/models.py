@@ -22,6 +22,7 @@ ANALYTIC_KINDS = ("diag_quadratic", "scalar_cubic")
 MODEL_KINDS = ANALYTIC_KINDS + ("mlp",)
 ACTIVATIONS = ("identity", "quadratic_poly")
 _BATCH_PAIRS = 64  # (point, direction) pairs per forward-over-reverse block
+_FORWARD_ROWS = 256  # parameter rows per stacked forward pass of loss_accuracy
 
 
 @dataclass
@@ -167,8 +168,11 @@ class ParamVector:
 
 
 def _check_inputs(spec, theta, data):
-    if theta.size != spec.n:
-        raise InputError(f"parameter length {theta.size} does not match model n={spec.n}")
+    """Check one parameter vector, or a stack of them along the last axis,
+    and the dataset against the model."""
+    length = theta.shape[-1] if theta.ndim else theta.size
+    if length != spec.n:
+        raise InputError(f"parameter length {length} does not match model n={spec.n}")
     if spec.kind == "mlp":
         if data is None or data.n_samples == 0:
             raise InputError("mlp evaluation needs a nonempty dataset")
@@ -219,8 +223,10 @@ def _loss_value(spec, theta, data):
 
 
 def _mse(out, data):
+    """Loss of the outputs (..., samples, classes), one per leading index."""
     R = out - data.one_hot
-    return 0.5 * float(np.sum(R * R)) / data.n_samples
+    R = R.reshape(R.shape[:-2] + (-1,))
+    return 0.5 * np.sum(R * R, axis=-1) / data.n_samples
 
 
 def _grad_values(spec, theta, data):
@@ -311,7 +317,7 @@ def hvp_batch(spec, points, data, directions):
         raise InputError(f"points and directions need {n} columns, got "
                          f"{points.shape[1]} and {directions.shape[1]}")
     P, K = points.shape[0], directions.shape[0]
-    _check_inputs(spec, points[0] if P else np.zeros(n), data)
+    _check_inputs(spec, points, data)
     out = np.empty((P, K, n))
     kc = max(1, min(K, _BATCH_PAIRS))
     pc = max(1, _BATCH_PAIRS // kc)
@@ -336,15 +342,25 @@ def loss(spec, params, data=None):
 def loss_accuracy(spec, params, data):
     """Loss and accuracy from one forward pass: the values of `loss` and
     `accuracy`, except that a non-finite loss is returned, not raised, and
-    an analytic testbed's accuracy is NaN."""
+    an analytic testbed's accuracy is NaN. A (rows, n) stack of parameter
+    vectors gives two arrays of the rows' values, from one forward pass
+    over the stack (in blocks of `_FORWARD_ROWS` rows)."""
     theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
     _check_inputs(spec, theta, data)
+    rows = np.atleast_2d(theta)
+    value, acc = np.empty(len(rows)), np.full(len(rows), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # left to the caller
-        if spec.kind != "mlp":
-            return _loss_value(spec, theta, data), float("nan")
-        out = _mlp_forward(spec, theta, data.features)[1][-1]
-        value = _mse(out, data)
-    return value, float(np.mean(np.argmax(out, axis=1) == data.labels))
+        for r in range(0, len(rows), _FORWARD_ROWS):
+            block = slice(r, r + _FORWARD_ROWS)
+            if spec.kind != "mlp":
+                value[block] = [_loss_value(spec, t, data) for t in rows[block]]
+                continue
+            out = _mlp_forward(spec, rows[block], data.features)[1][-1]
+            value[block] = _mse(out, data)
+            acc[block] = np.mean(np.argmax(out, axis=-1) == data.labels, axis=-1)
+    if theta.ndim < 2:
+        return float(value[0]), float(acc[0])
+    return value, acc
 
 
 def grad(spec, params, data=None):

@@ -153,22 +153,24 @@ def _segment(spec, data, start, anchor, degree, eta, order, steps):
 
 
 def _loss_acc(spec, theta, data):
-    """Loss and accuracy of one step; the accuracy is NaN for a model that
-    does not classify. A loss that overflows reads inf, to keep reporting
-    usable on runs that blow up."""
-    lv, acc = models.loss_accuracy(spec, theta, data)  # one forward pass
-    return (lv if math.isfinite(lv) else float("inf")), acc
+    """Loss and accuracy of one step, or arrays of them for a stack of
+    steps, from one forward pass; the accuracy is NaN for a model that does
+    not classify. A loss that overflows reads inf, to keep reporting usable
+    on runs that blow up."""
+    lv, acc = models.loss_accuracy(spec, theta, data)
+    lv = np.where(np.isfinite(lv), lv, np.inf)
+    return (lv if lv.ndim else float(lv)), acc
 
 
 def _records(spec, data, approx, exact, step0, seg, phase):
     """One StepRecord per row of `approx`, numbered from `step0`, with the
     error against the same row of `exact`."""
+    losses, accs = _loss_acc(spec, approx, data)
     records = []
     for t, (th, ex) in enumerate(zip(approx, exact)):
         diff = th - ex
-        lv, acc = _loss_acc(spec, th, data)
-        records.append(StepRecord(step=step0 + t, loss=lv, accuracy=acc,
-                                  err_l2=norm2(diff),
+        records.append(StepRecord(step=step0 + t, loss=float(losses[t]),
+                                  accuracy=float(accs[t]), err_l2=norm2(diff),
                                   err_linf=float(np.max(np.abs(diff))),
                                   segment=seg, phase=phase))
     return records

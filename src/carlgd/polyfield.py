@@ -7,12 +7,19 @@ shifted coordinates delta = theta - theta_star, as a finite sum
 
 with the learning rate folded into every term: F_0 = -eta grad L(theta_star),
 F_1 = -eta H(theta_star), F_2 = -(eta/2) grad^3 L, F_3 = -(eta/6) grad^4 L.
-Terms are stored as sparse n x n^k maps (`carleman.CSR`), symmetrized over
-their Kronecker input slots. grad^3 L and grad^4 L come from exact
-polynomial stencils over Hessian columns, so every term is exact up to
-rounding.
+Terms are stored as sparse n x n^k maps (`carleman.CSR`). grad^3 L and
+grad^4 L come from exact polynomial stencils over Hessian columns, so every
+term is exact up to rounding. Each distinct entry is evaluated on one
+stencil line and copied to every permutation of its input slots, so the
+terms are slot-symmetric by construction:
+
+- the axis line e_l gives grad^3 L[:, j, l] for j >= l (first derivative
+  of H e_j) and grad^4 L[:, j, l, l] for every j (second derivative);
+- the pair line e_a + e_b, a < b, gives the all-distinct grad^4 L[:, j, a, b]
+  for j < a, from the mixed second derivative of H e_j.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,20 +30,6 @@ from .carleman import CSR
 from .errors import InputError
 
 _STENCIL_STEP = 0.5  # any step is exact; this one keeps rounding low
-
-
-def symmetrize_slots(mat, k, n):
-    """Average an n x n^k map over permutations of its k input slots."""
-    if k < 2:
-        return np.asarray(mat, dtype=float)
-    import itertools
-
-    T = np.asarray(mat, dtype=float).reshape((n,) + (n,) * k)
-    acc = np.zeros_like(T)
-    perms = list(itertools.permutations(range(1, k + 1)))
-    for p in perms:
-        acc += T.transpose((0,) + p)
-    return (acc / len(perms)).reshape(n, n ** k)
 
 
 @dataclass
@@ -80,42 +73,60 @@ def _stencil_weights(m):
 
 
 def _derivative_tensors(spec, data, theta_star, idx, degree, H):
-    """grad^3 L and grad^4 L on the free coordinates `idx`.
+    """grad^3 L and grad^4 L on the free coordinates `idx`, each distinct
+    entry evaluated once and copied to all its slot permutations.
 
     H(theta_star + s u) is a polynomial in s of degree grad_degree() - 1
-    <= 2m, so central stencils on -m..m are exact for any step: the first
-    derivative along e_j gives grad^3 L[:, :, j], second derivatives along
-    e_a, e_b and e_a + e_b give grad^4 L[:, :, a, b]. Offsets +-k are
-    batched per k and enter only through differences, so an entry of H
-    that does not move along a line gives an exact zero.
+    <= 2m, so central stencils on -m..m are exact for any step. On the
+    axis line e_l, the first derivative of H e_j gives grad^3 L[:, j, l]
+    (j >= l) and its second derivative gives grad^4 L[:, j, l, l] (every
+    j). On the pair line e_a + e_b (a < b), the mixed term
+    (D^2_{a+b} - D^2_a - D^2_b) / 2 of H e_j gives the all-distinct entry
+    grad^4 L[:, j, a, b] (j < a). One hvp_batch call covers an axis line,
+    or the pair lines that share a. Offsets +-k enter only through
+    differences, so an entry of H that does not move along a line gives
+    an exact zero.
     """
     n = idx.size
     h = _STENCIL_STEP
     m = max(1, spec.grad_degree() // 2)
     w1, w2 = _stencil_weights(m)
     E = np.eye(spec.n)[idx]
-    lines = E
-    if degree >= 3:
-        a, b = np.triu_indices(n, 1)
-        lines = np.concatenate([E, E[a] + E[b]])
-    L = lines.shape[0]
-    d1 = np.zeros((n, n, n))
-    d2 = np.zeros((L, n, n))
-    for k in range(1, m + 1):
-        points = theta_star + (k * h) * np.concatenate([lines, -lines])
-        Hk = models.hvp_batch(spec, points, data, E)[:, :, idx]
-        Hp, Hm = Hk[:L], Hk[L:]  # Hp[l, j, i] = H(theta_star + k h line_l)[i, j]
-        d1 += (w1[k - 1] / h) * (Hp[:n] - Hm[:n])
+    offsets = h * np.arange(1, m + 1)
+    offsets = np.concatenate([offsets, -offsets])
+
+    # derivatives along a line from Hk[0..m-1] at +k h and Hk[m..2m-1] at -k h
+    def first(Hk):
+        out = np.zeros(Hk.shape[1:])
+        for k in range(m):
+            out += (w1[k] / h) * (Hk[k] - Hk[m + k])
+        return out
+
+    def second(Hk, H0):
+        out = np.zeros(Hk.shape[1:])
+        for k in range(m):
+            out += (w2[k] / (h * h)) * ((Hk[k] - H0) + (Hk[m + k] - H0))
+        return out
+
+    T3 = np.empty((n, n, n))
+    T4 = np.empty((n, n, n, n)) if degree >= 3 else None
+    D2 = np.empty((n, n, n))  # D2[l, j, i] = grad^4 L[i, j, l, l]
+    for l in range(n):
+        j0 = 0 if degree >= 3 else l
+        points = theta_star + offsets[:, None] * E[l]
+        Hk = models.hvp_batch(spec, points, data, E[j0:])[:, :, idx]
+        T3[:, l:, l] = T3[:, l, l:] = first(Hk[:, l - j0:]).T
         if degree >= 3:
-            d2 += (w2[k - 1] / (h * h)) * ((Hp - H) + (Hm - H))
-    T3 = d1.transpose(2, 1, 0)
-    if degree < 3:
-        return T3, None
-    T4 = np.empty((n, n, n, n))
-    T4[:, :, np.arange(n), np.arange(n)] = d2[:n].transpose(2, 1, 0)
-    mixed = 0.5 * (d2[n:] - d2[a] - d2[b]).transpose(2, 1, 0)
-    T4[:, :, a, b] = mixed
-    T4[:, :, b, a] = mixed
+            D2[l] = second(Hk, H)
+            T4[:, :, l, l] = T4[:, l, :, l] = T4[:, l, l, :] = D2[l].T
+    for a in range(1, n if degree >= 3 else 0):
+        b = np.arange(a + 1, n)
+        points = theta_star + (offsets[:, None, None] * (E[a] + E[b])).reshape(-1, spec.n)
+        Hk = models.hvp_batch(spec, points, data, E[:a])[:, :, idx]
+        Dab = second(Hk.reshape(2 * m, b.size, a, n), H[:a])
+        mixed = (0.5 * (Dab - D2[a, :a] - D2[b, :a])).transpose(2, 0, 1)  # [i, b, j]
+        for p in itertools.permutations((np.arange(a), a, b[:, None])):
+            T4[(slice(None),) + p] = mixed
     return T3, T4
 
 
@@ -147,8 +158,8 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
     terms = [(-eta * g).reshape(n, 1), -eta * H.T]
     if degree >= 2:
         T3, T4 = _derivative_tensors(spec, data, theta_star, idx, degree, H)
-        terms.append(symmetrize_slots((-0.5 * eta) * T3.reshape(n, n * n), 2, n))
+        terms.append((-0.5 * eta) * T3.reshape(n, n * n))
     if degree >= 3:
-        terms.append(symmetrize_slots((-eta / 6.0) * T4.reshape(n, n ** 3), 3, n))
+        terms.append((-eta / 6.0) * T4.reshape(n, n ** 3))
     return PolyField(n=n, degree=degree, eta=eta, theta_star=theta_star[idx],
                      terms=terms, exact=spec.grad_degree() <= degree)

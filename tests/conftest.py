@@ -1,5 +1,7 @@
+import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import carlgd
@@ -28,3 +30,14 @@ def diag_spec():
 @pytest.fixture(scope="session")
 def cubic_spec():
     return carlgd.ModelSpec(kind="scalar_cubic", coefficients=(1.0, 1.0))
+
+
+def symmetrize_slots(mat, k, n):
+    """Average an n x n^k map over permutations of its k input slots: the
+    slot-symmetric form that every extracted field term has."""
+    T = np.asarray(mat, dtype=float).reshape((n,) + (n,) * k)
+    perms = list(itertools.permutations(range(1, k + 1)))
+    acc = np.zeros_like(T)
+    for p in perms:
+        acc += T.transpose((0,) + p)
+    return (acc / len(perms)).reshape(n, n ** k)

@@ -11,6 +11,7 @@ from carlgd import carleman, pipeline, polyfield
 from carlgd.errors import (CapacityError, DegenerateStateError,
                            DivergenceError, InputError, NumericError,
                            SingularSystemError)
+from conftest import symmetrize_slots
 
 
 def scalar_field(a, b, anchor=0.0):
@@ -24,7 +25,7 @@ def random_field(n, degree, seed, density=0.4):
     terms = []
     for k in range(degree + 1):
         dense = rng.standard_normal((n, n ** k)) * (rng.random((n, n ** k)) < density)
-        terms.append(sp.csr_matrix(polyfield.symmetrize_slots(dense, k, n)))
+        terms.append(sp.csr_matrix(symmetrize_slots(dense, k, n)))
     return polyfield.PolyField(n=n, degree=degree, eta=0.1,
                                theta_star=np.zeros(n), terms=terms)
 
@@ -129,7 +130,7 @@ def sparse_fields(draw):
     for k in range(degree + 1):
         shape = (n, n ** k)
         dense = rng.choice(FIELD_VALUES, size=shape) * (rng.random(shape) < density)
-        terms.append(sp.csr_matrix(polyfield.symmetrize_slots(dense, k, n)))
+        terms.append(sp.csr_matrix(symmetrize_slots(dense, k, n)))
     fld = polyfield.PolyField(n=n, degree=degree, eta=0.1,
                               theta_star=np.zeros(n), terms=terms)
     return fld, order, draw(st.booleans())
@@ -656,6 +657,24 @@ def test_lanczos_overflowing_recurrence_gives_inf():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert carleman._lanczos_top(apply, 2, 8, 1e-8, 10) == np.inf
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 40])
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -40, 2.0 ** 40])
+def test_top_ritz_bitwise_equals_eigh_tridiagonal(k, scale):
+    """kappa's convergence test calls LAPACK's stebz and stein directly;
+    its theta and s[-1] keep the bits of scipy's wrapper, on Lanczos-like
+    tridiagonals (alpha > 0, beta > 0) and their power-of-two multiples."""
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = np.random.default_rng(k)
+    for _ in range(5):
+        d = scale * rng.uniform(0.5, 4.0, k)
+        e = scale * rng.uniform(0.01, 1.0, k - 1)
+        theta, s = carleman._top_ritz(d, e)
+        want, v = eigh_tridiagonal(d, e, select="i", select_range=(k - 1, k - 1))
+        assert bits(theta) == bits(want[0])
+        assert bits(s) == bits(v[-1, 0])
 
 
 def test_singular_system_detected():

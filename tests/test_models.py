@@ -60,6 +60,29 @@ def test_loss_accuracy_equals_separate_calls_bitwise(mlp_spec, cubic_spec,
         assert lv == carlgd.loss(cubic_spec, theta) and np.isnan(acc)
 
 
+def test_loss_accuracy_of_a_stack_equals_per_row_calls_bitwise(
+        mlp_spec, diag_spec, cubic_spec, iris):
+    # past the first block of rows, one row overflows the forward pass (inf
+    # loss) and one of mixed signs gives inf - inf (NaN loss); under the
+    # suite's error::RuntimeWarning filter a leaked warning fails the call
+    rng = np.random.default_rng(3)
+    mixed = 1e200 * (-1.0) ** np.arange(mlp_spec.n)
+    cases = [(mlp_spec, iris, np.vstack([rng.standard_normal((300, mlp_spec.n)),
+                                         np.full(mlp_spec.n, 1e100), mixed])),
+             (diag_spec, None, rng.standard_normal((4, 2))),
+             (cubic_spec, None, np.array([[0.3], [-2.0], [1e100]]))]
+    for spec, data, stack in cases:
+        lv, acc = models.loss_accuracy(spec, stack, data)
+        rows = [models.loss_accuracy(spec, theta, data) for theta in stack]
+        assert lv.shape == acc.shape == (len(stack),)
+        assert np.array_equal(lv.view(np.uint64),
+                              np.array([r[0] for r in rows]).view(np.uint64))
+        assert np.array_equal(acc, [r[1] for r in rows], equal_nan=True)
+        assert np.isinf(lv).any() or spec is diag_spec
+        assert np.isnan(lv).any() == (spec is mlp_spec)
+        assert np.isnan(acc).all() == (spec is not mlp_spec)
+
+
 def test_accuracy_on_overflowing_forward_pass_warns_nothing(mlp_spec, iris):
     # every weight at 1e160 overflows the forward pass; under the suite's
     # error::RuntimeWarning filter a leaked warning fails the call

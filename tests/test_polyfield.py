@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import carlgd
-from carlgd import polyfield
+from carlgd import models, polyfield
+from conftest import symmetrize_slots
 
 
 def f0(fld):
@@ -164,14 +167,73 @@ def test_extraction_independent_of_stencil_step(mlp_spec, iris, monkeypatch,
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
 
-def test_symmetrize_idempotent():
+def test_symmetrize_idempotent(mlp_spec, iris):
+    # a slot-symmetric map is a fixed point of slot averaging, up to the
+    # rounding of the average: random maps once averaged, and the terms
+    # that from_model extracts as they come
     rng = np.random.default_rng(6)
-    n = 3
-    for k in (2, 3):
-        M = rng.standard_normal((n, n ** k))
-        once = polyfield.symmetrize_slots(M, k, n)
-        twice = polyfield.symmetrize_slots(once, k, n)
-        np.testing.assert_allclose(once, twice, atol=1e-14)
+    maps = [(symmetrize_slots(rng.standard_normal((3, 3 ** k)), k, 3), k, 3)
+            for k in (2, 3)]
+    fld = carlgd.from_model(mlp_spec, iris,
+                            carlgd.init_params(mlp_spec, 7).values, 3, 0.05)
+    maps += [(fld.terms[k].toarray(), k, fld.n) for k in (2, 3)]
+    for M, k, n in maps:
+        np.testing.assert_allclose(symmetrize_slots(M, k, n), M, rtol=0,
+                                   atol=1e-15 * np.abs(M).max())
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("masked", [False, True])
+def test_terms_slot_symmetric_by_construction(mlp_spec, iris, degree, masked):
+    anchor = carlgd.init_params(mlp_spec, 7).values
+    mask = None
+    if masked:
+        mask = np.zeros(mlp_spec.n, dtype=bool)
+        mask[[0, 2, 5, 7, 9, 12, 15, 18, 21, 25]] = True
+        anchor = np.where(mask, anchor, 0.0)
+    fld = carlgd.from_model(mlp_spec, iris, anchor, degree, 0.05, mask=mask)
+    n = fld.n
+    for k in range(2, degree + 1):
+        T = fld.terms[k].toarray().reshape((n,) * (k + 1))
+        assert np.any(T)
+        for p in itertools.permutations(range(1, k + 1)):
+            np.testing.assert_array_equal(T.transpose((0,) + p), T)
+
+
+def _count_hvp_pairs(monkeypatch):
+    """Count the (point, direction) pairs passed to models.hvp_batch."""
+    count = [0]
+    hvp_batch = models.hvp_batch
+
+    def counting(spec, points, data, directions):
+        out = hvp_batch(spec, points, data, directions)
+        count[0] += out.shape[0] * out.shape[1]
+        return out
+
+    monkeypatch.setattr(models, "hvp_batch", counting)
+    return count
+
+
+def test_pruned_degree_two_extraction_hvp_pairs(mlp_spec, iris, monkeypatch):
+    # n = 10 free weights, m = 2: n at the anchor + 2m n(n+1)/2 on axis lines
+    count = _count_hvp_pairs(monkeypatch)
+    mask = np.zeros(mlp_spec.n, dtype=bool)
+    mask[[0, 2, 5, 7, 9, 12, 15, 18, 21, 25]] = True
+    anchor = np.where(mask, carlgd.init_params(mlp_spec, 7).values, 0.0)
+    carlgd.from_model(mlp_spec, iris, anchor, 2, 0.05, mask=mask)
+    assert count[0] == 10 + 4 * 55
+
+
+def test_dense_degree_three_extraction_hvp_pairs_and_nnz(mlp_spec, iris,
+                                                         monkeypatch):
+    # n = 27, m = 2: n + 2m n^2 on axis lines + 2m C(n, 3) on pair lines;
+    # F3 stores no more nonzeros than the 215 215 it stored before the
+    # batched stencil, whose mixed terms left rounding residues
+    count = _count_hvp_pairs(monkeypatch)
+    fld = carlgd.from_model(mlp_spec, iris,
+                            carlgd.init_params(mlp_spec, 7).values, 3, 0.05)
+    assert count[0] == 27 + 4 * 27 ** 2 + 4 * 2925
+    assert fld.terms[3].nnz <= 215215
 
 
 def test_masked_extraction_reduces_dimension(mlp_spec, iris):
