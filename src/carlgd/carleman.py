@@ -9,9 +9,9 @@ rule: the block mapping order j = i+k-1 into order i is
 `embed` writes every block's entries from the triplets of F_k by index
 arithmetic into one canonical `CSR` matrix, adding the p-terms in order. No
 block is stored on its own: slice `CarlemanMatrix.matrix` at `offsets`.
-`CSR` is this package's own sparse matrix, so the lift and the solve run
-on numpy alone; scipy is imported only where kappa, spectra or an explicit
-scipy matrix need it.
+`CSR` is this package's own sparse storage, so the lift runs on numpy
+alone; products with S go through `GlobalSystem`, which picks a dense or a
+scipy operator by size.
 
 An order-0 block (a single stationary coordinate held at 1) carries the
 affine drift F_0; it is included only when the field actually has drift,
@@ -19,8 +19,8 @@ so drift-free systems contribute no artificial marginal mode.
 
 One training step is forward Euler, S = I + A. T steps assemble into the
 block-bidiagonal system L z = b with I on the diagonal, -S on the
-subdiagonal and b = (y(0), 0, ..., 0); forward substitution on L is
-exactly the iteration y <- S y.
+subdiagonal and b = (y(0), 0, ..., 0); `solve` is forward substitution on
+L, the iteration y <- S y.
 """
 
 import math
@@ -33,31 +33,11 @@ from .errors import (CapacityError, ConvergenceError, DegenerateStateError,
                      InputError, SingularSystemError)
 from .util import kron_power, norm2
 
-# `CSR @ x` runs its numpy kernel while the padded ELL block has at most
-# this many slots, and scipy's csr_matvec above that. The numpy kernel
-# costs about 2.5 ns a slot, mostly the gather of x: at 2^16 slots (D =
-# 1 024, 64 entries a row) a product takes 0.16-0.20 ms against scipy's
-# 0.06 ms, so the 0.12 s import of scipy.sparse pays for itself after
-# about 1 000 products. A D = 111 pruned Iris operator of 8 658 slots takes
-# 25-40 against 7-10 us a product.
-_ELL_SLOTS = 1 << 16
-
-
 class CSR:
     """A canonical CSR matrix: in each row the column indices are sorted and
     unique, and no stored value is zero. `indptr` and `indices` are int32
-    while the shape and nnz fit in it, as in scipy.
-
-    `A @ x` takes a 1-D x and gives the bits of scipy's `csr_matvec`, which
-    sums each row left to right from +0.0. Up to `_ELL_SLOTS` slots it runs
-    on a padded ELL block of (width + 1, rows) slots, the rows' entries
-    stored down its columns below a leading row of zeros. The leading row
-    and the padding multiply 0.0 by a 0.0 appended to x, so they add
-    exactly +0.0 whatever x holds. `np.add.reduce(axis=0)` then adds the
-    slot rows in order, each one to the running sums of every row at once,
-    so each row is summed left to right. Above that it hands off to scipy,
-    imported then.
-    An overflowing product warns about nothing, as in scipy.
+    while the shape and nnz fit in it, as in scipy. It is storage only:
+    products run on `toarray()` or `to_scipy()`.
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -98,36 +78,6 @@ class CSR:
         """The same matrix as a scipy.sparse csr_matrix."""
         import scipy.sparse as sp
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
-
-    @cached_property
-    def _kernel(self):
-        """(values, columns) of the padded ELL block, or the scipy matrix
-        when the block would have more than `_ELL_SLOTS` slots."""
-        rows, cols = self.shape
-        width = int(np.diff(self.indptr).max(initial=0))
-        if (width + 1) * rows > _ELL_SLOTS:
-            return self.to_scipy()
-        r = self._rows()
-        slot = np.arange(1, self.nnz + 1) - self.indptr[r]
-        values = np.zeros((width + 1, rows))
-        values[slot, r] = self.data
-        columns = np.full((width + 1, rows), cols, dtype=np.intp)  # x[cols] = 0.0
-        columns[slot, r] = self.indices
-        return values, columns
-
-    def __matmul__(self, x):
-        x = np.asarray(x)
-        if x.shape != (self.shape[1],):
-            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {x.shape}")
-        kernel = self._kernel
-        if not isinstance(kernel, tuple):
-            return kernel @ x
-        values, columns = kernel
-        xp = np.empty(x.size + 1)
-        xp[:-1] = x
-        xp[-1] = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.add.reduce(values * xp.take(columns), axis=0)
 
 
 def _kron_sum_entries(Fk, i, row0, col0, width):
@@ -280,7 +230,7 @@ def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
                           matrix=A, field=field_)
 
 
-# kappa multiplies by a dense copy of S while that copy takes at most this
+# Products with S and S^T use dense copies while one takes at most this
 # many bytes (512 KiB, so D <= 256). Most of a sparse product on a small S
 # is scipy's per-call dispatch: at D = 111, S @ z takes 9.0 us sparse and
 # 4.6 us dense. On pruned Iris systems at T = 20, a whole kappa is faster
@@ -293,11 +243,13 @@ _DENSE_BYTES = 1 << 19
 class GlobalSystem:
     """All T Euler steps stacked into one block-bidiagonal linear system.
 
-    `S` is the canonical `CSR` step operator, which `solve` iterates. The
-    substitutions and the gram of `condition_number` multiply by S and S^T
-    as C-contiguous dense arrays instead while D * D * 8 bytes is at most
-    `_DENSE_BYTES` (512 KiB, so D <= 256), and as scipy CSR matrices above
-    that. L itself is assembled only by `matrix()`, for the dense-SVD kappa.
+    `S` is the canonical `CSR` step operator. Every product with it, in
+    `solve`, in the substitutions and in the gram of `condition_number`,
+    runs on one operator: a C-contiguous dense array while D * D * 8 bytes
+    is at most `_DENSE_BYTES` (512 KiB, so D <= 256), and a scipy CSR
+    matrix above that. S^T is built the same way, and only when a product
+    with it is asked for. L itself is assembled only by `matrix()`, for
+    the dense-SVD kappa.
     """
 
     T: int
@@ -306,13 +258,17 @@ class GlobalSystem:
     y0: np.ndarray
 
     @cached_property
-    def _products(self):
-        """(S, S^T) for kappa's products: dense when small, else scipy CSR."""
+    def _S_op(self):
+        """S for products: dense when small, else scipy CSR."""
         if self.D * self.D * 8 <= _DENSE_BYTES:
-            S = self.S.toarray()
-            return S, np.ascontiguousarray(S.T)
-        S = self.S.to_scipy()
-        return S, S.T.tocsr()
+            return self.S.toarray()
+        return self.S.to_scipy()
+
+    @cached_property
+    def _St_op(self):
+        """S^T for products, in the representation of `_S_op`."""
+        S = self._S_op
+        return np.ascontiguousarray(S.T) if isinstance(S, np.ndarray) else S.T.tocsr()
 
     def matrix(self):
         """L as a scipy.sparse csr_matrix."""
@@ -329,7 +285,7 @@ class GlobalSystem:
 
     def solve_lower(self, w):
         """Forward substitution L z = w for an arbitrary right-hand side."""
-        S = self._products[0]
+        S = self._S_op
         W = w.reshape(self.T + 1, self.D)
         Z = np.empty_like(W)
         Z[0] = W[0]
@@ -339,7 +295,7 @@ class GlobalSystem:
 
     def solve_lower_t(self, w):
         """Back substitution L^T u = w."""
-        St = self._products[1]
+        St = self._St_op
         W = w.reshape(self.T + 1, self.D)
         U = np.empty_like(W)
         U[self.T] = W[self.T]
@@ -359,19 +315,16 @@ def build_global(M, y0, T):
 
 
 def solve(G):
-    """Solve L z = b by forward substitution on the CSR S; returns the
-    trajectory (T+1, D) with y_t = S^t y(0), cut before the first step
+    """Solve L z = b, b = (y(0), 0, ..., 0), by `G.solve_lower`; returns
+    the trajectory (T+1, D) with y_t = S^t y(0), cut before the first step
     with a non-finite entry. Fewer than T+1 rows therefore mean the lifted
     run left the floating-point range at step `len(Y)`."""
-    Y = np.empty((G.T + 1, G.D))
-    Y[0] = G.y0
-    y = G.y0
-    for t in range(1, G.T + 1):
-        y = G.S @ y
-        if not np.all(np.isfinite(y)):
-            return Y[:t]
-        Y[t] = y
-    return Y
+    b = np.zeros((G.T + 1) * G.D)
+    b[:G.D] = G.y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = G.solve_lower(b).reshape(G.T + 1, G.D)
+    finite = np.isfinite(Y[1:]).all(axis=1)  # y(0) is returned as given
+    return Y if finite.all() else Y[:1 + np.argmin(finite)]
 
 
 @dataclass
@@ -505,17 +458,18 @@ def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
     applied blockwise from S, and 1/sigma_min^2 = lambda_max((L L^T)^-1),
     applied by forward and back substitution, from start vectors seeded by
     `seed` and `seed + 1`. Both operators multiply by a dense copy of S
-    while it takes at most `_DENSE_BYTES` = 512 KiB (D <= 256), and by the
-    CSR S above that. Each stops once its Ritz residual is at most
+    while it takes at most `_DENSE_BYTES` = 512 KiB (D <= 256), and by a
+    scipy CSR S above that. Each stops once its Ritz residual is at most
     `tol` times its Ritz value theta, so theta is off by about
     tol^2 * theta^2 / gap: at the default 1e-8, under 1e-14 relative when
     the top eigenvalue is separated by more than 1% of theta. `max_iter`
     counts Lanczos steps. T = 0 gives exactly 1.
 
-    Raises SingularSystemError when sigma_min < 1e-14 * sigma_max (or the
-    inverse overflows), ConvergenceError when either recurrence has not
-    converged after `max_iter` Lanczos steps, and InputError for an
-    unknown method or a dense SVD over `dense_limit`.
+    Raises SingularSystemError when sigma_min < 1e-14 * sigma_max, when
+    the inverse overflows or when L has a non-finite entry;
+    ConvergenceError when either recurrence has not converged after
+    `max_iter` Lanczos steps; and InputError for an unknown method or a
+    dense SVD over `dense_limit`.
     """
     dim = (G.T + 1) * G.D
     if method == "dense_svd":
@@ -524,14 +478,19 @@ def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
                 f"dense SVD rejected for dimension {dim} > {dense_limit}; "
                 "use power_iteration"
             )
+        L = G.matrix()
+        if not np.all(np.isfinite(L.data)):
+            raise SingularSystemError(
+                "numerically singular system: L has a non-finite entry",
+                sigma_max=np.inf, sigma_min=np.nan)
         from scipy.linalg import svdvals
-        sig = svdvals(G.matrix().toarray())
+        sig = svdvals(L.toarray())
         smax, smin = float(sig[0]), float(sig[-1])
     elif method == "power_iteration":
         if G.T == 0:
             return 1.0  # L is the identity
         shape = (G.T + 1, G.D)
-        S, St = G._products
+        S, St = G._S_op, G._St_op
         dense = isinstance(S, np.ndarray)
 
         def gram(v):  # L^T L v, with L = I - (shift (x) S)

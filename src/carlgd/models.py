@@ -407,8 +407,8 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
     a diverged run returns the trajectory up to the last in-bounds step
     instead.
     """
-    if eta < 0:
-        raise InputError("eta must be >= 0")
+    if not eta >= 0:  # false for NaN too
+        raise InputError(f"eta must be >= 0, got {eta}")
     if steps < 0:
         raise InputError(f"step count must be >= 0, got {steps}")
     pv = params0 if isinstance(params0, ParamVector) else ParamVector(np.asarray(params0, float))

@@ -49,8 +49,8 @@ class Schedule:
             raise InputError("carleman_order must be >= 1")
         if not (0.0 < self.prune_fraction <= 1.0):
             raise InputError("prune_fraction must be in (0, 1]")
-        if self.eta <= 0:
-            raise InputError("eta must be positive")
+        if not 0 < self.eta < math.inf:  # false for NaN too
+            raise InputError(f"eta must be positive and finite, got {self.eta}")
 
 
 @dataclass

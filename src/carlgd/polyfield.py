@@ -143,8 +143,8 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
     """
     if degree not in (1, 2, 3):
         raise InputError(f"degree must be 1, 2 or 3, got {degree}")
-    if eta <= 0:
-        raise InputError("eta must be positive")
+    if not 0 < eta < math.inf:  # false for NaN too
+        raise InputError(f"eta must be positive and finite, got {eta}")
     theta_star = np.asarray(theta_star, dtype=float).ravel()
     if theta_star.size != spec.n:
         raise InputError(f"anchor length {theta_star.size} != model n={spec.n}")

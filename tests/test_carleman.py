@@ -274,7 +274,7 @@ def test_solve_matches_manual_iteration_bitwise():
     y0 = M.initial_state(0.1 * np.ones(3))
     G = carlgd.build_global(M, y0, 17)
     Y = carlgd.solve(G)
-    S = M.step_operator()
+    S = M.step_operator().toarray()
     y = y0.copy()
     for t in range(1, 18):
         y = S @ y
@@ -308,7 +308,7 @@ def test_solve_divergence_reports_step(diag_spec):
     Y = carlgd.solve(G)  # the finite prefix: 1e300 * 3^t overflows at t = 18
     assert Y.shape == (18, 1) and np.all(np.isfinite(Y))
     with np.errstate(over="ignore"):
-        assert not np.isfinite(G.S @ Y[-1]).all()
+        assert not np.isfinite(G.S.toarray() @ Y[-1]).all()
     # exact GD on 0.5 (x^2 + 4 y^2) at eta = 5 multiplies y by -19 per step,
     # so |theta| first passes the 1e8 bound at step 7 (19^7 = 8.9e8)
     with pytest.raises(DivergenceError) as err:
@@ -377,97 +377,8 @@ def test_truncation_error_improves_with_order(cubic_spec, mlp_spec, iris):
     assert by_order[1] < 0.5 * by_order[0]
 
 
-# ------------------------------------------------------------- CSR @ x
-
 def bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
-
-
-def spanning(rng, size):
-    """Values of both signs with magnitudes from 1e-8 to 1e8."""
-    return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 8, size)
-
-
-def left_to_right(A, x):
-    """Each row summed in stored order from +0.0, one rounding per step."""
-    out = []
-    for r in range(A.shape[0]):
-        total = 0.0
-        for j in range(A.indptr[r], A.indptr[r + 1]):
-            total += float(A.data[j]) * float(x[A.indices[j]])
-        out.append(total)
-    return np.array(out)
-
-
-def test_csr_matvec_sums_each_row_left_to_right_from_positive_zero():
-    """Row 0 adds 1e16, 1, -1e16 in that order: 1e16 + 1 rounds back to
-    1e16, so the sum is 0, where adding 1e16 - 1e16 first gives 1. Row 1's
-    one product is -0.0, and +0.0 + -0.0 is +0.0. Row 2 is empty."""
-    dense = np.array([[1e16, 1.0, -1e16, 0.0],
-                      [0.0, 0.0, 0.0, -1.0],
-                      [0.0, 0.0, 0.0, 0.0]])
-    A = carleman.CSR.from_dense(dense)
-    x = np.array([1.0, 1.0, 1.0, 0.0])
-    got = A @ x
-    assert np.array_equal(bits(got), bits([0.0, 0.0, 0.0]))
-    assert (1e16 - 1e16) + 1.0 == 1.0  # the other order differs
-    assert np.array_equal(bits(got), bits(left_to_right(A, x)))
-    assert np.array_equal(bits(got), bits(sp.csr_matrix(dense) @ x))
-
-
-def matvec_case(rows, cols, widths, seed):
-    """A (rows, cols) matrix whose row r has widths[r % len(widths)] entries
-    spanning 1e-8 .. 1e8 at random columns."""
-    rng = np.random.default_rng(seed)
-    dense = np.zeros((rows, cols))
-    for r in range(rows):
-        w = widths[r % len(widths)]
-        dense[r, rng.choice(cols, w, replace=False)] = spanning(rng, w)
-    return dense
-
-
-# (rows, cols, row widths, under the ELL cut): every power-of-two width
-# with empty rows between, a pruned-Iris-sized system, an empty matrix,
-# and the two sides of the cut at width 60.
-MATVEC_CASES = [
-    (11, 80, [0, 1, 2, 4, 8, 16, 32, 64, 0, 3, 64], True),
-    (111, 111, [2, 9, 17, 40, 64], True),
-    (5, 7, [0], True),
-    (1_000, 1_200, [60], True),
-    (1_100, 1_200, [60], False),
-]
-
-
-@pytest.mark.parametrize("rows, cols, widths, under", MATVEC_CASES,
-                         ids=["pow2-widths", "iris-sized", "empty", "under-cut", "over-cut"])
-def test_csr_matvec_bitwise_equals_scipy(rows, cols, widths, under):
-    dense = matvec_case(rows, cols, widths, seed=rows)
-    A = carleman.CSR.from_dense(dense)
-    assert rows * (max(widths) + 1) <= carleman._ELL_SLOTS or not under
-    assert isinstance(A._kernel, tuple) is under  # numpy ELL or scipy
-    B = sp.csr_matrix(dense)
-    rng = np.random.default_rng(cols)
-    for _ in range(20):
-        x = spanning(rng, cols)
-        assert np.array_equal(bits(A @ x), bits(B @ x))
-    # non-finite entries reach only the rows that store their column: the
-    # ELL padding adds +0.0 whatever x holds
-    x[rng.choice(cols, 2, replace=False)] = [np.inf, np.nan]
-    assert np.array_equal(bits(A @ x), bits(B @ x))
-    with pytest.raises(ValueError):
-        A @ np.ones(cols + 1)
-
-
-def test_csr_matvec_overflow_warns_nothing():
-    """Products past the float range give inf, and inf - inf gives nan, as
-    in scipy, with no RuntimeWarning (the suite makes one an error)."""
-    dense = np.array([[1e300, 0.0], [1e300, -1e300]])
-    x = np.array([1e300, 1e300])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = carleman.CSR.from_dense(dense) @ x
-    assert np.isposinf(got[0]) and np.isnan(got[1])
-    assert np.array_equal(bits(got), bits(sp.csr_matrix(dense) @ x))
 
 
 # ---------------------------------------------------------------- readout
@@ -721,7 +632,7 @@ def test_lanczos_kappa_dense_and_sparse_products(mlp_spec, iris, pruned_iris,
     kd = carlgd.condition_number(G, "dense_svd")
     kp = carlgd.condition_number(G, "power_iteration")
     assert abs(kp - kd) <= 1e-8 * kd
-    S, St = G._products
+    S, St = G._S_op, G._St_op
     assert isinstance(S, np.ndarray) is dense
     assert isinstance(St, np.ndarray) is dense
     if dense:
@@ -738,11 +649,11 @@ def test_lanczos_kappa_keeps_large_step_operator_sparse(mlp_spec, iris,
     assert M.D == 1111
     G = carlgd.build_global(M, y0, 3)
     kappa = carlgd.condition_number(G, "power_iteration")
-    assert all(sp.issparse(op) for op in G._products)
+    assert sp.issparse(G._S_op) and sp.issparse(G._St_op)
     monkeypatch.setattr(carleman, "_DENSE_BYTES", M.D * M.D * 8)
     G = carlgd.build_global(M, y0, 3)
     assert abs(carlgd.condition_number(G, "power_iteration") - kappa) <= 1e-8 * kappa
-    assert isinstance(G._products[0], np.ndarray)
+    assert isinstance(G._S_op, np.ndarray)
 
 
 def test_lanczos_overflow_leaves_error_state_unchanged():
@@ -751,23 +662,35 @@ def test_lanczos_overflow_leaves_error_state_unchanged():
     kappa is still the caller's."""
     M = carlgd.embed(scalar_field(1e100, 0.0), 1)
     G = carlgd.build_global(M, M.initial_state(np.array([1.0])), 5)
-    assert isinstance(G._products[0], np.ndarray)
+    assert isinstance(G._S_op, np.ndarray)
     before = np.geterr()
     with pytest.raises(SingularSystemError):
         carlgd.condition_number(G, "power_iteration")
     assert np.geterr() == before
 
 
-def test_solve_stays_on_csr_after_kappa(mlp_spec, iris, pruned_iris):
-    """kappa's dense copy of S leaves `solve` iterating the canonical CSR
-    S, bit for bit."""
-    M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, 2)
-    G = carlgd.build_global(M, y0, 10)
-    carlgd.condition_number(G, "power_iteration")
-    assert isinstance(G._products[0], np.ndarray)
+@pytest.mark.parametrize("order, dense", [(2, True), (3, False)])
+def test_solve_is_solve_lower_on_the_upload(mlp_spec, iris, pruned_iris,
+                                            order, dense):
+    """`solve` is one forward substitution on b = (y(0), 0, ..., 0): its
+    rows are those of `solve_lower(b)`, bit for bit, on the dense S of the
+    D = 111 system and on the scipy S of the D = 1 111 one."""
+    M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, order)
+    assert M.D == (111 if dense else 1111)
+    G = carlgd.build_global(M, y0, 6)
+    b = np.zeros((G.T + 1) * G.D)
+    b[:G.D] = y0
     Y = carlgd.solve(G)
-    y = y0.copy()
-    for t in range(1, 11):
-        y = M.step_operator() @ y
-        assert np.array_equal(Y[t], y)
-    assert M.step_operator() is G.S
+    assert isinstance(G._S_op, np.ndarray) is dense
+    assert Y.shape == (G.T + 1, G.D)
+    assert np.array_equal(bits(Y), bits(G.solve_lower(b).reshape(Y.shape)))
+
+
+def test_solve_builds_no_transpose(mlp_spec, iris, pruned_iris):
+    """A trajectory solve multiplies by S alone: on a D > 256 system it
+    builds no S^T, which only kappa's products ask for."""
+    M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, 3)
+    assert M.D * M.D * 8 > carleman._DENSE_BYTES
+    G = carlgd.build_global(M, y0, 4)
+    carlgd.solve(G)
+    assert "_S_op" in vars(G) and "_St_op" not in vars(G)

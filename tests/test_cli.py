@@ -74,9 +74,8 @@ def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
 
 def test_pipeline_leaves_sparse_linalg_unloaded(tmp_path):
     """A D = 111 pipeline op, kappa included, loads scipy.linalg for the
-    Ritz test of kappa's Lanczos recurrence, and never scipy.sparse: the
-    solve multiplies by the package's own CSR, and kappa by a dense copy
-    of S, at this size."""
+    Ritz test of kappa's Lanczos recurrence, and never scipy.sparse: at
+    this size the solve and kappa both multiply by a dense copy of S."""
     argv = ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "20",
             "--steps", "4", "--reupload", "2", "--refine", "0",
             "--order", "2", "--fraction", "0.37", "--eta", "0.05",
@@ -309,6 +308,38 @@ def test_exit_code_numeric_failures(tmp_path, capsys, monkeypatch):
         assert rc == 2
         assert "numeric failure" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("method", ["dense_svd", "power_iteration"])
+def test_kappa_of_an_overflowing_system_exits_2(tmp_path, method):
+    """At eta = 1e308 the step operator overflows to inf: both kappa
+    methods report a singular system and exit 2, with no traceback."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(carlgd.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "carlgd.cli", "kappa", "--model", "scalar_cubic",
+         "--eta", "1e308", "--order", "3", "--steps-list", "2",
+         "--method", method, "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "numeric failure: numerically singular system" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "scalar_cubic", "--order", "3", "--eta", "nan"],
+    ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
+     "--steps", "4", "--reupload", "2", "--eta", "nan"],
+    ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
+     "--steps", "4", "--reupload", "2", "--set", "pretrain.eta=nan"],
+    ["kappa", "--model", "scalar_cubic", "--order", "3", "--steps-list", "2",
+     "--eta", "nan"],
+], ids=["simulate", "pipeline", "pretrain", "kappa"])
+def test_nan_eta_exits_1(tmp_path, capsys, argv):
+    """A NaN step size fails every sign check unless the check is written
+    to be false for it: each command rejects it as input."""
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith("error: eta must be")
 
 @pytest.mark.parametrize("text, where", [("index,value\n0,abc\n", "line 2"),
                                          ("index,value\n0\n", "line 2"),

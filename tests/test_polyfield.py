@@ -99,7 +99,7 @@ def test_mlp_taylor_terms_against_probes(mlp_spec, iris):
     for _ in range(5):
         v = rng.standard_normal(mlp_spec.n)
         want = -eta * carlgd.hvp(mlp_spec, anchor, iris, v)
-        got = fld.terms[1] @ v
+        got = fld.terms[1].toarray() @ v
         assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
     # F2 contracted twice vs an independent second difference of the gradient
     h = 2e-3
@@ -110,7 +110,7 @@ def test_mlp_taylor_terms_against_probes(mlp_spec, iris):
         g0 = carlgd.grad(mlp_spec, anchor, iris)
         d3_uu = (gpp - 2 * g0 + gmm) / (h * h)
         want = -0.5 * eta * d3_uu
-        got = fld.terms[2] @ np.kron(u, u)
+        got = fld.terms[2].toarray() @ np.kron(u, u)
         assert np.linalg.norm(got - want) < 1e-4 * max(np.linalg.norm(want), 1e-8)
 
 
@@ -144,8 +144,8 @@ def test_mlp_taylor_terms_exact_against_polynomial_stencil(mlp_spec, iris):
         u = rng.standard_normal(mlp_spec.n)
         c = _taylor_coefficients(mlp_spec, iris, anchor, u)
         uu = np.kron(u, u)
-        for term, want in ((fld.terms[2] @ uu, -eta * c[2]),
-                           (fld.terms[3] @ np.kron(uu, u), -eta * c[3])):
+        for term, want in ((fld.terms[2].toarray() @ uu, -eta * c[2]),
+                           (fld.terms[3].toarray() @ np.kron(uu, u), -eta * c[3])):
             assert np.linalg.norm(term - want) <= 1e-9 * np.linalg.norm(want)
 
 
