@@ -1,26 +1,27 @@
 """Truncated Carleman embedding and the time-stepped global linear system.
 
-A polynomial field on R^n is lifted to a linear operator on the stacked
-Kronecker powers y_j ~ delta^{(x) j}, j <= N. Blocks follow the product
-rule: the block mapping order j = i+k-1 into order i is
+A polynomial field on R^n is lifted to a linear step operator S on the
+stacked Kronecker powers y_j ~ delta^{(x) j}, j <= N. One training step is
+forward Euler on the lifted dynamics, S = I + A, whose blocks follow the
+product rule: the block mapping order j = i+k-1 into order i is
 
     A[i][j] = sum_{p=1..i}  I^{(x)(p-1)} (x) F_k (x) I^{(x)(i-p)} .
 
 `embed` writes every block's entries from the triplets of F_k by index
-arithmetic into one canonical `CSR` matrix, adding the p-terms in order. No
-block is stored on its own: slice `CarlemanMatrix.matrix` at `offsets`.
-`CSR` is this package's own sparse storage, so the lift runs on numpy
-alone; products with S go through `GlobalSystem`, which picks a dense or a
-scipy operator by size.
+arithmetic, adds the identity's diagonal after them, and sums the entries
+of each key in that order into one canonical `CSR` matrix, S. No block is
+stored on its own: slice `CarlemanMatrix.S` at `offsets`. `CSR` is this
+package's own sparse storage, so the lift runs on numpy alone; products
+with S go through `GlobalSystem`, which picks a dense or a scipy operator
+by size.
 
 An order-0 block (a single stationary coordinate held at 1) carries the
 affine drift F_0; it is included only when the field actually has drift,
 so drift-free systems contribute no artificial marginal mode.
 
-One training step is forward Euler, S = I + A. T steps assemble into the
-block-bidiagonal system L z = b with I on the diagonal, -S on the
-subdiagonal and b = (y(0), 0, ..., 0); `solve` is forward substitution on
-L, the iteration y <- S y.
+T steps assemble into the block-bidiagonal system L z = b with I on the
+diagonal, -S on the subdiagonal and b = (y(0), 0, ..., 0); `solve` is
+forward substitution on L, the iteration y <- S y.
 """
 
 import math
@@ -65,13 +66,10 @@ class CSR:
     def nnz(self):
         return self.data.size
 
-    def _rows(self):
-        """Row index of every stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
     def toarray(self):
         out = np.zeros(self.shape)
-        out[self._rows(), self.indices] = self.data
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)),
+            self.indices] = self.data
         return out
 
     def to_scipy(self):
@@ -97,13 +95,21 @@ def _kron_sum_entries(Fk, i, row0, col0, width):
                entry[:, None] * b, out=term)
         term += np.arange(b, dtype=np.int64) * (width + 1)
         val[p - 1].reshape(term.shape)[...] = Fk.data[:, None]
-    order = np.argsort(key.ravel(), kind="stable")  # shared keys stay in p order
-    key, val = key.ravel()[order], val.ravel()[order]
+    return _sorted_sums(key.ravel(), val.ravel())  # shared keys in p order
+
+
+def _sorted_sums(key, val):
+    """Ascending unique keys and the sum of each key's values, added in
+    array order, with zero sums dropped. An overflowing sum is kept as a
+    non-finite value, for the checks on the system to report."""
+    order = np.argsort(key, kind="stable")  # equal keys keep their order
+    key, val = key[order], val[order]
     first = np.ones(key.size, dtype=bool)
     first[1:] = key[1:] != key[:-1]
     total, dup = val[first], np.flatnonzero(~first)
     # add.at runs in array order, so each sum is (t_1 + t_2) + t_3 + ...
-    np.add.at(total, np.searchsorted(np.flatnonzero(first), dup) - 1, val[dup])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(total, np.searchsorted(np.flatnonzero(first), dup) - 1, val[dup])
     keep = total != 0
     return key[first][keep], total[keep]
 
@@ -118,7 +124,7 @@ class CarlemanMatrix:
     block_orders: list  # orders of the stored blocks, e.g. [0, 1, 2]
     offsets: np.ndarray  # start offset of each block within the state vector
     D: int
-    matrix: CSR
+    S: CSR
     field: object = field(repr=False)
 
     def order_one_slice(self):
@@ -133,36 +139,6 @@ class CarlemanMatrix:
         delta = theta0 - self.field.theta_star
         parts = [kron_power(delta, j) for j in self.block_orders]
         return np.concatenate(parts)
-
-    def step_operator(self):
-        """S = I + A in canonical CSR, built once per matrix and shared by
-        every global system made from it."""
-        return self._step
-
-    @cached_property
-    def _step(self):
-        """The identity merged into A row by row, with no re-sort: a stored
-        diagonal a becomes 1 + a, dropped when that is 0, and a missing one
-        is inserted as 1 where its key row * D + row sorts among A's keys."""
-        A, D = self.matrix, self.D
-        key = A._rows() * D + A.indices  # ascending, as A is canonical
-        diag = np.arange(D) * (D + 1)
-        at = np.searchsorted(key, diag)
-        stored = np.zeros(D, dtype=bool)
-        inside = at < A.nnz
-        stored[inside] = key[at[inside]] == diag[inside]
-        data = A.data.copy()
-        data[at[stored]] += 1.0
-        vanished = np.zeros(D, dtype=bool)
-        vanished[stored] = data[at[stored]] == 0
-        new = np.flatnonzero(~stored)
-        indices = np.insert(A.indices, at[new], new)
-        data = np.insert(data, at[new], 1.0)
-        if vanished.any():
-            keep = data != 0
-            indices, data = indices[keep], data[keep]
-        counts = np.diff(A.indptr) + ~stored - vanished
-        return CSR(np.concatenate([[0], np.cumsum(counts)]), indices, data, A.shape)
 
 
 # Budget on the embedding dimension D, shared by `embed` and the capacity
@@ -188,13 +164,14 @@ def check_capacity(n, order, include_constant, max_dim):
 
 
 def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
-    """Build the truncated Carleman matrix of a PolyField.
+    """Build the truncated Carleman step operator of a PolyField.
 
-    A is one canonical `CSR` matrix, with each block's p-terms summed in
-    order, built from the blocks' keys by one sort; keys of different
-    blocks never collide, so nothing is summed across blocks.
+    S is one canonical `CSR` matrix, built from the blocks' keys and the
+    identity's diagonal keys by one sort. Keys of different blocks never
+    collide, so each block's p-terms are summed in order and a stored
+    diagonal a becomes a + 1; a diagonal that sums to 0 is dropped.
     Each block's entries are checked to lie inside the block as they are
-    written (InputError otherwise), so A never needs a structure scan.
+    written (InputError otherwise), so S never needs a structure scan.
     `include_constant` defaults to auto: the order-0 block is kept exactly
     when the field has a nonzero constant term. Raises CapacityError when
     the total dimension would exceed `max_dim`.
@@ -221,13 +198,14 @@ def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
                                      f"({i},{j}) lies outside it")
             keys.append(key)
             vals.append(val)
+    keys.append(np.arange(D, dtype=np.int64) * (D + 1))  # I, after the blocks
+    vals.append(np.ones(D))
     key, val = np.concatenate(keys), np.concatenate(vals)
     del keys, vals  # free the per-block arrays before the sort
-    perm = np.argsort(key, kind="stable")  # merges the blocks' sorted runs
-    A = CSR.from_keys(key[perm], val[perm], (D, D))
+    S = CSR.from_keys(*_sorted_sums(key, val), (D, D))
     return CarlemanMatrix(n=n, order=order, include_constant=include_constant,
                           block_orders=block_orders, offsets=offsets, D=D,
-                          matrix=A, field=field_)
+                          S=S, field=field_)
 
 
 # Products with S and S^T use dense copies while one takes at most this
@@ -248,8 +226,8 @@ class GlobalSystem:
     runs on one operator: a C-contiguous dense array while D * D * 8 bytes
     is at most `_DENSE_BYTES` (512 KiB, so D <= 256), and a scipy CSR
     matrix above that. S^T is built the same way, and only when a product
-    with it is asked for. L itself is assembled only by `matrix()`, for
-    the dense-SVD kappa.
+    with it is asked for. L itself is built only by the dense-SVD kappa,
+    as a dense array.
     """
 
     T: int
@@ -269,19 +247,6 @@ class GlobalSystem:
         """S^T for products, in the representation of `_S_op`."""
         S = self._S_op
         return np.ascontiguousarray(S.T) if isinstance(S, np.ndarray) else S.T.tocsr()
-
-    def matrix(self):
-        """L as a scipy.sparse csr_matrix."""
-        import scipy.sparse as sp
-        shift = sp.csr_matrix(
-            (np.ones(self.T), (np.arange(1, self.T + 1), np.arange(self.T))),
-            shape=(self.T + 1, self.T + 1),
-        )
-        L = (sp.identity((self.T + 1) * self.D, format="csr")
-             - sp.kron(shift, self.S.to_scipy(), format="csr")).tocsr()
-        L.sum_duplicates()
-        L.eliminate_zeros()
-        return L
 
     def solve_lower(self, w):
         """Forward substitution L z = w for an arbitrary right-hand side."""
@@ -311,7 +276,7 @@ def build_global(M, y0, T):
     y0 = np.asarray(y0, dtype=float).ravel()
     if y0.size != M.D:
         raise InputError(f"state length {y0.size} != system dimension {M.D}")
-    return GlobalSystem(T=T, D=M.D, S=M.step_operator(), y0=y0.copy())
+    return GlobalSystem(T=T, D=M.D, S=M.S, y0=y0.copy())
 
 
 def solve(G):
@@ -452,7 +417,8 @@ def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
                      tol=1e-8, max_iter=20000):
     """kappa = sigma_max / sigma_min of the global matrix L.
 
-    `dense_svd` is allowed up to (T+1)*D <= dense_limit. `power_iteration`
+    `dense_svd` is allowed up to (T+1)*D <= dense_limit; it assembles L
+    densely from S and takes all its singular values. `power_iteration`
     works at any size without assembling L: a numpy Lanczos recurrence
     (`_lanczos_top`) finds sigma_max^2 = lambda_max(L^T L),
     applied blockwise from S, and 1/sigma_min^2 = lambda_max((L L^T)^-1),
@@ -478,13 +444,16 @@ def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
                 f"dense SVD rejected for dimension {dim} > {dense_limit}; "
                 "use power_iteration"
             )
-        L = G.matrix()
-        if not np.all(np.isfinite(L.data)):
+        if G.T and not np.all(np.isfinite(G.S.data)):  # L = I at T = 0
             raise SingularSystemError(
                 "numerically singular system: L has a non-finite entry",
                 sigma_max=np.inf, sigma_min=np.nan)
+        S, D = G.S.toarray(), G.D
+        L = np.eye(dim)
+        for t in range(1, G.T + 1):  # 0.0 - s: L keeps +0.0 where S does
+            L[t * D:(t + 1) * D, (t - 1) * D:t * D] -= S
         from scipy.linalg import svdvals
-        sig = svdvals(L.toarray())
+        sig = svdvals(L)
         smax, smin = float(sig[0]), float(sig[-1])
     elif method == "power_iteration":
         if G.T == 0:

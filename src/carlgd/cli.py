@@ -281,13 +281,15 @@ def cmd_proxy(args, cfg, out):
 
 
 def cmd_kappa(args, cfg, out):
+    steps = cfg["kappa.steps"]
+    if not steps:
+        raise InputError("kappa.steps must list at least one step count")
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     theta0 = np.ones(spec.n) if cfg["init.params"] is None \
         else np.array(cfg["init.params"])
     order = cfg["kappa.order"]
     eta = cfg["kappa.eta"]
-    steps = cfg["kappa.steps"]
     degree = pipeline._field_degree(spec, order)
     _, M = pipeline.lift(spec, data, np.zeros(spec.n), degree, eta, None, order)
     y0 = M.initial_state(theta0)
@@ -303,31 +305,48 @@ def cmd_kappa(args, cfg, out):
     return ["kappa.csv"], 0
 
 
+def _run_rows(path, columns):
+    """The rows of a run's CSV, each as {column: float} over `columns`."""
+    with open_input(path, newline="") as f:
+        reader = csv.DictReader(f)
+        try:
+            return [{c: float(row[c]) for c in columns} for row in reader]
+        except KeyError as e:
+            raise ParseError(f"{path}: no {e.args[0]!r} column") from None
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}, line {reader.line_num}: "
+                             "malformed row") from None
+
+
 def cmd_report(args):
     run = Path(args.run or "")
     manifest_path = run / "manifest.json"
     if not manifest_path.exists():
         raise InputError(f"no manifest.json under {run}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    with open_input(manifest_path) as f:
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"malformed manifest {manifest_path}: {e}") from None
+    if not isinstance(manifest, dict) or "command" not in manifest:
+        raise ParseError(f"{manifest_path} is not a run manifest: "
+                         "no \"command\" key in an object root")
     summary = {"command": manifest["command"], "run_dir": str(run),
                "outputs": manifest.get("outputs", [])}
     traj = run / "trajectory.csv"
     if traj.exists():
-        with open(traj) as f:
-            rows = list(csv.DictReader(f))
+        rows = _run_rows(traj, ["loss", "accuracy", "err_l2"])
         if rows:
             summary["steps"] = len(rows) - 1
-            summary["final_loss"] = float(rows[-1]["loss"])
-            summary["final_accuracy"] = float(rows[-1]["accuracy"])
-            summary["max_err_l2"] = max(float(r["err_l2"]) for r in rows)
+            summary["final_loss"] = rows[-1]["loss"]
+            summary["final_accuracy"] = rows[-1]["accuracy"]
+            summary["max_err_l2"] = max(r["err_l2"] for r in rows)
     segs = run / "segments.csv"
     if segs.exists():
-        with open(segs) as f:
-            rows = list(csv.DictReader(f))
+        rows = _run_rows(segs, ["kappa"])
         summary["segments"] = len(rows)
         if rows:
-            summary["max_kappa"] = max(float(r["kappa"]) for r in rows)
+            summary["max_kappa"] = max(r["kappa"] for r in rows)
     out = Path(args.out) if args.out else run
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as f:

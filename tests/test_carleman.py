@@ -36,34 +36,36 @@ def test_embed_scalar_cubic_matrix():
     fld = scalar_field(-0.1, -0.1)
     M = carlgd.embed(fld, 3)
     assert not M.include_constant  # no drift at the origin
-    A = M.matrix.toarray()
-    want = np.array([[-0.1, 0.0, -0.1],
-                     [0.0, -0.2, 0.0],
-                     [0.0, 0.0, -0.3]])
-    np.testing.assert_allclose(A, want, atol=1e-15)
+    S = M.S.toarray()
+    want = np.array([[0.9, 0.0, -0.1],
+                     [0.0, 0.8, 0.0],
+                     [0.0, 0.0, 0.7]])
+    np.testing.assert_allclose(S, want, atol=1e-15)
 
 
 def test_embed_degree_two_blocks():
     fld = random_field(2, 2, seed=0)
     M = carlgd.embed(fld, 2)
-    A = M.matrix.toarray()
+    S = M.S.toarray()
     start = dict(zip(M.block_orders, M.offsets))
 
     def block(i, j):
-        return A[start[i]:start[i] + 2 ** i, start[j]:start[j] + 2 ** j]
+        return S[start[i]:start[i] + 2 ** i, start[j]:start[j] + 2 ** j]
 
     F1 = fld.terms[1].toarray()
     F2 = fld.terms[2].toarray()
-    np.testing.assert_allclose(block(1, 1), F1)
-    np.testing.assert_allclose(block(1, 2), F2)
     I = np.eye(2)
-    np.testing.assert_allclose(block(2, 2), np.kron(F1, I) + np.kron(I, F1))
+    np.testing.assert_allclose(block(0, 0), [[1.0]])
+    np.testing.assert_allclose(block(1, 1), I + F1)
+    np.testing.assert_allclose(block(1, 2), F2)
+    np.testing.assert_allclose(block(2, 2),
+                               np.eye(4) + np.kron(F1, I) + np.kron(I, F1))
     # F2 would target order 3, which is truncated away: the order-2 columns
     # end the matrix, and the order-2 rows hold only the (2,1) and (2,2)
     # blocks, so the (2,3) region is empty
     assert M.D == start[2] + 4
     F0 = fld.terms[0].toarray()
-    np.testing.assert_allclose(A[start[2]:, :start[2]], np.hstack(
+    np.testing.assert_allclose(S[start[2]:, :start[2]], np.hstack(
         [np.zeros((4, start[1])), np.kron(F0, I) + np.kron(I, F0)]))
 
 
@@ -92,9 +94,9 @@ def test_embed_against_dense_kronecker_oracle(mlp_spec, iris):
     # synthetic 6-dimensional degree-2 field
     fld = random_field(6, 2, seed=1, density=0.25)
     M = carlgd.embed(fld, 2, include_constant=True)
-    dense = dense_embed_oracle(fld, 2)
-    np.testing.assert_allclose(M.matrix.toarray(), dense, atol=1e-14)
-    assert M.matrix.nnz == np.count_nonzero(dense)
+    dense = np.eye(M.D) + dense_embed_oracle(fld, 2)
+    np.testing.assert_allclose(M.S.toarray(), dense, atol=1e-14)
+    assert M.S.nnz == np.count_nonzero(dense)
     # and the field of a real 6-parameter sub-model of the Iris network
     from carlgd import pipeline
     trained = pipeline.pretrain(mlp_spec, iris, steps=200, eta=0.05, seed=0)
@@ -106,8 +108,9 @@ def test_embed_against_dense_kronecker_oracle(mlp_spec, iris):
     dense = dense_embed_oracle(sub, 2)
     if not M.include_constant:
         dense = dense[1:, 1:]
-    np.testing.assert_allclose(M.matrix.toarray(), dense, atol=1e-14)
-    assert M.matrix.nnz == np.count_nonzero(dense)
+    dense = np.eye(M.D) + dense
+    np.testing.assert_allclose(M.S.toarray(), dense, atol=1e-14)
+    assert M.S.nnz == np.count_nonzero(dense)
 
 
 # Values whose sums depend on the order of addition (1e16 + 1 - 1e16) or
@@ -157,13 +160,10 @@ def test_embed_step_operator_equals_dense_oracle_exactly(case):
     dense = dense_embed_oracle(fld, order)
     if not include_constant:
         dense = dense[1:, 1:]
-    S = M.step_operator()
     want = np.eye(M.D) + dense  # the oracle also adds the p-terms in order
-    assert np.array_equal(S.toarray(), want)
-    assert M.matrix.nnz == np.count_nonzero(dense)
-    assert S.nnz == np.count_nonzero(want)
-    assert_canonical_csr(M.matrix)
-    assert_canonical_csr(S)
+    assert np.array_equal(M.S.toarray(), want)
+    assert M.S.nnz == np.count_nonzero(want)
+    assert_canonical_csr(M.S)
 
 
 def test_embed_capacity_error():
@@ -274,7 +274,7 @@ def test_solve_matches_manual_iteration_bitwise():
     y0 = M.initial_state(0.1 * np.ones(3))
     G = carlgd.build_global(M, y0, 17)
     Y = carlgd.solve(G)
-    S = M.step_operator().toarray()
+    S = M.S.toarray()
     y = y0.copy()
     for t in range(1, 18):
         y = S @ y
@@ -286,19 +286,13 @@ def test_solve_equals_global_triangular_solve():
     fld = scalar_field(-0.2, -0.05, anchor=0.3)
     M = carlgd.embed(fld, 3)
     G = carlgd.build_global(M, M.initial_state(np.array([0.8])), 12)
+    L = (sp.identity((G.T + 1) * G.D, format="csr")
+         - sp.kron(sp.eye(G.T + 1, k=-1), G.S.to_scipy(), format="csr"))
     b = np.zeros((G.T + 1) * G.D)
     b[:G.D] = G.y0
-    z = spsolve_triangular(G.matrix().tocsr(), b, lower=True)
+    z = spsolve_triangular(L.tocsr(), b, lower=True)
     np.testing.assert_allclose(z.reshape(13, -1), carlgd.solve(G),
                                rtol=1e-12, atol=1e-14)
-
-
-def test_global_matrix_nnz_invariant():
-    fld = random_field(3, 2, seed=5)
-    M = carlgd.embed(fld, 2, include_constant=True)
-    G = carlgd.build_global(M, M.initial_state(np.zeros(3)), 9)
-    L = G.matrix()
-    assert L.nnz == (G.T + 1) * G.D + G.T * G.S.nnz
 
 
 def test_solve_divergence_reports_step(diag_spec):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,17 @@ def test_pipeline_leaves_sparse_linalg_unloaded(tmp_path):
     segment = read_csv(tmp_path / "run" / "segments.csv")[0]
     assert segment["kappa_method"] == "power_iteration"
     assert segment["D"] == "111"
+
+
+def test_dense_kappa_leaves_sparse_unloaded(tmp_path):
+    """The dense-SVD kappa builds L as a dense array from S: it loads
+    scipy.linalg for the SVD, and never scipy.sparse."""
+    argv = ["kappa", "--model", "scalar_cubic", "--order", "3",
+            "--steps-list", "5,10", "--method", "dense_svd",
+            "--out", str(tmp_path / "run")]
+    after_import, rc, after_run = scipy_loaded(argv)
+    assert (after_import, rc, after_run) == ([], 0, ["scipy.linalg"])
+    assert len(read_csv(tmp_path / "run" / "kappa.csv")) == 2
 
 
 def test_pipeline_deterministic_across_runs(tmp_path):
@@ -251,6 +263,43 @@ def test_report_summarizes_run(tmp_path, capsys):
     assert summary["steps"] == 10
 
 
+GOOD_MANIFEST = json.dumps({"command": "pipeline", "outputs": []})
+TRAJECTORY = "step,loss,accuracy,err_l2\n0,0.5,0.9,0.0\n"
+
+
+@pytest.mark.parametrize("manifest, files, message", [
+    ("{not json", {}, "malformed manifest"),
+    ("[1, 2]", {}, "not a run manifest"),
+    (json.dumps({"outputs": []}), {}, "not a run manifest"),
+    (GOOD_MANIFEST, {"trajectory.csv": "step,loss,err_l2\n0,0.5,0.0\n"},
+     "no 'accuracy' column"),
+    (GOOD_MANIFEST, {"trajectory.csv": "step,loss,accuracy,err_l2\n0,0.5\n"},
+     "line 2"),
+    (GOOD_MANIFEST, {"trajectory.csv": TRAJECTORY,
+                     "segments.csv": "segment,kappa\n0,abc\n"}, "line 2"),
+], ids=["not-json", "array-root", "no-command", "no-accuracy",
+        "short-row", "bad-kappa"])
+def test_report_rejects_malformed_run(tmp_path, capsys, manifest, files,
+                                      message):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text(manifest)
+    for name, text in files.items():
+        (run / name).write_text(text)
+    assert main(["report", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (run / "report.json").exists()
+
+
+def test_kappa_rejects_empty_step_list(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["kappa", "--model", "scalar_cubic", "--set", "kappa.steps=[]",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: kappa.steps")
+    assert list(out.iterdir()) == []
+
+
 def test_exit_code_usage_errors(tmp_path, capsys):
     assert main(["simulate", "--frobnicate"]) == 1
     assert main(["nonsense"]) == 1
@@ -311,19 +360,31 @@ def test_exit_code_numeric_failures(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["dense_svd", "power_iteration"])
-def test_kappa_of_an_overflowing_system_exits_2(tmp_path, method):
-    """At eta = 1e308 the step operator overflows to inf: both kappa
-    methods report a singular system and exit 2, with no traceback."""
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(carlgd.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "carlgd.cli", "kappa", "--model", "scalar_cubic",
-         "--eta", "1e308", "--order", "3", "--steps-list", "2",
-         "--method", method, "--out", str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert "numeric failure: numerically singular system" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_kappa_of_an_overflowing_system_exits_2(tmp_path, capsys, method):
+    """At eta = 1e308 the lift's sums overflow to inf: both kappa methods
+    report a singular system and exit 2, and the overflow raises no
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["kappa", "--model", "scalar_cubic", "--eta", "1e308",
+                   "--order", "3", "--steps-list", "2", "--method", method,
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: numerically singular system")
+
+
+def test_simulate_of_an_overflowing_lift_exits_2(tmp_path, capsys):
+    """The same overflowing lift, simulated: the trajectory diverges at its
+    first step, exit 2, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--model", "scalar_cubic", "--eta", "1e308",
+                   "--order", "3", "--steps", "2", "--anchor", "zero",
+                   "--theta0", "0.5", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: trajectory diverged at step 1")
 
 
 @pytest.mark.parametrize("argv", [
