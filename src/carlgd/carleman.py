@@ -7,13 +7,14 @@ product rule: the block mapping order j = i+k-1 into order i is
 
     A[i][j] = sum_{p=1..i}  I^{(x)(p-1)} (x) F_k (x) I^{(x)(i-p)} .
 
-`embed` writes every block's entries from the triplets of F_k by index
-arithmetic, adds the identity's diagonal after them, and sums the entries
-of each key in that order into one canonical `CSR` matrix, S. No block is
-stored on its own: slice `CarlemanMatrix.S` at `offsets`. `CSR` is this
-package's own sparse storage, so the lift runs on numpy alone; products
-with S go through `GlobalSystem`, which picks a dense or a scipy operator
-by size.
+`embed` writes every block's p-term entries from the triplets of F_k by
+index arithmetic, unsummed, checks them all at once against their blocks'
+bounds, adds the identity's diagonal after them, and sums the entries of
+each key in that order, by one sort, into one canonical `CSR` matrix, S.
+No block is stored on its own: slice `CarlemanMatrix.S` at `offsets`.
+`CSR` is this package's own sparse storage, so the lift runs on numpy
+alone; products with S go through `GlobalSystem`, which picks a dense or
+a scipy operator by size.
 
 An order-0 block (a single stationary coordinate held at 1) carries the
 affine drift F_0; it is included only when the field actually has drift,
@@ -79,9 +80,10 @@ class CSR:
 
 
 def _kron_sum_entries(Fk, i, row0, col0, width):
-    """Nonzeros of sum_{p=1..i} I_{n^(p-1)} (x) F_k (x) I_{n^(i-p)} at (row0, col0)
-    of a `width`-column matrix, p-terms added in order: ascending keys
-    row * width + col and their values."""
+    """Entries of sum_{p=1..i} I_{n^(p-1)} (x) F_k (x) I_{n^(i-p)} at (row0, col0)
+    of a `width`-column matrix, unsummed: the keys row * width + col and
+    values of term p = 1, then of term p = 2, and so on. A key occurs once
+    in each term that writes it."""
     n, m = Fk.shape  # m = n^k
     base = row0 * width + col0
     entry = np.repeat(np.arange(n, dtype=np.int64) * width, np.diff(Fk.indptr)) + Fk.indices
@@ -95,7 +97,7 @@ def _kron_sum_entries(Fk, i, row0, col0, width):
                entry[:, None] * b, out=term)
         term += np.arange(b, dtype=np.int64) * (width + 1)
         val[p - 1].reshape(term.shape)[...] = Fk.data[:, None]
-    return _sorted_sums(key.ravel(), val.ravel())  # shared keys in p order
+    return key.ravel(), val.ravel()
 
 
 def _sorted_sums(key, val):
@@ -166,15 +168,16 @@ def check_capacity(n, order, include_constant, max_dim):
 def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
     """Build the truncated Carleman step operator of a PolyField.
 
-    S is one canonical `CSR` matrix, built from the blocks' keys and the
-    identity's diagonal keys by one sort. Keys of different blocks never
-    collide, so each block's p-terms are summed in order and a stored
-    diagonal a becomes a + 1; a diagonal that sums to 0 is dropped.
-    Each block's entries are checked to lie inside the block as they are
-    written (InputError otherwise), so S never needs a structure scan.
-    `include_constant` defaults to auto: the order-0 block is kept exactly
-    when the field has a nonzero constant term. Raises CapacityError when
-    the total dimension would exceed `max_dim`.
+    S is one canonical `CSR` matrix, built by one sort from every block's
+    unsummed p-term keys, in p order, and then the identity's diagonal
+    keys. Keys of different blocks never collide, so each entry is summed
+    in that order, ((t_1 + t_2) + ...) + 1 on the diagonal; an entry that
+    sums to 0 is dropped. Before the sort, every block's keys are checked
+    at once to lie inside their block (InputError naming the first block
+    that fails), so S never needs a structure scan. `include_constant`
+    defaults to auto: the order-0 block is kept exactly when the field has
+    a nonzero constant term. Raises CapacityError when the total dimension
+    would exceed `max_dim`.
     """
     n, d = field_.n, field_.degree
     if include_constant is None:
@@ -183,25 +186,32 @@ def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
     D = int(sum(dims))
     offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(np.int64)
     start = dict(zip(block_orders, offsets))
-    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    blocks, bounds, keys, vals = [], [], [], []
     for i in range(1, order + 1):
         for k in range(d + 1):
             j = i + k - 1
             if j not in start:  # target order truncated away
                 continue
             key, val = _kron_sum_entries(field_.terms[k], i, start[i], start[j], D)
-            if key.size:
-                cols = key - key // D * D
-                if not (start[i] <= key.min() // D and key.max() // D < start[i] + n ** i
-                        and start[j] <= cols.min() and cols.max() < start[j] + n ** j):
-                    raise InputError(f"block-structure check failed: an entry of block "
-                                     f"({i},{j}) lies outside it")
+            blocks.append((i, j))
+            bounds.append((start[i], start[i] + n ** i, start[j], start[j] + n ** j))
             keys.append(key)
             vals.append(val)
+    sizes = [key.size for key in keys]
     keys.append(np.arange(D, dtype=np.int64) * (D + 1))  # I, after the blocks
     vals.append(np.ones(D))
     key, val = np.concatenate(keys), np.concatenate(vals)
-    del keys, vals  # free the per-block arrays before the sort
+    del keys, vals  # free the per-block arrays before the check and the sort
+    row0, row1, col0, col1 = np.repeat(np.array(bounds, dtype=np.int64).reshape(-1, 4),
+                                       sizes, axis=0).T
+    row = key[:row0.size] // D
+    col = key[:row0.size] - row * D
+    outside = (row < row0) | (row >= row1) | (col < col0) | (col >= col1)
+    if outside.any():
+        i, j = blocks[np.searchsorted(np.cumsum(sizes), np.argmax(outside), side="right")]
+        raise InputError(f"block-structure check failed: an entry of block "
+                         f"({i},{j}) lies outside it")
+    del row0, row1, col0, col1, row, col, outside
     S = CSR.from_keys(*_sorted_sums(key, val), (D, D))
     return CarlemanMatrix(n=n, order=order, include_constant=include_constant,
                           block_orders=block_orders, offsets=offsets, D=D,
@@ -449,11 +459,11 @@ def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
                 "numerically singular system: L has a non-finite entry",
                 sigma_max=np.inf, sigma_min=np.nan)
         S, D = G.S.toarray(), G.D
-        L = np.eye(dim)
+        L = np.eye(dim, order="F")  # LAPACK's layout, so svdvals need not copy L
         for t in range(1, G.T + 1):  # 0.0 - s: L keeps +0.0 where S does
             L[t * D:(t + 1) * D, (t - 1) * D:t * D] -= S
         from scipy.linalg import svdvals
-        sig = svdvals(L)
+        sig = svdvals(L, overwrite_a=True)
         smax, smin = float(sig[0]), float(sig[-1])
     elif method == "power_iteration":
         if G.T == 0:

@@ -355,11 +355,23 @@ def cmd_report(args):
     return 0
 
 
-def build_parser():
+# The subcommands, in the order that --help lists them.
+COMMANDS = ("pretrain", "prune", "simulate", "pipeline", "hessian", "proxy",
+            "kappa", "report")
+
+
+def build_parser(command=None):
+    """The argument parser of `carlgd`, with the subparser of `command`
+    alone, or of every subcommand when `command` is None. A subparser's
+    usage, help and errors do not depend on its siblings, and the top-level
+    usage names all of COMMANDS either way, so a one-command parser prints
+    what the full one prints for that command's arguments."""
     parser = _Parser(prog="carlgd",
                      description="Carleman-linearized gradient-descent "
                                  "simulator and diagnostics")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
 
     def common(p):
         p.add_argument("--config", help="JSON config (or manifest) file")
@@ -368,86 +380,96 @@ def build_parser():
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key")
 
-    p = sub.add_parser("pretrain", help="dense classical pre-training")
-    common(p)
-    p.add_argument("--model", dest="model.kind")
-    p.add_argument("--data", dest="data.path")
-    p.add_argument("--steps", dest="pretrain.steps")
-    p.add_argument("--eta", dest="pretrain.eta")
-    p.add_argument("--batch", dest="pretrain.batch")
-    p.set_defaults(func=cmd_pretrain)
+    if command in (None, "pretrain"):
+        p = sub.add_parser("pretrain", help="dense classical pre-training")
+        common(p)
+        p.add_argument("--model", dest="model.kind")
+        p.add_argument("--data", dest="data.path")
+        p.add_argument("--steps", dest="pretrain.steps")
+        p.add_argument("--eta", dest="pretrain.eta")
+        p.add_argument("--batch", dest="pretrain.batch")
+        p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("prune", help="magnitude pruning of pretrained params")
-    common(p)
-    p.add_argument("--params", help="params.csv from pretrain")
-    p.add_argument("--fraction", dest="schedule.prune_fraction")
-    p.set_defaults(func=cmd_prune)
+    if command in (None, "prune"):
+        p = sub.add_parser("prune", help="magnitude pruning of pretrained params")
+        common(p)
+        p.add_argument("--params", help="params.csv from pretrain")
+        p.add_argument("--fraction", dest="schedule.prune_fraction")
+        p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("simulate", help="single-segment Carleman simulation")
-    common(p)
-    p.add_argument("--model", dest="model.kind")
-    p.add_argument("--data", dest="data.path")
-    p.add_argument("--order", dest="simulate.order")
-    p.add_argument("--steps", dest="simulate.steps")
-    p.add_argument("--eta", dest="simulate.eta")
-    p.add_argument("--degree", dest="simulate.degree")
-    p.add_argument("--anchor", dest="simulate.anchor", choices=["start", "zero"])
-    p.add_argument("--theta0", dest="init.params")
-    p.add_argument("--shots", dest="readout.shots")
-    p.set_defaults(func=cmd_simulate)
+    if command in (None, "simulate"):
+        p = sub.add_parser("simulate", help="single-segment Carleman simulation")
+        common(p)
+        p.add_argument("--model", dest="model.kind")
+        p.add_argument("--data", dest="data.path")
+        p.add_argument("--order", dest="simulate.order")
+        p.add_argument("--steps", dest="simulate.steps")
+        p.add_argument("--eta", dest="simulate.eta")
+        p.add_argument("--degree", dest="simulate.degree")
+        p.add_argument("--anchor", dest="simulate.anchor", choices=["start", "zero"])
+        p.add_argument("--theta0", dest="init.params")
+        p.add_argument("--shots", dest="readout.shots")
+        p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("pipeline", help="pretrain + prune + segmented run")
-    common(p)
-    p.add_argument("--data", dest="data.path")
-    p.add_argument("--steps", dest="schedule.steps")
-    p.add_argument("--reupload", dest="schedule.reupload_period")
-    p.add_argument("--refine", dest="schedule.refine_steps")
-    p.add_argument("--order", dest="schedule.order")
-    p.add_argument("--fraction", dest="schedule.prune_fraction")
-    p.add_argument("--eta", dest="schedule.eta")
-    p.add_argument("--pretrain-steps", dest="pretrain.steps")
-    p.set_defaults(func=cmd_pipeline)
+    if command in (None, "pipeline"):
+        p = sub.add_parser("pipeline", help="pretrain + prune + segmented run")
+        common(p)
+        p.add_argument("--data", dest="data.path")
+        p.add_argument("--steps", dest="schedule.steps")
+        p.add_argument("--reupload", dest="schedule.reupload_period")
+        p.add_argument("--refine", dest="schedule.refine_steps")
+        p.add_argument("--order", dest="schedule.order")
+        p.add_argument("--fraction", dest="schedule.prune_fraction")
+        p.add_argument("--eta", dest="schedule.eta")
+        p.add_argument("--pretrain-steps", dest="pretrain.steps")
+        p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("hessian", help="Hessian spectrum at a point")
-    common(p)
-    p.add_argument("--model", dest="model.kind")
-    p.add_argument("--data", dest="data.path")
-    p.add_argument("--params", help="evaluate at these parameters")
-    p.add_argument("--method", dest="hessian.method", choices=["direct", "lanczos"])
-    p.add_argument("--lanczos-k", dest="hessian.lanczos_k")
-    p.add_argument("--probes", dest="hessian.probes")
-    p.add_argument("--bins", dest="hessian.bins")
-    p.set_defaults(func=cmd_hessian)
+    if command in (None, "hessian"):
+        p = sub.add_parser("hessian", help="Hessian spectrum at a point")
+        common(p)
+        p.add_argument("--model", dest="model.kind")
+        p.add_argument("--data", dest="data.path")
+        p.add_argument("--params", help="evaluate at these parameters")
+        p.add_argument("--method", dest="hessian.method", choices=["direct", "lanczos"])
+        p.add_argument("--lanczos-k", dest="hessian.lanczos_k")
+        p.add_argument("--probes", dest="hessian.probes")
+        p.add_argument("--bins", dest="hessian.bins")
+        p.set_defaults(func=cmd_hessian)
 
-    p = sub.add_parser("proxy", help="spectral error proxy from a spectrum CSV")
-    common(p)
-    p.add_argument("--spectrum")
-    p.add_argument("--eta", dest="proxy.eta")
-    p.add_argument("--tmax", dest="proxy.tmax")
-    p.add_argument("--threshold", dest="proxy.threshold")
-    p.add_argument("--scale", dest="proxy.scale", choices=["eta", "raw"])
-    p.set_defaults(func=cmd_proxy)
+    if command in (None, "proxy"):
+        p = sub.add_parser("proxy", help="spectral error proxy from a spectrum CSV")
+        common(p)
+        p.add_argument("--spectrum")
+        p.add_argument("--eta", dest="proxy.eta")
+        p.add_argument("--tmax", dest="proxy.tmax")
+        p.add_argument("--threshold", dest="proxy.threshold")
+        p.add_argument("--scale", dest="proxy.scale", choices=["eta", "raw"])
+        p.set_defaults(func=cmd_proxy)
 
-    p = sub.add_parser("kappa", help="condition number vs step count")
-    common(p)
-    p.add_argument("--model", dest="model.kind")
-    p.add_argument("--eta", dest="kappa.eta")
-    p.add_argument("--order", dest="kappa.order")
-    p.add_argument("--steps-list", dest="kappa.steps")
-    p.add_argument("--method", dest="kappa.method",
-                   choices=["dense_svd", "power_iteration"])
-    p.set_defaults(func=cmd_kappa)
+    if command in (None, "kappa"):
+        p = sub.add_parser("kappa", help="condition number vs step count")
+        common(p)
+        p.add_argument("--model", dest="model.kind")
+        p.add_argument("--eta", dest="kappa.eta")
+        p.add_argument("--order", dest="kappa.order")
+        p.add_argument("--steps-list", dest="kappa.steps")
+        p.add_argument("--method", dest="kappa.method",
+                       choices=["dense_svd", "power_iteration"])
+        p.set_defaults(func=cmd_kappa)
 
-    p = sub.add_parser("report", help="summarize an existing run directory")
-    p.add_argument("--run", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_report)
+    if command in (None, "report"):
+        p = sub.add_parser("report", help="summarize an existing run directory")
+        p.add_argument("--run", required=True)
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.command == "report":

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -174,9 +175,10 @@ def test_embed_capacity_error():
 
 
 def test_audit_catches_tampering(monkeypatch):
-    """embed checks each block's entries as they are written. One entry
-    put just above block (2, 1), in an order-1 row, or just left of it, in
-    the constant column, is rejected."""
+    """embed checks every block's entries against that block's own bounds.
+    One entry put just above block (2, 1), in an order-1 row and so inside
+    block (1, 1)'s range, or just left of it, in the constant column, is
+    rejected with an error that names block (2, 1)."""
     fld = random_field(2, 1, seed=3)
     original = carleman._kron_sum_entries
     for d_row, d_col in ((-1, 0), (0, -1)):
@@ -189,7 +191,7 @@ def test_audit_catches_tampering(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(carleman, "_kron_sum_entries", tampered)
-            with pytest.raises(InputError, match="block"):
+            with pytest.raises(InputError, match=r"block \(2,1\)"):
                 carlgd.embed(fld, 2, include_constant=True)
     carlgd.embed(fld, 2, include_constant=True)  # untampered: accepted
 
@@ -596,6 +598,24 @@ def test_dense_svd_rejected_when_too_large():
     G = carlgd.build_global(M, M.initial_state(np.array([1.0])), 10)
     with pytest.raises(InputError):
         carlgd.condition_number(G, "dense_svd", dense_limit=5)
+
+
+def test_dense_svd_holds_one_copy_of_l():
+    """The dense-SVD kappa hands its L to LAPACK without a copy: at
+    dim = 2 000 (L = 32 MB) its traced peak stays under 1.5 L, where a
+    second copy would make it over 2 L."""
+    import scipy.linalg  # noqa: F401 -- its import is not the kappa's memory
+    M = carlgd.embed(scalar_field(-0.5, 0.0), 1)
+    G = carlgd.build_global(M, M.initial_state(np.array([1.0])), 1999)
+    dim = (G.T + 1) * G.D
+    assert dim == 2000
+    tracemalloc.start()
+    try:
+        carlgd.condition_number(G, "dense_svd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * dim * dim * 8
 
 
 @pytest.fixture(scope="module")

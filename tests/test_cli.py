@@ -12,7 +12,7 @@ import pytest
 
 import carlgd
 from carlgd import carleman, config, models, polyfield
-from carlgd.cli import CLI_ONLY, build_parser, main
+from carlgd.cli import CLI_ONLY, COMMANDS, build_parser, main
 from carlgd.errors import ConvergenceError
 
 from conftest import IRIS_CSV
@@ -502,14 +502,56 @@ def test_every_key_checked_whatever_the_command_reads(tmp_path, capsys):
     assert not (out / "masked_params.csv").exists()
 
 
+def subparsers(parser):
+    """The subcommand parsers of `parser`, by name."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_option_dest_is_a_config_key_or_cli_only():
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    for name, sub in subparsers.choices.items():
+    for name, sub in subparsers(build_parser()).items():
         for action in sub._actions:
             if not isinstance(action, argparse._HelpAction):
                 assert action.dest in config.DEFAULTS or action.dest in CLI_ONLY, \
                     (name, action.dest)
+
+
+ACTION_FIELDS = ("option_strings", "dest", "choices", "default", "required",
+                 "nargs", "metavar", "help")
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_one_command_parser_matches_full_parser(name):
+    """`main` builds only the invoked subcommand's parser. It has the same
+    actions, help and top-level usage as that subcommand in the full one."""
+    full, lazy = build_parser(), build_parser(name)
+    want, got = subparsers(full)[name], subparsers(lazy)[name]
+    assert [[getattr(a, f) for f in ACTION_FIELDS] for a in got._actions] \
+        == [[getattr(a, f) for f in ACTION_FIELDS] for a in want._actions]
+    assert got.get_default("func") is want.get_default("func")
+    assert got.format_help() == want.format_help()
+    assert lazy.format_usage() == full.format_usage()
+
+
+def test_module_entry_reads_sys_argv(tmp_path):
+    """`python -m carlgd.cli` runs `main()` on sys.argv: a simulate writes
+    its three files, and --help lists every subcommand."""
+    src = str(Path(carlgd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "carlgd.cli", "simulate", "--model", "scalar_cubic",
+         "--order", "3", "--steps", "50", "--eta", "0.1", "--theta0", "0.5",
+         "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "params.csv", "trajectory.csv"]
+    proc = subprocess.run([sys.executable, "-m", "carlgd.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "{" + ",".join(COMMANDS) + "}" in proc.stdout
+    for name in COMMANDS:
+        assert f"\n    {name} " in proc.stdout
 
 
 @pytest.mark.parametrize("argv", [
