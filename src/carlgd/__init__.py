@@ -8,8 +8,8 @@ from .models import (Dataset, ModelSpec, ParamVector, accuracy, grad, hessian,
 from .polyfield import PolyField, from_model
 from .carleman import (CarlemanMatrix, GlobalSystem, ReadoutResult,
                        build_global, condition_number, embed, readout, solve)
-from .pipeline import (PipelineReport, Schedule, SegmentRecord, SimulateResult,
-                       StepRecord, pretrain, prune_topk, run_pipeline, simulate)
+from .pipeline import (PipelineReport, Schedule, SimulateResult, pretrain,
+                       prune_topk, run_pipeline, simulate)
 from .diagnostics import (DissipationReport, Spectrum, classify, cost_estimate,
                           error_proxy, histogram_l1, loglog_slope, spectrum,
                           trajectory_error)
@@ -20,8 +20,8 @@ __all__ = [
     "PolyField", "from_model",
     "CarlemanMatrix", "GlobalSystem", "ReadoutResult", "build_global",
     "condition_number", "embed", "readout", "solve",
-    "PipelineReport", "Schedule", "SegmentRecord", "SimulateResult",
-    "StepRecord", "pretrain", "prune_topk", "run_pipeline", "simulate",
+    "PipelineReport", "Schedule", "SimulateResult", "pretrain", "prune_topk",
+    "run_pipeline", "simulate",
     "DissipationReport", "Spectrum", "classify", "cost_estimate",
     "error_proxy", "histogram_l1", "loglog_slope", "spectrum",
     "trajectory_error",

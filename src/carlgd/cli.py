@@ -4,9 +4,11 @@ Subcommands: pretrain, prune, simulate, pipeline, hessian, proxy, kappa,
 report. Each flag's dest is the config key it sets (`--help` shows it).
 `main` runs every command but report: it resolves and type-checks the
 whole config, makes --out, calls `cmd_<name>(args, cfg, out)` and writes
-the one manifest.json from the outputs and exit code that returns. The
-manifest echoes the resolved config, versions and wall-clock time;
-re-running it reproduces the CSVs bitwise in deterministic (full-batch) mode.
+the one manifest.json from the outputs and exit code that returns. Each
+command hands its tables, {header: column}, to the one CSV writer,
+`write_csv`. The manifest echoes the resolved config, versions and
+wall-clock time; re-running it reproduces the CSVs bitwise in
+deterministic (full-batch) mode.
 
 Exit codes: 0 success, 1 validation/usage error, 2 numeric failure,
 3 capacity error.
@@ -15,6 +17,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 numeric failure,
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -31,18 +34,16 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{message}\n{self.format_usage()}")
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return fmt17(value)
-    return str(value)
-
-
-def write_csv(path, header, rows):
+def write_csv(path, columns):
+    """Write a table, {header: column} with one entry per row in each
+    column, through csv.writer: a float column with fmt17, any other with
+    str."""
+    cells = [map(fmt17, col) if np.asarray(col).dtype.kind == "f"
+             else map(str, col) for col in columns.values()]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerow(columns)
+        w.writerows(zip(*cells))
 
 
 def write_manifest(out, command, cfg, outputs, started):
@@ -85,6 +86,15 @@ def _overrides(args):
     return ov
 
 
+def _finite(text):
+    """float(text), with a ValueError for a value that is not finite, as
+    for text that is not a number at all."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _params_from_csv(path):
     values, mask = [], []
     with open_input(path) as f:
@@ -95,9 +105,12 @@ def _params_from_csv(path):
         has_mask = "mask" in header
         for row in reader:
             try:
-                values.append(float(row[1]))
+                values.append(_finite(row[1]))
                 if has_mask:
-                    mask.append(bool(int(row[2])))
+                    bit = int(row[2])
+                    if bit not in (0, 1):
+                        raise ValueError(f"mask {bit} is not 0 or 1")
+                    mask.append(bit == 1)
             except (ValueError, IndexError):
                 raise ParseError(f"{path}, line {reader.line_num}: "
                                  f"malformed params row {row!r}") from None
@@ -108,20 +121,10 @@ def _params_from_csv(path):
 
 
 def _write_params(path, params):
-    if params.mask is None:
-        write_csv(path, ["index", "value"],
-                  [(i, v) for i, v in enumerate(params.values)])
-    else:
-        write_csv(path, ["index", "value", "mask"],
-                  [(i, v, int(m)) for i, (v, m)
-                   in enumerate(zip(params.values, params.mask))])
-
-
-def _write_trajectory(path, records):
-    write_csv(path, ["step", "loss", "accuracy", "err_l2", "err_linf",
-                     "segment", "phase"],
-              [(r.step, r.loss, r.accuracy, r.err_l2, r.err_linf, r.segment,
-                r.phase) for r in records])
+    columns = {"index": np.arange(params.n), "value": params.values}
+    if params.mask is not None:
+        columns["mask"] = params.mask.astype(int)
+    write_csv(path, columns)
 
 
 def _spectrum_from_csv(path):
@@ -139,16 +142,25 @@ def _spectrum_from_csv(path):
         rows = []
         for row in reader:
             try:
-                rows.append([float(row[c]) for c in cols])
+                values = [_finite(row[c]) for c in cols]
+                if len(values) == 3 and not (values[0] < values[1]
+                                             and values[2] >= 0):
+                    raise ValueError("need bin_left < bin_right, density >= 0")
+                rows.append(values)
             except (ValueError, IndexError):
                 raise ParseError(f"{path}, line {reader.line_num}: "
                                  f"malformed spectrum row {row!r}") from None
-    vals = np.array(rows).reshape(-1, len(cols)).T
+    if not rows:
+        raise ParseError(f"{path}: no spectrum rows")
+    vals = np.array(rows).T
     if len(cols) == 1:
         lam = vals[0]
         return diagnostics.Spectrum(n=lam.size, method="direct", eigenvalues=lam)
     lo, hi, dens = vals
     w = dens * (hi - lo)
+    if not 0 < w.sum() < math.inf:
+        raise ParseError(f"{path}: the bin weights (density x width) sum to "
+                         f"{w.sum()}, not to a positive finite number")
     return diagnostics.Spectrum(n=w.size, method="lanczos",
                                 ritz_values=0.5 * (lo + hi),
                                 ritz_weights=w / w.sum())
@@ -193,22 +205,22 @@ def cmd_simulate(args, cfg, out):
                                steps=cfg["simulate.steps"],
                                anchor=cfg["simulate.anchor"],
                                degree=cfg["simulate.degree"])
-    _write_trajectory(out / "trajectory.csv", result.records)
-    n = result.approx.shape[1]
-    header = (["step"] + [f"param_{i}" for i in range(n)]
-              + [f"exact_{i}" for i in range(n)])
-    rows = [[t] + list(result.approx[t]) + list(result.exact[t])
-            for t in range(result.approx.shape[0])]
-    write_csv(out / "params.csv", header, rows)
+    write_csv(out / "trajectory.csv", result.records)
+    write_csv(out / "params.csv",
+              {"step": result.records["step"],
+               **{f"param_{i}": col for i, col in enumerate(result.approx.T)},
+               **{f"exact_{i}": col for i, col in enumerate(result.exact.T)}})
     outputs = ["trajectory.csv", "params.csv"]
     if cfg["readout.shots"] is not None:
         ro = carleman.readout(result.final_state, result.field.theta_star,
                               shots=cfg["readout.shots"],
                               seed=sub_seed(cfg["seed"], "tomography"),
                               has_constant=result.has_constant)
-        write_csv(out / "readout.csv", ["index", "estimate", "l2_error", "linf_error"],
-                  [(i, v, ro.l2_error, ro.linf_error)
-                   for i, v in enumerate(ro.params)])
+        n = ro.params.size
+        write_csv(out / "readout.csv",
+                  {"index": np.arange(n), "estimate": ro.params,
+                   "l2_error": np.full(n, ro.l2_error),
+                   "linf_error": np.full(n, ro.linf_error)})
         outputs.append("readout.csv")
     print(f"simulated {cfg['simulate.steps']} steps at order "
           f"{cfg['simulate.order']} (D={result.dim}) -> {out}")
@@ -223,18 +235,13 @@ def cmd_pipeline(args, cfg, out):
     report = pipeline.run_pipeline(spec, data, sched, pruned,
                                    seed=cfg["seed"],
                                    kappa_method=cfg["pipeline.kappa_method"])
-    _write_trajectory(out / "trajectory.csv", report.steps)
-    write_csv(out / "segments.csv",
-              ["segment", "start_step", "kappa", "kappa_method", "D",
-               "upload_nnz", "y0_norm"],
-              [(s.segment, s.start_step, s.kappa, s.kappa_method, s.dim,
-                s.upload_nnz, s.upload_norm) for s in report.segments])
+    write_csv(out / "trajectory.csv", report.steps)
+    write_csv(out / "segments.csv", report.segments)
     _write_params(out / "final_params.csv", report.final)
-    last = report.steps[-1]
     status = ("diverged at step "
               f"{report.diverged_at}" if report.diverged_at else "completed")
-    print(f"pipeline {status}: {len(report.segments)} segments, "
-          f"final loss {last.loss:.6g} -> {out}")
+    print(f"pipeline {status}: {report.segments['segment'].size} segments, "
+          f"final loss {report.steps['loss'][-1]:.6g} -> {out}")
     return (["trajectory.csv", "segments.csv", "final_params.csv"],
             0 if report.diverged_at is None else 2)
 
@@ -253,14 +260,16 @@ def cmd_hessian(args, cfg, out):
                                  probes=cfg["hessian.probes"],
                                  seed=sub_seed(cfg["seed"], "lanczos"))
     if spect.is_exact():
-        write_csv(out / "spectrum.csv", ["index", "eigenvalue"],
-                  list(enumerate(spect.eigenvalues)))
+        write_csv(out / "spectrum.csv",
+                  {"index": np.arange(spect.eigenvalues.size),
+                   "eigenvalue": spect.eigenvalues})
     else:
         pts, _ = spect.points_weights()
         edges = np.linspace(pts.min() - 1e-9, pts.max() + 1e-9, bins + 1)
         dens = spect.density(edges)
-        write_csv(out / "spectrum.csv", ["bin_left", "bin_right", "density"],
-                  [(edges[i], edges[i + 1], dens[i]) for i in range(dens.size)])
+        write_csv(out / "spectrum.csv", {"bin_left": edges[:-1],
+                                         "bin_right": edges[1:],
+                                         "density": dens})
     print(f"spectrum ({method}, n={spect.n}) -> {out / 'spectrum.csv'}")
     return ["spectrum.csv"], 0
 
@@ -275,7 +284,7 @@ def cmd_proxy(args, cfg, out):
                                 t_range=t_range,
                                 threshold=cfg["proxy.threshold"],
                                 scale=cfg["proxy.scale"])
-    write_csv(out / "proxy.csv", ["t", "E"], list(zip(t_range, E)))
+    write_csv(out / "proxy.csv", {"t": t_range, "E": E})
     print(f"proxy over t=0..{cfg['proxy.tmax']} -> {out / 'proxy.csv'}")
     return ["proxy.csv"], 0
 
@@ -293,14 +302,12 @@ def cmd_kappa(args, cfg, out):
     degree = pipeline._field_degree(spec, order)
     _, M = pipeline.lift(spec, data, np.zeros(spec.n), degree, eta, None, order)
     y0 = M.initial_state(theta0)
-    rows = []
-    for T in steps:  # every T shares M's step operator S
-        G = carleman.build_global(M, y0, T)
-        rows.append((T,
-                     carleman.condition_number(G, method=cfg["kappa.method"],
-                                               seed=cfg["seed"]),
-                     cfg["kappa.method"]))
-    write_csv(out / "kappa.csv", ["T", "kappa", "method"], rows)
+    method = cfg["kappa.method"]
+    kappas = [carleman.condition_number(carleman.build_global(M, y0, T),
+                                        method=method, seed=cfg["seed"])
+              for T in steps]  # every T shares M's step operator S
+    write_csv(out / "kappa.csv", {"T": steps, "kappa": kappas,
+                                  "method": [method] * len(steps)})
     print(f"kappa over T={steps} -> {out / 'kappa.csv'}")
     return ["kappa.csv"], 0
 

@@ -14,6 +14,9 @@ last row of its readout trajectory, theta_star plus the order-1 block of
 the final state. A segment whose lifted run goes non-finite, or whose
 exact run leaves its bound, is cut at that step: `run_pipeline` reports
 it as `diverged_at`, `simulate` raises DivergenceError.
+
+A run's steps and its segments are each one table: a dict of equal-length
+arrays keyed by the header of trajectory.csv or segments.csv.
 """
 
 import math
@@ -53,37 +56,20 @@ class Schedule:
             raise InputError(f"eta must be positive and finite, got {self.eta}")
 
 
-@dataclass
-class StepRecord:
-    step: int
-    loss: float
-    accuracy: float
-    err_l2: float
-    err_linf: float
-    segment: int
-    phase: str  # 'carleman' | 'classical_refine'
-
-
-@dataclass
-class SegmentRecord:
-    segment: int
-    start_step: int
-    kappa: float
-    kappa_method: str
-    dim: int
-    upload_nnz: int
-    upload_norm: float
+# The keys of a trajectory table and of a segment table, in CSV column
+# order; `phase` is 'carleman' or 'classical_refine'.
+STEP_COLUMNS = ("step", "loss", "accuracy", "err_l2", "err_linf", "segment",
+                "phase")
+SEGMENT_COLUMNS = ("segment", "start_step", "kappa", "kappa_method", "D",
+                   "upload_nnz", "y0_norm")
 
 
 @dataclass
 class PipelineReport:
-    steps: list
-    segments: list
+    steps: dict  # trajectory table, one row per step
+    segments: dict  # segment table, one row per segment
     final: models.ParamVector
     diverged_at: int = None
-
-    def column(self, name):
-        return np.array([getattr(r, name) for r in self.steps])
 
 
 def pretrain(spec, data, steps, eta, batch=None, seed=0, params0=None):
@@ -163,24 +149,24 @@ def _loss_acc(spec, theta, data):
 
 
 def _records(spec, data, approx, exact, step0, seg, phase):
-    """One StepRecord per row of `approx`, numbered from `step0`, with the
-    error against the same row of `exact`."""
+    """The trajectory table of the rows of `approx`: one array per key of
+    STEP_COLUMNS, steps numbered from `step0`, errors against the same rows
+    of `exact`. `err_l2` is one `norm2` per row, so that each keeps the
+    bits and the overflow handling of a 1-D norm."""
     losses, accs = _loss_acc(spec, approx, data)
-    records = []
-    for t, (th, ex) in enumerate(zip(approx, exact)):
-        diff = th - ex
-        records.append(StepRecord(step=step0 + t, loss=float(losses[t]),
-                                  accuracy=float(accs[t]), err_l2=norm2(diff),
-                                  err_linf=float(np.max(np.abs(diff))),
-                                  segment=seg, phase=phase))
-    return records
+    diff = approx - exact
+    rows = diff.shape[0]
+    return {"step": np.arange(step0, step0 + rows), "loss": losses,
+            "accuracy": accs, "err_l2": np.array([norm2(d) for d in diff]),
+            "err_linf": np.max(np.abs(diff), axis=1),
+            "segment": np.full(rows, seg), "phase": np.full(rows, phase)}
 
 
 @dataclass
 class SimulateResult:
     approx: np.ndarray  # (steps+1, n) Carleman-readout trajectory
     exact: np.ndarray  # (steps+1, n) exact GD from the same start
-    records: list  # StepRecord per step
+    records: dict  # trajectory table, one row per step
     dim: int  # Carleman dimension D
     field: polyfield.PolyField
     final_state: np.ndarray  # full Carleman state at the last step
@@ -194,7 +180,7 @@ def simulate(spec, data, params0, eta, order, steps, anchor="start",
 
     The field is anchored at `anchor`: 'start' (the trajectory start,
     matching the pipeline's re-anchoring), 'zero', or an explicit point.
-    Returns approximate and exact trajectories plus per-step records; the
+    Returns approximate and exact trajectories plus the trajectory table; the
     approximate one is theta_star plus the order-1 block of each state.
     Raises DivergenceError, with `step` the first step at which the lifted
     run went non-finite or exact GD left its bound, when either happens
@@ -242,8 +228,8 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
     N = schedule.carleman_order
     d = _field_degree(spec, N)
 
-    steps = _records(spec, data, theta[None], theta[None], 0, 0, "carleman")
-    segments = []
+    tables = [_records(spec, data, theta[None], theta[None], 0, 0, "carleman")]
+    segments = []  # one row tuple per segment, in SEGMENT_COLUMNS order
     steps_done = 0
     seg = 0
     diverged_at = None
@@ -257,21 +243,20 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
             kappa = carleman.condition_number(G, method=kappa_method, seed=seed)
         except SingularSystemError:
             kappa = float("inf")
-        segments.append(SegmentRecord(
-            segment=seg, start_step=steps_done, kappa=kappa,
-            kappa_method=kappa_method, dim=M.D,
-            upload_nnz=int(np.count_nonzero(G.y0)),
-            upload_norm=float(np.linalg.norm(G.y0))))
+        segments.append((seg, steps_done, kappa, kappa_method, M.D,
+                         int(np.count_nonzero(G.y0)),
+                         float(np.linalg.norm(G.y0))))
 
         lifted = _records(spec, data, approx[1:], exact[1:], steps_done + 1,
                           seg, "carleman")
-        if lifted and lifted[0].err_l2 != 0.0:
+        err = lifted["err_l2"]
+        if err.size and err[0] != 0.0:
             raise NumericError(
-                f"error did not reset at segment {seg} start: {lifted[0].err_l2}")
-        steps += lifted
+                f"error did not reset at segment {seg} start: {err[0]}")
+        tables.append(lifted)
         theta = approx[-1]  # download: the readout of the last state
-        if len(lifted) < R:
-            diverged_at = steps_done + len(lifted) + 1
+        if err.size < R:
+            diverged_at = steps_done + err.size + 1
             break
         steps_done += R
 
@@ -281,8 +266,8 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
             refine = models.sgd_reference(spec, models.ParamVector(theta, mask=mask),
                                           data, eta=schedule.eta, steps=c,
                                           raise_on_divergence=False)
-            steps += _records(spec, data, refine[1:], refine[1:],
-                              steps_done + 1, seg, "classical_refine")
+            tables.append(_records(spec, data, refine[1:], refine[1:],
+                                   steps_done + 1, seg, "classical_refine"))
             theta = refine[-1]
             steps_done += refine.shape[0] - 1
             if refine.shape[0] <= c:
@@ -290,6 +275,8 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
                 break
         seg += 1
 
-    final = models.ParamVector(theta, mask=mask)
-    return PipelineReport(steps=steps, segments=segments, final=final,
-                          diverged_at=diverged_at)
+    return PipelineReport(
+        steps={k: np.concatenate([t[k] for t in tables]) for k in STEP_COLUMNS},
+        segments={k: np.array(col)
+                  for k, col in zip(SEGMENT_COLUMNS, zip(*segments))},
+        final=models.ParamVector(theta, mask=mask), diverged_at=diverged_at)

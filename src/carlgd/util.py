@@ -25,10 +25,12 @@ def rng_for(seed, name):
 
 
 def kron_power(v, k):
-    """k-fold Kronecker power of a vector; k=0 gives the scalar [1.0]."""
+    """k-fold Kronecker power of a vector; k=0 gives the scalar [1.0]. Each
+    entry is one product of the previous power's entry and one of v's, as
+    in np.kron, but without np.kron's general-shape overhead."""
     out = np.ones(1, dtype=float)
     for _ in range(k):
-        out = np.kron(out, v)
+        out = np.multiply.outer(out, v).ravel()
     return out
 
 

@@ -43,7 +43,7 @@ def test_acceptance_1_linear_exactness():
     spec = carlgd.ModelSpec(kind="diag_quadratic", coefficients=(1.0, 4.0))
     res = pipeline.simulate(spec, None, carlgd.ParamVector([1.0, 1.0]),
                             eta=0.1, order=1, steps=100)
-    assert max(r.err_l2 for r in res.records) < 1e-10
+    assert max(res.records["err_l2"]) < 1e-10
 
 
 @criterion(2, "order-N convergence", seconds=10.0)
@@ -72,7 +72,7 @@ def test_acceptance_2_order_convergence():
 def test_acceptance_3_iris_tracking():
     params0 = carlgd.init_params(MLP, 0)
     res = pipeline.simulate(MLP, IRIS, params0, eta=0.05, order=2, steps=25)
-    loss_hat = np.array([r.loss for r in res.records])
+    loss_hat = res.records["loss"]
     loss_ref = np.array([carlgd.loss(MLP, res.exact[t], IRIS)
                          for t in range(26)])
     rel = np.abs(loss_hat - loss_ref) / loss_ref
@@ -112,9 +112,9 @@ def test_acceptance_5_reupload_reset():
                             prune_fraction=0.2)
     report = pipeline.run_pipeline(MLP, IRIS, sched, pruned, seed=0)
     assert report.diverged_at is None
-    assert len(report.segments) == 5
-    err = report.column("err_l2")
-    seg = report.column("segment")
+    assert report.segments["segment"].size == 5
+    err = report.steps["err_l2"]
+    seg = report.steps["segment"]
     for s in range(5):
         rows = np.where(seg == s)[0]
         first = rows[1] if s == 0 else rows[0]  # row 0 is the initial upload

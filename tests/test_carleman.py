@@ -227,9 +227,12 @@ def test_initial_state_sparse_block_counts():
     y = embedded(5, 3).initial_state(delta)
     sizes = [1, 5, 25, 125]
     off = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    kron = np.ones(1)
     for j in range(4):
         block = y[off[j]:off[j] + sizes[j]]
         assert np.count_nonzero(block) == q ** j
+        assert block.tobytes() == kron.tobytes()  # bitwise np.kron powers
+        kron = np.kron(kron, delta)
 
 
 def test_upload_stats():
@@ -244,10 +247,11 @@ def test_upload_stats():
     _, M = pipeline.lift(spec, None, params.values, 1, 0.1, params.mask, 2)
     y0 = M.initial_state(params.values)
     assert np.count_nonzero(y0) == 1
-    for rec in report.segments:
-        assert rec.dim == M.D == 7
-        assert rec.upload_norm == np.linalg.norm(y0) == 1.0
-        assert rec.upload_nnz == 1
+    segs = report.segments
+    for dim, norm, nnz in zip(segs["D"], segs["y0_norm"], segs["upload_nnz"]):
+        assert dim == M.D == 7
+        assert norm == np.linalg.norm(y0) == 1.0
+        assert nnz == 1
 
 
 # ------------------------------------------------------------------ solve
@@ -369,7 +373,7 @@ def test_truncation_error_improves_with_order(cubic_spec, mlp_spec, iris):
     for N in (1, 2):
         res = pipeline.simulate(mlp_spec, iris, pruned, eta=0.05, order=N,
                                 steps=20, anchor="start")
-        by_order.append(max(r.err_l2 for r in res.records))
+        by_order.append(max(res.records["err_l2"]))
     assert by_order[1] < 0.5 * by_order[0]
 
 

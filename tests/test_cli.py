@@ -402,9 +402,14 @@ def test_nan_eta_exits_1(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err.startswith("error: eta must be")
 
-@pytest.mark.parametrize("text, where", [("index,value\n0,abc\n", "line 2"),
-                                         ("index,value\n0\n", "line 2"),
-                                         ("", "empty")])
+@pytest.mark.parametrize("text, where", [
+    ("index,value\n0,abc\n", "line 2"),
+    ("index,value\n0\n", "line 2"),
+    ("", "empty"),
+    ("index,value\n0,1.5\n1,nan\n", "line 3"),
+    ("index,value\n0,-inf\n", "line 2"),
+    ("index,value,mask\n0,1.5,1\n1,0,2\n", "line 3"),
+])
 def test_prune_malformed_params_csv(tmp_path, capsys, text, where):
     params = tmp_path / "params.csv"
     params.write_text(text)
@@ -412,6 +417,19 @@ def test_prune_malformed_params_csv(tmp_path, capsys, text, where):
                "--out", str(tmp_path / "run")])
     assert rc == 1
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["direct", "lanczos"])
+def test_hessian_non_finite_params_csv(tmp_path, capsys, method):
+    """A NaN parameter is a malformed input row, not a failure inside the
+    eigensolver."""
+    params = tmp_path / "params.csv"
+    params.write_text("index,value\n" + "".join(f"{i},0.1\n" for i in range(26))
+                      + "26,nan\n")
+    rc = main(["hessian", "--data", str(IRIS_CSV), "--params", str(params),
+               "--method", method, "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "line 28" in capsys.readouterr().err
 
 
 def test_exit_code_capacity(tmp_path, capsys):
@@ -462,6 +480,12 @@ def test_bad_counts_exit_1(tmp_path, capsys, argv):
     ("index,eigenvalue\n0\n", "line 2"),
     ("bin_left,bin_right,density\n0,1,x\n", "line 2"),
     ("", "empty"),
+    ("index,eigenvalue\n0,1.5\n1,nan\n", "line 3"),
+    ("bin_left,bin_right,density\n0,1,inf\n", "line 2"),
+    ("bin_left,bin_right,density\n0,1,0.5\n1,2,-0.5\n", "line 3"),
+    ("bin_left,bin_right,density\n0,1,0.5\n1,1,0.5\n", "line 3"),
+    ("bin_left,bin_right,density\n0,1,0\n1,2,0\n", "sum to 0"),
+    ("index,eigenvalue\n", "no spectrum rows"),
 ])
 def test_proxy_malformed_spectrum_csv(tmp_path, capsys, text, where):
     spectrum = tmp_path / "spectrum.csv"

@@ -3,6 +3,7 @@ import pytest
 
 import carlgd
 from carlgd import pipeline
+from carlgd.cli import main
 from carlgd.errors import InputError
 from carlgd.util import norm2
 
@@ -101,8 +102,8 @@ def test_pipeline_linear_field_is_exact():
                             prune_fraction=0.5)
     report = pipeline.run_pipeline(spec, None, sched, params, seed=0)
     assert report.diverged_at is None
-    assert report.column("err_l2").max() <= 1e-12
-    assert report.column("step")[-1] == 12
+    assert report.steps["err_l2"].max() <= 1e-12
+    assert report.steps["step"][-1] == 12
 
 
 def test_pipeline_single_segment_when_period_covers_run():
@@ -111,8 +112,8 @@ def test_pipeline_single_segment_when_period_covers_run():
                             classical_refine_steps=0, carleman_order=1,
                             prune_fraction=0.5)
     report = pipeline.run_pipeline(spec, None, sched, params, seed=0)
-    assert len(report.segments) == 1
-    assert report.segments[0].kappa > 0
+    assert report.segments["segment"].size == 1
+    assert report.segments["kappa"][0] > 0
 
 
 def test_pipeline_requires_mask(diag_spec):
@@ -130,9 +131,9 @@ def test_pipeline_error_resets_each_segment(mlp_spec, iris):
                             classical_refine_steps=0, carleman_order=2,
                             prune_fraction=0.2)
     report = pipeline.run_pipeline(mlp_spec, iris, sched, pruned, seed=0)
-    err = report.column("err_l2")
-    seg = report.column("segment")
-    assert len(report.segments) == 3
+    err = report.steps["err_l2"]
+    seg = report.steps["segment"]
+    assert report.segments["segment"].size == 3
     for s in range(3):
         rows = np.where(seg == s)[0]
         first = rows[1] if s == 0 else rows[0]  # row 0 is the upload itself
@@ -158,8 +159,8 @@ def test_pipeline_refine_phase_accrues_no_error(mlp_spec, iris):
                             classical_refine_steps=5, carleman_order=2,
                             prune_fraction=0.2)
     report = pipeline.run_pipeline(mlp_spec, iris, sched, pruned, seed=0)
-    phases = report.column("phase")
-    err = report.column("err_l2")
+    phases = report.steps["phase"]
+    err = report.steps["err_l2"]
     refine_rows = phases == "classical_refine"
     assert refine_rows.sum() == 10  # two full segments worth of refinement
     assert np.all(err[refine_rows] == 0.0)
@@ -173,8 +174,8 @@ def test_pipeline_deterministic(mlp_spec, iris):
                             prune_fraction=0.2)
     a = pipeline.run_pipeline(mlp_spec, iris, sched, pruned, seed=2)
     b = pipeline.run_pipeline(mlp_spec, iris, sched, pruned, seed=2)
-    assert np.array_equal(a.column("loss"), b.column("loss"))
-    assert np.array_equal(a.column("err_l2"), b.column("err_l2"))
+    assert np.array_equal(a.steps["loss"], b.steps["loss"])
+    assert np.array_equal(a.steps["err_l2"], b.steps["err_l2"])
     assert np.array_equal(a.final.values, b.final.values)
 
 
@@ -186,7 +187,40 @@ def test_pipeline_divergence_truncates_report():
                             prune_fraction=1.0)
     report = pipeline.run_pipeline(spec, None, sched, params, seed=0)
     assert report.diverged_at is not None
-    assert report.column("step")[-1] < 400
+    assert report.steps["step"][-1] < 400
+
+
+def test_pipeline_cut_at_first_step(tmp_path, capsys):
+    """A segment whose first Carleman step already leaves bounds adds an
+    empty table: the report keeps the start row alone, with every column's
+    dtype, and the CLI writes that row and exits 2."""
+    spec = carlgd.ModelSpec(kind="diag_quadratic", coefficients=(1.0, 4.0))
+    params = pipeline.prune_topk(carlgd.ParamVector([1.0, 0.5]), 0.5)
+    sched = carlgd.Schedule(total_steps=4, eta=1e9, reupload_period=2,
+                            classical_refine_steps=0, carleman_order=1,
+                            prune_fraction=0.5)
+    report = pipeline.run_pipeline(spec, None, sched, params, seed=0)
+    assert report.diverged_at == 1
+    assert [(k, v.dtype.kind, v.size) for k, v in report.steps.items()] == [
+        ("step", "i", 1), ("loss", "f", 1), ("accuracy", "f", 1),
+        ("err_l2", "f", 1), ("err_linf", "f", 1), ("segment", "i", 1),
+        ("phase", "U", 1)]
+    assert [(k, v.dtype.kind, v.size) for k, v in report.segments.items()] == [
+        ("segment", "i", 1), ("start_step", "i", 1), ("kappa", "f", 1),
+        ("kappa_method", "U", 1), ("D", "i", 1), ("upload_nnz", "i", 1),
+        ("y0_norm", "f", 1)]
+    assert report.steps["step"][0] == 0 and report.steps["err_l2"][0] == 0.0
+
+    out = tmp_path / "run"
+    rc = main(["pipeline", "--set", "model.kind=diag_quadratic",
+               "--set", "model.coefficients=[1.0,4.0]",
+               "--set", "init.params=[1.0,0.5]", "--set", "pretrain.steps=0",
+               "--steps", "4", "--reupload", "2", "--eta", "1e9",
+               "--out", str(out)])
+    assert rc == 2
+    assert "diverged at step 1" in capsys.readouterr().out
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,")
 
 
 def test_refinement_no_worse_error_at_segment_end(mlp_spec, iris):
@@ -207,9 +241,9 @@ def test_refinement_no_worse_error_at_segment_end(mlp_spec, iris):
                                     carleman_order=2, prune_fraction=0.37)
             report = pipeline.run_pipeline(mlp_spec, iris, sched, pruned,
                                            seed=seed)
-            seg = report.column("segment")
-            err = report.column("err_l2")
-            for s in range(len(report.segments)):
+            seg = report.steps["segment"]
+            err = report.steps["err_l2"]
+            for s in range(report.segments["segment"].size):
                 rows = np.where(seg == s)[0]
                 ends.append(err[rows[-1]])
         means[c] = np.mean(ends)
@@ -230,7 +264,7 @@ def test_simulate_anchor_options(cubic_spec):
     assert np.array_equal(by_start.exact, by_point.exact)
     assert np.array_equal(by_point.field.theta_star, [0.2])
     # first step is exact under a fresh anchor
-    assert by_start.records[1].err_l2 == 0.0
+    assert by_start.records["err_l2"][1] == 0.0
     with pytest.raises(InputError):
         pipeline.simulate(cubic_spec, None, p0, eta=0.1, order=1, steps=1,
                           anchor="elsewhere")
@@ -254,12 +288,12 @@ def test_simulate_is_one_pipeline_segment(mlp_spec, iris):
     report = pipeline.run_pipeline(mlp_spec, iris, sched, pruned, seed=0)
     sim = pipeline.simulate(mlp_spec, iris, pruned, eta=0.05, order=2,
                             steps=T, anchor="start")
-    assert len(report.segments) == 1 and report.diverged_at is None
-    assert len(report.steps) == len(sim.records) == T + 1
-    for a, b in zip(report.steps[1:], sim.records[1:]):
-        assert (a.step, a.segment, a.phase) == (b.step, b.segment, b.phase)
-        assert np.array([a.loss, a.accuracy, a.err_l2, a.err_linf]).tobytes() \
-            == np.array([b.loss, b.accuracy, b.err_l2, b.err_linf]).tobytes()
+    assert report.segments["segment"].size == 1 and report.diverged_at is None
+    assert report.steps["step"].size == sim.records["step"].size == T + 1
+    for key in ("step", "segment", "phase"):
+        assert np.array_equal(report.steps[key][1:], sim.records[key][1:])
+    for key in ("loss", "accuracy", "err_l2", "err_linf"):
+        assert report.steps[key][1:].tobytes() == sim.records[key][1:].tobytes()
     assert np.array_equal(report.final.values, sim.approx[-1])
 
 
