@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Subcommands: pretrain, prune, simulate, pipeline, hessian, proxy, kappa,
-report. Each flag's dest is the config key it sets (`--help` shows it).
-`main` runs every command but report: it resolves and type-checks the
-whole config, makes --out, calls `cmd_<name>(args, cfg, out)` and writes
-the one manifest.json from the outputs and exit code that returns. Each
-command hands its tables, {header: column}, to the one CSV writer,
-`write_csv`. The manifest echoes the resolved config, versions and
-wall-clock time; re-running it reproduces the CSVs bitwise in
-deterministic (full-batch) mode.
+One table, SUBCOMMANDS, declares the CLI: the handler, help line and
+flags of each subcommand (pretrain, prune, simulate, pipeline, hessian,
+proxy, kappa, report), in `--help` order. Each flag's dest is the config
+key it sets (`--help` shows it), or a CLI_ONLY name for a flag that sets
+none. `main` runs every command but report: it resolves and type-checks
+the whole config, makes --out, calls the command's handler with
+(args, cfg, out) and writes the one manifest.json from the outputs and
+exit code that returns. Each command hands its tables, {header: column},
+to the one CSV writer, `write_csv`. The manifest echoes the resolved
+config, versions and wall-clock time; re-running it reproduces the CSVs
+bitwise in deterministic (full-batch) mode.
 
 Exit codes: 0 success, 1 validation/usage error, 2 numeric failure,
 3 capacity error.
@@ -96,6 +98,8 @@ def _finite(text):
 
 
 def _params_from_csv(path):
+    """The ParamVector of a params CSV: `index,value[,mask]` rows, whose
+    indices run 0, 1, 2, ... in order."""
     values, mask = [], []
     with open_input(path) as f:
         reader = csv.reader(f)
@@ -105,6 +109,8 @@ def _params_from_csv(path):
         has_mask = "mask" in header
         for row in reader:
             try:
+                if int(row[0]) != len(values):
+                    raise ValueError(f"index {row[0]} is not {len(values)}")
                 values.append(_finite(row[1]))
                 if has_mask:
                     bit = int(row[2])
@@ -362,9 +368,71 @@ def cmd_report(args):
     return 0
 
 
-# The subcommands, in the order that --help lists them.
-COMMANDS = ("pretrain", "prune", "simulate", "pipeline", "hessian", "proxy",
-            "kappa", "report")
+# The flags of every subcommand but report.
+COMMON = (("--config", {"help": "JSON config (or manifest) file"}),
+          ("--out", {"help": "output directory"}),
+          ("--seed", "seed"),
+          ("--set", {"action": "append", "metavar": "KEY=VALUE",
+                     "help": "override any config key"}))
+
+# Each subcommand, in the order that --help lists them: its handler, its
+# help line and its flags. A flag is (option, the config key it sets), or
+# (option, add_argument keywords) for a flag that sets no key or has choices.
+SUBCOMMANDS = {
+    "pretrain": (cmd_pretrain, "dense classical pre-training", COMMON + (
+        ("--model", "model.kind"),
+        ("--data", "data.path"),
+        ("--steps", "pretrain.steps"),
+        ("--eta", "pretrain.eta"),
+        ("--batch", "pretrain.batch"))),
+    "prune": (cmd_prune, "magnitude pruning of pretrained params", COMMON + (
+        ("--params", {"help": "params.csv from pretrain"}),
+        ("--fraction", "schedule.prune_fraction"))),
+    "simulate": (cmd_simulate, "single-segment Carleman simulation", COMMON + (
+        ("--model", "model.kind"),
+        ("--data", "data.path"),
+        ("--order", "simulate.order"),
+        ("--steps", "simulate.steps"),
+        ("--eta", "simulate.eta"),
+        ("--degree", "simulate.degree"),
+        ("--anchor", {"dest": "simulate.anchor", "choices": ["start", "zero"]}),
+        ("--theta0", "init.params"),
+        ("--shots", "readout.shots"))),
+    "pipeline": (cmd_pipeline, "pretrain + prune + segmented run", COMMON + (
+        ("--data", "data.path"),
+        ("--steps", "schedule.steps"),
+        ("--reupload", "schedule.reupload_period"),
+        ("--refine", "schedule.refine_steps"),
+        ("--order", "schedule.order"),
+        ("--fraction", "schedule.prune_fraction"),
+        ("--eta", "schedule.eta"),
+        ("--pretrain-steps", "pretrain.steps"))),
+    "hessian": (cmd_hessian, "Hessian spectrum at a point", COMMON + (
+        ("--model", "model.kind"),
+        ("--data", "data.path"),
+        ("--params", {"help": "evaluate at these parameters"}),
+        ("--method", {"dest": "hessian.method", "choices": ["direct", "lanczos"]}),
+        ("--lanczos-k", "hessian.lanczos_k"),
+        ("--probes", "hessian.probes"),
+        ("--bins", "hessian.bins"))),
+    "proxy": (cmd_proxy, "spectral error proxy from a spectrum CSV", COMMON + (
+        ("--spectrum", {}),
+        ("--eta", "proxy.eta"),
+        ("--tmax", "proxy.tmax"),
+        ("--threshold", "proxy.threshold"),
+        ("--scale", {"dest": "proxy.scale", "choices": ["eta", "raw"]}))),
+    "kappa": (cmd_kappa, "condition number vs step count", COMMON + (
+        ("--model", "model.kind"),
+        ("--eta", "kappa.eta"),
+        ("--order", "kappa.order"),
+        ("--steps-list", "kappa.steps"),
+        ("--method", {"dest": "kappa.method",
+                      "choices": ["dense_svd", "power_iteration"]}))),
+    "report": (cmd_report, "summarize an existing run directory", (
+        ("--run", {"required": True}),
+        ("--out", {}))),
+}
+COMMANDS = tuple(SUBCOMMANDS)
 
 
 def build_parser(command=None):
@@ -379,97 +447,13 @@ def build_parser(command=None):
     sub = parser.add_subparsers(
         dest="command", required=True,
         metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
-
-    def common(p):
-        p.add_argument("--config", help="JSON config (or manifest) file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override any config key")
-
-    if command in (None, "pretrain"):
-        p = sub.add_parser("pretrain", help="dense classical pre-training")
-        common(p)
-        p.add_argument("--model", dest="model.kind")
-        p.add_argument("--data", dest="data.path")
-        p.add_argument("--steps", dest="pretrain.steps")
-        p.add_argument("--eta", dest="pretrain.eta")
-        p.add_argument("--batch", dest="pretrain.batch")
-        p.set_defaults(func=cmd_pretrain)
-
-    if command in (None, "prune"):
-        p = sub.add_parser("prune", help="magnitude pruning of pretrained params")
-        common(p)
-        p.add_argument("--params", help="params.csv from pretrain")
-        p.add_argument("--fraction", dest="schedule.prune_fraction")
-        p.set_defaults(func=cmd_prune)
-
-    if command in (None, "simulate"):
-        p = sub.add_parser("simulate", help="single-segment Carleman simulation")
-        common(p)
-        p.add_argument("--model", dest="model.kind")
-        p.add_argument("--data", dest="data.path")
-        p.add_argument("--order", dest="simulate.order")
-        p.add_argument("--steps", dest="simulate.steps")
-        p.add_argument("--eta", dest="simulate.eta")
-        p.add_argument("--degree", dest="simulate.degree")
-        p.add_argument("--anchor", dest="simulate.anchor", choices=["start", "zero"])
-        p.add_argument("--theta0", dest="init.params")
-        p.add_argument("--shots", dest="readout.shots")
-        p.set_defaults(func=cmd_simulate)
-
-    if command in (None, "pipeline"):
-        p = sub.add_parser("pipeline", help="pretrain + prune + segmented run")
-        common(p)
-        p.add_argument("--data", dest="data.path")
-        p.add_argument("--steps", dest="schedule.steps")
-        p.add_argument("--reupload", dest="schedule.reupload_period")
-        p.add_argument("--refine", dest="schedule.refine_steps")
-        p.add_argument("--order", dest="schedule.order")
-        p.add_argument("--fraction", dest="schedule.prune_fraction")
-        p.add_argument("--eta", dest="schedule.eta")
-        p.add_argument("--pretrain-steps", dest="pretrain.steps")
-        p.set_defaults(func=cmd_pipeline)
-
-    if command in (None, "hessian"):
-        p = sub.add_parser("hessian", help="Hessian spectrum at a point")
-        common(p)
-        p.add_argument("--model", dest="model.kind")
-        p.add_argument("--data", dest="data.path")
-        p.add_argument("--params", help="evaluate at these parameters")
-        p.add_argument("--method", dest="hessian.method", choices=["direct", "lanczos"])
-        p.add_argument("--lanczos-k", dest="hessian.lanczos_k")
-        p.add_argument("--probes", dest="hessian.probes")
-        p.add_argument("--bins", dest="hessian.bins")
-        p.set_defaults(func=cmd_hessian)
-
-    if command in (None, "proxy"):
-        p = sub.add_parser("proxy", help="spectral error proxy from a spectrum CSV")
-        common(p)
-        p.add_argument("--spectrum")
-        p.add_argument("--eta", dest="proxy.eta")
-        p.add_argument("--tmax", dest="proxy.tmax")
-        p.add_argument("--threshold", dest="proxy.threshold")
-        p.add_argument("--scale", dest="proxy.scale", choices=["eta", "raw"])
-        p.set_defaults(func=cmd_proxy)
-
-    if command in (None, "kappa"):
-        p = sub.add_parser("kappa", help="condition number vs step count")
-        common(p)
-        p.add_argument("--model", dest="model.kind")
-        p.add_argument("--eta", dest="kappa.eta")
-        p.add_argument("--order", dest="kappa.order")
-        p.add_argument("--steps-list", dest="kappa.steps")
-        p.add_argument("--method", dest="kappa.method",
-                       choices=["dense_svd", "power_iteration"])
-        p.set_defaults(func=cmd_kappa)
-
-    if command in (None, "report"):
-        p = sub.add_parser("report", help="summarize an existing run directory")
-        p.add_argument("--run", required=True)
-        p.add_argument("--out")
-        p.set_defaults(func=cmd_report)
-
+    for name, (func, help_line, flags) in SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            for option, spec in flags:
+                p.add_argument(option, **(spec if isinstance(spec, dict)
+                                          else {"dest": spec}))
+            p.set_defaults(func=func)
     return parser
 
 

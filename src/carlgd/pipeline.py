@@ -139,13 +139,12 @@ def _segment(spec, data, start, anchor, degree, eta, order, steps):
 
 
 def _loss_acc(spec, theta, data):
-    """Loss and accuracy of one step, or arrays of them for a stack of
-    steps, from one forward pass; the accuracy is NaN for a model that does
-    not classify. A loss that overflows reads inf, to keep reporting usable
-    on runs that blow up."""
+    """Arrays of the loss and the accuracy of each row of a stack of steps,
+    from one forward pass; the accuracy is NaN for a model that does not
+    classify. A loss that overflows reads inf, to keep reporting usable on
+    runs that blow up."""
     lv, acc = models.loss_accuracy(spec, theta, data)
-    lv = np.where(np.isfinite(lv), lv, np.inf)
-    return (lv if lv.ndim else float(lv)), acc
+    return np.where(np.isfinite(lv), lv, np.inf), acc
 
 
 def _records(spec, data, approx, exact, step0, seg, phase):

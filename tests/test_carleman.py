@@ -174,6 +174,20 @@ def test_embed_capacity_error():
     assert err.value.required == 1 + 4 + 16 + 64
 
 
+def test_embed_keeps_overflowing_sum_as_inf():
+    """The order-2 block of F_1 = [[1e308]] sums to 2e308: embed keeps it as
+    inf, with no RuntimeWarning, and both κ methods reject the system."""
+    fld = polyfield.PolyField(n=1, degree=1, eta=0.1, theta_star=np.zeros(1),
+                              terms=[np.zeros((1, 1)), np.array([[1e308]])])
+    M = carlgd.embed(fld, 2)
+    assert M.S.toarray()[1, 1] == np.inf
+    G = carlgd.build_global(M, M.initial_state(np.array([0.5])), 3)
+    with pytest.raises(SingularSystemError, match="non-finite entry"):
+        carlgd.condition_number(G, "dense_svd")
+    with pytest.raises(SingularSystemError, match="sigma_max=inf"):
+        carlgd.condition_number(G, "power_iteration")
+
+
 def test_audit_catches_tampering(monkeypatch):
     """embed checks every block's entries against that block's own bounds.
     One entry put just above block (2, 1), in an order-1 row and so inside

@@ -409,6 +409,9 @@ def test_nan_eta_exits_1(tmp_path, capsys, argv):
     ("index,value\n0,1.5\n1,nan\n", "line 3"),
     ("index,value\n0,-inf\n", "line 2"),
     ("index,value,mask\n0,1.5,1\n1,0,2\n", "line 3"),
+    ("index,value\n5,1.0\n5,2.0\n", "line 2"),
+    ("index,value\n1,1.0\n0,2.0\n", "line 2"),
+    ("index,value\n0.5,1.0\n", "line 2"),
 ])
 def test_prune_malformed_params_csv(tmp_path, capsys, text, where):
     params = tmp_path / "params.csv"
@@ -555,6 +558,25 @@ def test_one_command_parser_matches_full_parser(name):
     assert got.get_default("func") is want.get_default("func")
     assert got.format_help() == want.format_help()
     assert lazy.format_usage() == full.format_usage()
+
+
+def cli_actions(parser):
+    """Each subcommand of `parser`, in order: its handler's name and the
+    ACTION_FIELDS of each of its actions, as JSON data."""
+    return json.loads(json.dumps({
+        name: {"handler": sub.get_default("func").__name__,
+               "actions": [{f: getattr(a, f) for f in ACTION_FIELDS}
+                           for a in sub._actions]}
+        for name, sub in subparsers(parser).items()}))
+
+
+def test_cli_actions_match_the_pinned_contract():
+    """Every subcommand's flags, dests, choices, defaults, help and handler
+    equal those pinned in tests/data/cli_actions.json, so an edit that drops
+    or renames a flag in both the full and the one-command parser fails."""
+    with open(Path(__file__).parent / "data" / "cli_actions.json") as f:
+        pinned = json.load(f)
+    assert list(cli_actions(build_parser()).items()) == list(pinned.items())
 
 
 def test_module_entry_reads_sys_argv(tmp_path):

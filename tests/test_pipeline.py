@@ -325,7 +325,7 @@ def test_loss_acc_reads_inf_for_overflowing_loss(mlp_spec, cubic_spec, iris):
     reads inf next to the accuracy."""
     with pytest.raises(carlgd.models.NumericOverflowError):
         carlgd.loss(mlp_spec, np.full(mlp_spec.n, 1e100), iris)
-    lv, acc = pipeline._loss_acc(mlp_spec, np.full(mlp_spec.n, 1e100), iris)
-    assert lv == np.inf and 0.0 <= acc <= 1.0
-    lv, acc = pipeline._loss_acc(cubic_spec, np.array([1e100]), None)
-    assert lv == np.inf and np.isnan(acc)
+    lv, acc = pipeline._loss_acc(mlp_spec, np.full((1, mlp_spec.n), 1e100), iris)
+    assert lv[0] == np.inf and 0.0 <= acc[0] <= 1.0
+    lv, acc = pipeline._loss_acc(cubic_spec, np.array([[1e100]]), None)
+    assert lv[0] == np.inf and np.isnan(acc[0])
