@@ -7,10 +7,11 @@ product rule: the block mapping order j = i+k-1 into order i is
 
     A[i][j] = sum_{p=1..i}  I^{(x)(p-1)} (x) F_k (x) I^{(x)(i-p)} .
 
-`embed` writes every block's p-term entries from the triplets of F_k by
-index arithmetic, unsummed, checks them all at once against their blocks'
-bounds, adds the identity's diagonal after them, and sums the entries of
-each key in that order, by one sort, into one canonical `CSR` matrix, S.
+`embed` builds the Kronecker sums of each F_k order by order, K_i from
+K_{i-1} (K_i = K_{i-1} (x) I_n + I_{n^(i-1)} (x) F_k), as unsummed entries
+in p order. It checks them all at once against their blocks' bounds, adds
+the identity's diagonal after them, and sums the entries of each key in
+that order, by one sort, into one canonical `CSR` matrix, S.
 No block is stored on its own: slice `CarlemanMatrix.S` at `offsets`.
 `CSR` is this package's own sparse storage, so the lift runs on numpy
 alone; products with S go through `GlobalSystem`, which picks a dense or
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import (CapacityError, ConvergenceError, DegenerateStateError,
                      InputError, SingularSystemError)
-from .util import kron_power, norm2
+from .util import norm2
 
 class CSR:
     """A canonical CSR matrix: in each row the column indices are sorted and
@@ -79,25 +80,22 @@ class CSR:
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
 
-def _kron_sum_entries(Fk, i, row0, col0, width):
-    """Entries of sum_{p=1..i} I_{n^(p-1)} (x) F_k (x) I_{n^(i-p)} at (row0, col0)
-    of a `width`-column matrix, unsummed: the keys row * width + col and
-    values of term p = 1, then of term p = 2, and so on. A key occurs once
-    in each term that writes it."""
+def _kron_sums(Fk, top, width):
+    """Entries of K_i = sum_{p=1..i} I_{n^(p-1)} (x) F_k (x) I_{n^(i-p)}, i = 1..top,
+    unsummed, as keys row * width + col and values. K_1 = F_k, and K_i is
+    K_{i-1} (x) I_n (terms p < i, in p order), then I_{n^(i-1)} (x) F_k
+    (term p = i): a key occurs once in each term that writes it, in p order."""
     n, m = Fk.shape  # m = n^k
-    base = row0 * width + col0
     entry = np.repeat(np.arange(n, dtype=np.int64) * width, np.diff(Fk.indptr)) + Fk.indices
-    key = np.empty((i, n ** (i - 1) * Fk.nnz), dtype=np.int64)  # row * width + col
-    val = np.empty(key.shape)
-    for p in range(1, i + 1):  # term p, laid out over (alpha, F entry, beta)
-        # F_k[r, c] goes to row (alpha*n + r)*b + beta, column (alpha*m + c)*b + beta
-        a, b = n ** (p - 1), n ** (i - p)
-        term = key[p - 1].reshape(a, Fk.nnz, b)
-        np.add(np.arange(a, dtype=np.int64)[:, None, None] * ((n * width + m) * b) + base,
-               entry[:, None] * b, out=term)
-        term += np.arange(b, dtype=np.int64) * (width + 1)
-        val[p - 1].reshape(term.shape)[...] = Fk.data[:, None]
-    return key.ravel(), val.ravel()
+    key, val = entry, Fk.data
+    for i in range(1, top + 1):
+        if i > 1:  # K[r, c] to (n*r + beta, n*c + beta), F_k[r, c] to (alpha*n + r, alpha*m + c)
+            alpha = np.arange(n ** (i - 1), dtype=np.int64)
+            key = np.concatenate([
+                np.add.outer(n * key, np.arange(n, dtype=np.int64) * (width + 1)).ravel(),
+                np.add.outer(alpha * (n * width + m), entry).ravel()])
+            val = np.concatenate([np.repeat(val, n), np.tile(Fk.data, alpha.size)])
+        yield key, val
 
 
 def _sorted_sums(key, val):
@@ -139,8 +137,10 @@ class CarlemanMatrix:
         if theta0.size != self.n:
             raise InputError(f"theta0 length {theta0.size} != dimension {self.n}")
         delta = theta0 - self.field.theta_star
-        parts = [kron_power(delta, j) for j in self.block_orders]
-        return np.concatenate(parts)
+        parts = [np.ones(1)]  # delta^(x)j, each from the one before
+        for _ in range(self.order):
+            parts.append(np.multiply.outer(parts[-1], delta).ravel())
+        return np.concatenate(parts[self.block_orders[0]:])
 
 
 # Budget on the embedding dimension D, shared by `embed` and the capacity
@@ -170,16 +170,17 @@ def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
 
     S is one canonical `CSR` matrix, built by one sort from every block's
     unsummed p-term keys, in p order, and then the identity's diagonal
-    keys. Keys of different blocks never collide, so each entry is summed
-    in that order, ((t_1 + t_2) + ...) + 1 on the diagonal; an entry that
-    sums to 0 is dropped. Before the sort, every block's keys are checked
-    at once to lie inside their block (InputError naming the first block
-    that fails), so S never needs a structure scan. `include_constant`
-    defaults to auto: the order-0 block is kept exactly when the field has
-    a nonzero constant term. Raises CapacityError when the total dimension
-    would exceed `max_dim`.
+    keys. Block (i, i + k - 1) is the Kronecker sum K_i of F_k, built from
+    K_{i-1} by `_kron_sums`. Keys of different blocks never collide, so
+    each entry is summed in that order, ((t_1 + t_2) + ...) + 1 on the
+    diagonal; an entry that sums to 0 is dropped. Before the sort, every
+    block's keys are checked at once to lie inside their block (InputError
+    naming the first block that fails), so S never needs a structure scan.
+    `include_constant` defaults to auto: the order-0 block is kept exactly
+    when the field has a nonzero constant term. Raises CapacityError when
+    the total dimension would exceed `max_dim`.
     """
-    n, d = field_.n, field_.degree
+    n = field_.n
     if include_constant is None:
         include_constant = field_.terms[0].nnz > 0
     block_orders, dims = check_capacity(n, order, include_constant, max_dim)
@@ -187,15 +188,14 @@ def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
     offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(np.int64)
     start = dict(zip(block_orders, offsets))
     blocks, bounds, keys, vals = [], [], [], []
-    for i in range(1, order + 1):
-        for k in range(d + 1):
+    for k, Fk in enumerate(field_.terms):  # blocks (i, i + k - 1), j <= order
+        for i, (key, val) in enumerate(_kron_sums(Fk, order + 1 - max(k, 1), D), 1):
             j = i + k - 1
-            if j not in start:  # target order truncated away
+            if j not in start:  # the order-0 block, not kept
                 continue
-            key, val = _kron_sum_entries(field_.terms[k], i, start[i], start[j], D)
             blocks.append((i, j))
             bounds.append((start[i], start[i] + n ** i, start[j], start[j] + n ** j))
-            keys.append(key)
+            keys.append(key + (start[i] * D + start[j]))
             vals.append(val)
     sizes = [key.size for key in keys]
     keys.append(np.arange(D, dtype=np.int64) * (D + 1))  # I, after the blocks

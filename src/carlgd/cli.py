@@ -360,11 +360,13 @@ def cmd_report(args):
         summary["segments"] = len(rows)
         if rows:
             summary["max_kappa"] = max(r["kappa"] for r in rows)
+    summary = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+               for key, v in summary.items()}  # JSON has no NaN or inf
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     out = Path(args.out) if args.out else run
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    (out / "report.json").write_text(text)
+    print(text)
     return 0
 
 

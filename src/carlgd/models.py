@@ -210,16 +210,14 @@ def _mlp_forward(spec, theta, X):
     return A_list, H_list
 
 
-def _loss_value(spec, theta, data):
+def _loss_value(spec, theta):
+    """Loss of an analytic testbed at one parameter vector."""
     if spec.kind == "diag_quadratic":
         c = np.asarray(spec.coefficients)
         return 0.5 * float(np.dot(c, theta * theta))
-    if spec.kind == "scalar_cubic":
-        c0, c1 = spec.coefficients
-        t = theta[0]
-        return 0.5 * c0 * t * t + 0.25 * c1 * t ** 4
-    _, H_list = _mlp_forward(spec, theta, data.features)
-    return _mse(H_list[-1], data)
+    c0, c1 = spec.coefficients
+    t = theta[0]
+    return 0.5 * c0 * t * t + 0.25 * c1 * t ** 4
 
 
 def _mse(out, data):
@@ -328,15 +326,17 @@ def hvp_batch(spec, points, data, directions):
     return out
 
 
-def loss(spec, params, data=None):
-    """Evaluate L(theta); raises NumericOverflowError on non-finite values."""
-    theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
-    _check_inputs(spec, theta, data)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
-        value = _loss_value(spec, theta, data)
-    if not np.isfinite(value):
-        raise NumericOverflowError("loss evaluated to a non-finite value")
+def _finite(value, name):
+    """`value`, or NumericOverflowError when any of it is not finite."""
+    if not np.all(np.isfinite(value)):
+        raise NumericOverflowError(f"{name} evaluated to a non-finite value")
     return value
+
+
+def loss(spec, params, data=None):
+    """Evaluate L(theta) by the forward pass of `loss_accuracy`; raises
+    NumericOverflowError on non-finite values."""
+    return _finite(loss_accuracy(spec, params, data)[0], "loss")
 
 
 def loss_accuracy(spec, params, data):
@@ -353,7 +353,7 @@ def loss_accuracy(spec, params, data):
         for r in range(0, len(rows), _FORWARD_ROWS):
             block = slice(r, r + _FORWARD_ROWS)
             if spec.kind != "mlp":
-                value[block] = [_loss_value(spec, t, data) for t in rows[block]]
+                value[block] = [_loss_value(spec, t) for t in rows[block]]
                 continue
             out = _mlp_forward(spec, rows[block], data.features)[1][-1]
             value[block] = _mse(out, data)
@@ -364,26 +364,28 @@ def loss_accuracy(spec, params, data):
 
 
 def grad(spec, params, data=None):
-    """Exact gradient of the loss (closed form or backpropagation)."""
+    """Exact gradient of the loss (closed form or backpropagation); raises
+    NumericOverflowError on non-finite values."""
     theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
     _check_inputs(spec, theta, data)
-    g = _grad_values(spec, theta, data)
-    if not np.all(np.isfinite(g)):
-        raise NumericOverflowError("gradient evaluated to a non-finite value")
-    return g
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
+        return _finite(_grad_values(spec, theta, data), "gradient")
 
 
 def hvp(spec, params, data, v):
-    """Exact Hessian-vector product H(theta) @ v."""
+    """Exact Hessian-vector product H(theta) @ v; raises
+    NumericOverflowError on non-finite values."""
     theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
-    return hvp_batch(spec, theta, data, np.ravel(v))[0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
+        return _finite(hvp_batch(spec, theta, data, np.ravel(v))[0, 0],
+                       "Hessian-vector product")
 
 
 def hessian(spec, params, data=None, dense_limit=4096):
     """Dense Hessian: one batched product on the identity directions.
 
     Rejected above `dense_limit` parameters; use hvp / a Lanczos estimate
-    instead at that scale.
+    instead at that scale. Raises NumericOverflowError on non-finite values.
     """
     theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
     _check_inputs(spec, theta, data)
@@ -392,7 +394,8 @@ def hessian(spec, params, data=None, dense_limit=4096):
         raise InputError(
             f"dense Hessian rejected for n={n} > limit {dense_limit}; use hvp"
         )
-    return hvp_batch(spec, theta, data, np.eye(n))[0].T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
+        return _finite(hvp_batch(spec, theta, data, np.eye(n))[0].T, "Hessian")
 
 
 def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,

@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation, Kronecker powers, norms, input
+"""Small shared helpers: seed derivation, norms, input
 files, float formatting."""
 
 import hashlib
@@ -22,16 +22,6 @@ def sub_seed(seed, name):
 
 def rng_for(seed, name):
     return np.random.default_rng(sub_seed(seed, name))
-
-
-def kron_power(v, k):
-    """k-fold Kronecker power of a vector; k=0 gives the scalar [1.0]. Each
-    entry is one product of the previous power's entry and one of v's, as
-    in np.kron, but without np.kron's general-shape overhead."""
-    out = np.ones(1, dtype=float)
-    for _ in range(k):
-        out = np.multiply.outer(out, v).ravel()
-    return out
 
 
 def norm2(x):

@@ -188,23 +188,45 @@ def test_embed_keeps_overflowing_sum_as_inf():
         carlgd.condition_number(G, "power_iteration")
 
 
+@pytest.mark.parametrize("n,degree,top", [(1, 3, 6), (2, 3, 4), (3, 2, 3)])
+def test_kron_sums_yield_each_term_in_p_order(n, degree, top):
+    """K_i, built from K_{i-1}, is i equal chunks, one per term p = 1..i in
+    p order; each chunk, sorted, is the nonzeros of I_{n^(p-1)} (x) F_k (x)
+    I_{n^(i-p)}, as keys row * width + col. The sums' bits rest on this
+    order."""
+    fld = random_field(n, degree, seed=n + degree)
+    width = n ** (top + degree) + 5  # wider than any block, as in embed
+    for k, Fk in enumerate(fld.terms):
+        F = Fk.toarray()
+        sums = list(carleman._kron_sums(Fk, top, width))
+        assert len(sums) == top
+        for i, (key, val) in enumerate(sums, 1):
+            assert key.dtype == np.int64 and key.size == val.size == i * n ** (i - 1) * Fk.nnz
+            for p, (k_p, v_p) in enumerate(zip(np.split(key, i), np.split(val, i)), 1):
+                term = np.kron(np.kron(np.eye(n ** (p - 1)), F), np.eye(n ** (i - p)))
+                rows, cols = np.nonzero(term)
+                order = np.argsort(k_p)
+                np.testing.assert_array_equal(k_p[order], rows * width + cols)
+                assert v_p[order].tobytes() == term[rows, cols].tobytes()
+
+
 def test_audit_catches_tampering(monkeypatch):
     """embed checks every block's entries against that block's own bounds.
     One entry put just above block (2, 1), in an order-1 row and so inside
     block (1, 1)'s range, or just left of it, in the constant column, is
     rejected with an error that names block (2, 1)."""
     fld = random_field(2, 1, seed=3)
-    original = carleman._kron_sum_entries
+    original = carleman._kron_sums
     for d_row, d_col in ((-1, 0), (0, -1)):
-        def tampered(Fk, i, row0, col0, width, d_row=d_row, d_col=d_col):
-            keys, vals = original(Fk, i, row0, col0, width)
-            if (i, Fk.shape[1]) == (2, 1):  # block (2, 1), written from F_0
-                keys = np.append(keys, (row0 + d_row) * width + col0 + d_col)
-                vals = np.append(vals, 1.0)
-            return keys, vals
+        def tampered(Fk, top, width, d_row=d_row, d_col=d_col):
+            for i, (keys, vals) in enumerate(original(Fk, top, width), 1):
+                if (i, Fk.shape[1]) == (2, 1):  # block (2, 1), written from F_0
+                    keys = np.append(keys, d_row * width + d_col)  # local key
+                    vals = np.append(vals, 1.0)
+                yield keys, vals
 
         with monkeypatch.context() as m:
-            m.setattr(carleman, "_kron_sum_entries", tampered)
+            m.setattr(carleman, "_kron_sums", tampered)
             with pytest.raises(InputError, match=r"block \(2,1\)"):
                 carlgd.embed(fld, 2, include_constant=True)
     carlgd.embed(fld, 2, include_constant=True)  # untampered: accepted

@@ -267,6 +267,31 @@ GOOD_MANIFEST = json.dumps({"command": "pipeline", "outputs": []})
 TRAJECTORY = "step,loss,accuracy,err_l2\n0,0.5,0.9,0.0\n"
 
 
+def reject_constant(name):
+    raise ValueError(f"non-finite value {name} in strict JSON")
+
+
+def test_report_writes_non_finite_values_as_null(tmp_path, capsys):
+    """A testbed's accuracy is NaN and a kappa may be inf: the report
+    writes each as null, so report.json and stdout are strict JSON."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", "scalar_cubic", "--order", "3",
+                 "--steps", "5", "--eta", "0.1", "--theta0", "0.5",
+                 "--out", str(sim)]) == 0
+    hand = tmp_path / "hand"
+    hand.mkdir()
+    (hand / "manifest.json").write_text(GOOD_MANIFEST)
+    (hand / "trajectory.csv").write_text(TRAJECTORY)
+    (hand / "segments.csv").write_text("segment,kappa\n0,2.5\n1,inf\n")
+    capsys.readouterr()
+    for run, key in ((sim, "final_accuracy"), (hand, "max_kappa")):
+        assert main(["report", "--run", str(run)]) == 0
+        for text in ((run / "report.json").read_text(), capsys.readouterr().out):
+            summary = json.loads(text, parse_constant=reject_constant)
+            assert key in summary and summary[key] is None
+    assert summary["final_loss"] == 0.5 and summary["segments"] == 2
+
+
 @pytest.mark.parametrize("manifest, files, message", [
     ("{not json", {}, "malformed manifest"),
     ("[1, 2]", {}, "not a run manifest"),
@@ -385,6 +410,29 @@ def test_simulate_of_an_overflowing_lift_exits_2(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith(
         "numeric failure: trajectory diverged at step 1")
+
+
+OVERFLOWING_IRIS_POINT = "init.params=" + json.dumps([1e200] + [1.0] * 26)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "scalar_cubic", "--set", "init.params=[1e200]"],
+    ["--model", "scalar_cubic", "--set", "init.params=[1e200]",
+     "--method", "lanczos"],
+    ["--data", str(IRIS_CSV), "--set", OVERFLOWING_IRIS_POINT],
+    ["--data", str(IRIS_CSV), "--set", OVERFLOWING_IRIS_POINT,
+     "--method", "lanczos"],
+], ids=["cubic-direct", "cubic-lanczos", "mlp-direct", "mlp-lanczos"])
+def test_hessian_that_overflows_exits_2(tmp_path, capsys, argv):
+    """A Hessian that overflows is a numeric failure, with either method:
+    exit 2, no warning or traceback, and no spectrum written."""
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["hessian", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "Traceback" not in err
+    assert not (out / "spectrum.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -90,6 +90,24 @@ def test_accuracy_on_overflowing_forward_pass_warns_nothing(mlp_spec, iris):
     assert 0.0 <= acc <= 1.0
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda spec, theta, data: carlgd.loss(spec, theta, data),
+    lambda spec, theta, data: carlgd.grad(spec, theta, data),
+    lambda spec, theta, data: carlgd.hvp(spec, theta, data, np.ones(spec.n)),
+    lambda spec, theta, data: carlgd.hessian(spec, theta, data),
+], ids=["loss", "grad", "hvp", "hessian"])
+def test_overflow_raises_typed_error_and_warns_nothing(mlp_spec, cubic_spec,
+                                                       iris, evaluate):
+    # under the suite's error::RuntimeWarning filter a leaked warning fails
+    # the call before the typed error is raised
+    mlp_point = np.ones(mlp_spec.n)
+    mlp_point[0] = 1e200
+    for spec, theta, data in ((cubic_spec, np.array([1e200]), None),
+                              (mlp_spec, mlp_point, iris)):
+        with pytest.raises(models.NumericOverflowError, match="non-finite"):
+            evaluate(spec, theta, data)
+
+
 def test_mlp_grad_matches_finite_differences(mlp_spec, iris):
     rng = np.random.default_rng(0)
     h = 1e-4
