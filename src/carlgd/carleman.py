@@ -9,9 +9,11 @@ product rule: the block mapping order j = i+k-1 into order i is
 
 `embed` builds the Kronecker sums of each F_k order by order, K_i from
 K_{i-1} (K_i = K_{i-1} (x) I_n + I_{n^(i-1)} (x) F_k), as unsummed entries
-in p order. It checks them all at once against their blocks' bounds, adds
-the identity's diagonal after them, and sums the entries of each key in
-that order, by one sort, into one canonical `CSR` matrix, S.
+in p order. It checks each block's keys against that block's own bounds
+as they are yielded, adds the identity's diagonal after them, and sums the
+entries of each key in that order, by one sort, into one canonical `CSR`
+matrix, S. The count of those keys is known from the field before any is
+written, and is checked against a budget, as D is.
 No block is stored on its own: slice `CarlemanMatrix.S` at `offsets`.
 `CSR` is this package's own sparse storage, so the lift runs on numpy
 alone; products with S go through `GlobalSystem`, which picks a dense or
@@ -146,14 +148,30 @@ class CarlemanMatrix:
 # Budget on the embedding dimension D, shared by `embed` and the capacity
 # check that runs before a field is extracted.
 MAX_DIM = 2_000_000
+# Budget on (T + 1) * D, the floats of one T-step trajectory. The
+# power-iteration kappa holds about six vectors of that size (the solve
+# about three), so this keeps its working set near 1 GiB: 6 * 8 B * 2e7 =
+# 0.96 GB.
+MAX_STATES = 20_000_000
+# Budget on the raw keys `embed` writes before summing them. Its peak, in
+# the sort, is about 65 B a key, so this keeps `embed` near 1 GiB.
+MAX_KEYS = 16_000_000
 
 
-def check_capacity(n, order, include_constant, max_dim):
+def check_capacity(n, order, include_constant, max_dim, steps=0):
     """Dimensions of the blocks kept in an order-`order` embedding of an
     n-dimensional field; raises CapacityError when their total D exceeds
-    `max_dim`. Needs no field, so callers can check before extracting one."""
+    `max_dim`, or a trajectory of `steps` steps, (steps + 1) * D floats,
+    exceeds MAX_STATES. Needs no field, so callers can check before
+    extracting one."""
     if order < 1:
         raise InputError("truncation order must be >= 1")
+    # D >= order, and D >= 2^order when n >= 2: a larger order is over the
+    # budget, and is rejected before its blocks are listed
+    if order > (max_dim if n < 2 else max_dim.bit_length()):
+        raise CapacityError(
+            f"truncation order {order} needs a dimension D over the budget {max_dim}",
+            required=max_dim + 1, budget=max_dim)
     block_orders = ([0] if include_constant else []) + list(range(1, order + 1))
     dims = [n ** j for j in block_orders]
     D = int(sum(dims))
@@ -162,6 +180,11 @@ def check_capacity(n, order, include_constant, max_dim):
             f"embedding needs dimension D={D}, over the budget {max_dim}",
             required=D, budget=max_dim,
         )
+    if (steps + 1) * D > MAX_STATES:
+        raise CapacityError(
+            f"{steps} steps of dimension D={D} need (T + 1) * D = "
+            f"{(steps + 1) * D} floats, over the budget {MAX_STATES}",
+            required=(steps + 1) * D, budget=MAX_STATES)
     return block_orders, dims
 
 
@@ -173,12 +196,15 @@ def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
     keys. Block (i, i + k - 1) is the Kronecker sum K_i of F_k, built from
     K_{i-1} by `_kron_sums`. Keys of different blocks never collide, so
     each entry is summed in that order, ((t_1 + t_2) + ...) + 1 on the
-    diagonal; an entry that sums to 0 is dropped. Before the sort, every
-    block's keys are checked at once to lie inside their block (InputError
-    naming the first block that fails), so S never needs a structure scan.
-    `include_constant` defaults to auto: the order-0 block is kept exactly
-    when the field has a nonzero constant term. Raises CapacityError when
-    the total dimension would exceed `max_dim`.
+    diagonal; an entry that sums to 0 is dropped. Each block's local keys
+    are checked as `_kron_sums` yields them to lie inside that block, row
+    < n^i and column < n^j (InputError naming the block), so S never needs
+    a structure scan. `include_constant` defaults to auto: the order-0
+    block is kept exactly when the field has a nonzero constant term.
+    Raises CapacityError when the total dimension would exceed `max_dim`,
+    or the raw keys of the kept blocks, i * nnz(F_k) * n^(i-1) for block
+    (i, i + k - 1), would exceed MAX_KEYS; both are known before any key
+    is written.
     """
     n = field_.n
     if include_constant is None:
@@ -187,31 +213,29 @@ def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
     D = int(sum(dims))
     offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(np.int64)
     start = dict(zip(block_orders, offsets))
-    blocks, bounds, keys, vals = [], [], [], []
+    raw = sum(i * Fk.nnz * n ** (i - 1) for k, Fk in enumerate(field_.terms)
+              for i in range(1, order + 2 - max(k, 1)) if i + k - 1 in start)
+    if raw > MAX_KEYS:
+        raise CapacityError(f"embedding writes {raw} raw keys, over the budget "
+                            f"{MAX_KEYS}", required=raw, budget=MAX_KEYS)
+    keys, vals = [], []
     for k, Fk in enumerate(field_.terms):  # blocks (i, i + k - 1), j <= order
         for i, (key, val) in enumerate(_kron_sums(Fk, order + 1 - max(k, 1), D), 1):
             j = i + k - 1
             if j not in start:  # the order-0 block, not kept
                 continue
-            blocks.append((i, j))
-            bounds.append((start[i], start[i] + n ** i, start[j], start[j] + n ** j))
+            try:  # unravel_index rejects a negative key or a row past n^i
+                if np.unravel_index(key, (n ** i, D))[1].max(initial=0) >= n ** j:
+                    raise ValueError
+            except ValueError:
+                raise InputError(f"block-structure check failed: an entry of block "
+                                 f"({i},{j}) lies outside it") from None
             keys.append(key + (start[i] * D + start[j]))
             vals.append(val)
-    sizes = [key.size for key in keys]
     keys.append(np.arange(D, dtype=np.int64) * (D + 1))  # I, after the blocks
     vals.append(np.ones(D))
     key, val = np.concatenate(keys), np.concatenate(vals)
-    del keys, vals  # free the per-block arrays before the check and the sort
-    row0, row1, col0, col1 = np.repeat(np.array(bounds, dtype=np.int64).reshape(-1, 4),
-                                       sizes, axis=0).T
-    row = key[:row0.size] // D
-    col = key[:row0.size] - row * D
-    outside = (row < row0) | (row >= row1) | (col < col0) | (col >= col1)
-    if outside.any():
-        i, j = blocks[np.searchsorted(np.cumsum(sizes), np.argmax(outside), side="right")]
-        raise InputError(f"block-structure check failed: an entry of block "
-                         f"({i},{j}) lies outside it")
-    del row0, row1, col0, col1, row, col, outside
+    del keys, vals  # free the per-block arrays before the sort
     S = CSR.from_keys(*_sorted_sums(key, val), (D, D))
     return CarlemanMatrix(n=n, order=order, include_constant=include_constant,
                           block_orders=block_orders, offsets=offsets, D=D,

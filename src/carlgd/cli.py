@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, carleman, config, diagnostics, models, pipeline
 from .errors import CapacityError, InputError, NumericError, ParseError
-from .util import fmt17, open_input, sub_seed
+from .util import finite_float, fmt17, open_input, sub_seed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,15 +88,6 @@ def _overrides(args):
     return ov
 
 
-def _finite(text):
-    """float(text), with a ValueError for a value that is not finite, as
-    for text that is not a number at all."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
 def _params_from_csv(path):
     """The ParamVector of a params CSV: `index,value[,mask]` rows, whose
     indices run 0, 1, 2, ... in order."""
@@ -111,7 +102,7 @@ def _params_from_csv(path):
             try:
                 if int(row[0]) != len(values):
                     raise ValueError(f"index {row[0]} is not {len(values)}")
-                values.append(_finite(row[1]))
+                values.append(finite_float(row[1]))
                 if has_mask:
                     bit = int(row[2])
                     if bit not in (0, 1):
@@ -148,7 +139,7 @@ def _spectrum_from_csv(path):
         rows = []
         for row in reader:
             try:
-                values = [_finite(row[c]) for c in cols]
+                values = [finite_float(row[c]) for c in cols]
                 if len(values) == 3 and not (values[0] < values[1]
                                              and values[2] >= 0):
                     raise ValueError("need bin_left < bin_right, density >= 0")
@@ -271,7 +262,7 @@ def cmd_hessian(args, cfg, out):
                    "eigenvalue": spect.eigenvalues})
     else:
         pts, _ = spect.points_weights()
-        edges = np.linspace(pts.min() - 1e-9, pts.max() + 1e-9, bins + 1)
+        edges = diagnostics.bin_edges(pts, bins)
         dens = spect.density(edges)
         write_csv(out / "spectrum.csv", {"bin_left": edges[:-1],
                                          "bin_right": edges[1:],
@@ -306,7 +297,8 @@ def cmd_kappa(args, cfg, out):
     order = cfg["kappa.order"]
     eta = cfg["kappa.eta"]
     degree = pipeline._field_degree(spec, order)
-    _, M = pipeline.lift(spec, data, np.zeros(spec.n), degree, eta, None, order)
+    _, M = pipeline.lift(spec, data, np.zeros(spec.n), degree, eta, None, order,
+                         max(steps))
     y0 = M.initial_state(theta0)
     method = cfg["kappa.method"]
     kappas = [carleman.condition_number(carleman.build_global(M, y0, T),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import models, pipeline
 from .errors import InputError
-from .util import open_input, sub_seed
+from .util import finite_float, open_input, sub_seed
 
 
 def _optional(convert):
@@ -42,7 +42,7 @@ def _list(item):
 
 
 def _anchor(value):
-    return value if isinstance(value, str) else _list(float)(value)
+    return value if isinstance(value, str) else _list(finite_float)(value)
 
 
 # key -> (default, converter). `resolve` passes every value through its
@@ -54,9 +54,9 @@ SCHEMA = {
     "model.activation": ("quadratic_poly", _text),
     "model.alpha": (0.1, float),
     "model.loss": ("mse", _text),
-    "model.coefficients": (None, _optional(_list(float))),  # None: per kind
+    "model.coefficients": (None, _optional(_list(finite_float))),  # None: per kind
     "data.path": (None, _optional(_text)),
-    "init.params": (None, _optional(_list(float))),  # None: seeded init
+    "init.params": (None, _optional(_list(finite_float))),  # None: seeded init
     "pretrain.steps": (200, int),
     "pretrain.eta": (0.05, float),
     "pretrain.batch": (None, _optional(int)),

@@ -53,13 +53,19 @@ class Spectrum:
         return mass / widths
 
 
-def histogram_l1(a, b, nbins=20, pad=1e-9):
+def bin_edges(points, bins):
+    """`bins` + 1 equal-width edges over the range of `points`, padded on
+    each side by 1e-9, or by 4 * bins ulps of max|points| where 1e-9 would
+    vanish next to it, so that every bin is at least 8 ulps wide."""
+    pad = max(1e-9, 4 * bins * float(np.spacing(np.max(np.abs(points)))))
+    return np.linspace(points.min() - pad, points.max() + pad, bins + 1)
+
+
+def histogram_l1(a, b, nbins=20):
     """l1 distance between two spectra binned on a common grid."""
     pa, _ = a.points_weights()
     pb, _ = b.points_weights()
-    lo = min(pa.min(), pb.min()) - pad
-    hi = max(pa.max(), pb.max()) + pad
-    edges = np.linspace(lo, hi, nbins + 1)
+    edges = bin_edges(np.concatenate([pa, pb]), nbins)
     return float(np.abs(a.histogram(edges) - b.histogram(edges)).sum())
 
 

@@ -57,8 +57,9 @@ class DegenerateStateError(NumericError):
 
 
 class CapacityError(RuntimeError):
-    """Requested embedding exceeds the memory budget; `required` is the
-    total dimension that would have been needed."""
+    """Requested embedding exceeds a memory budget; `required` is the size
+    that would have been needed, in the units of `budget` (D, trajectory
+    floats or raw keys). An order too large to count D gives budget + 1."""
 
     def __init__(self, message, required, budget):
         super().__init__(message)

@@ -426,20 +426,22 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
     rng = np.random.default_rng(noise_seed) if stochastic else None
     traj = np.empty((steps + 1, theta.size))
     traj[0] = theta
-    for t in range(1, steps + 1):
-        d = data
-        if stochastic:
-            idx = rng.choice(data.n_samples, size=batch, replace=False)
-            d = data.subset(idx)
-        g = _grad_values(spec, theta, d)
-        theta = theta - eta * g
-        if mask is not None:
-            theta[~mask] = 0.0
-        if not np.all(np.isfinite(theta)) or np.linalg.norm(theta) > divergence_bound:
-            if raise_on_divergence:
-                raise DivergenceError(f"trajectory diverged at step {t}", step=t)
-            return traj[:t]
-        traj[t] = theta
+    # an overflow in a step is caught by the checks on theta below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
+            d = data
+            if stochastic:
+                idx = rng.choice(data.n_samples, size=batch, replace=False)
+                d = data.subset(idx)
+            g = _grad_values(spec, theta, d)
+            theta = theta - eta * g
+            if mask is not None:
+                theta[~mask] = 0.0
+            if not np.all(np.isfinite(theta)) or np.linalg.norm(theta) > divergence_bound:
+                if raise_on_divergence:
+                    raise DivergenceError(f"trajectory diverged at step {t}", step=t)
+                return traj[:t]
+            traj[t] = theta
     return traj
 
 

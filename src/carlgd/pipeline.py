@@ -105,13 +105,14 @@ def _field_degree(spec, order):
     return max(1, min(spec.grad_degree(), order, 3))
 
 
-def lift(spec, data, anchor, degree, eta, mask, order):
-    """Field around `anchor` and its order-`order` embedding. The capacity
-    is checked against `carleman.MAX_DIM` from the free dimension and the
-    drift before any Hessian is evaluated."""
+def lift(spec, data, anchor, degree, eta, mask, order, steps):
+    """Field around `anchor` and its order-`order` embedding. The capacity,
+    D against `carleman.MAX_DIM` and a `steps`-step trajectory against
+    `carleman.MAX_STATES`, is checked from the free dimension and the drift
+    before any Hessian is evaluated."""
     idx = np.arange(spec.n) if mask is None else np.flatnonzero(mask)
     drift = bool(np.any(eta * models.grad(spec, anchor, data)[idx]))
-    carleman.check_capacity(idx.size, order, drift, carleman.MAX_DIM)
+    carleman.check_capacity(idx.size, order, drift, carleman.MAX_DIM, steps)
     fld = polyfield.from_model(spec, data, anchor, degree, eta, mask=mask)
     return fld, carleman.embed(fld, order)
 
@@ -127,7 +128,7 @@ def _segment(spec, data, start, anchor, degree, eta, order, steps):
     one of the runs left bounds at step `len(Y)`.
     """
     free = start.free_indices()
-    fld, M = lift(spec, data, anchor, degree, eta, start.mask, order)
+    fld, M = lift(spec, data, anchor, degree, eta, start.mask, order, steps)
     G = carleman.build_global(M, M.initial_state(start.values[free]), steps)
     Y = carleman.solve(G)
     exact = models.sgd_reference(spec, start, data, eta=eta, steps=Y.shape[0] - 1,

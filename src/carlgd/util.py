@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation, norms, input
+"""Small shared helpers: seed derivation, norms, finite numbers, input
 files, float formatting."""
 
 import hashlib
@@ -38,6 +38,15 @@ def norm2(x):
     if not math.isfinite(scale):
         return value
     return scale * float(np.linalg.norm(np.asarray(x) / scale))
+
+
+def finite_float(value):
+    """float(value), with a ValueError for a value that is not finite, as
+    for one that is not a number at all."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite value {value!r}")
+    return number
 
 
 def open_input(path, **kwargs):

@@ -174,6 +174,44 @@ def test_embed_capacity_error():
     assert err.value.required == 1 + 4 + 16 + 64
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_embed_raw_key_count_is_exact(monkeypatch, seed):
+    """With the constant block kept, the raw key count that embed checks
+    against MAX_KEYS is the count that `_kron_sums` yields: a budget of
+    exactly that count passes, and one key less is rejected."""
+    rng = np.random.default_rng(seed)
+    n, degree = int(rng.choice([1, 2, 3])), int(rng.integers(1, 4))
+    order = int(rng.integers(1, 5))
+    fld = random_field(n, degree, seed=seed)
+    yielded = []
+    original = carleman._kron_sums
+
+    def counted(Fk, top, width):
+        for keys, vals in original(Fk, top, width):
+            yielded.append(keys.size)
+            yield keys, vals
+
+    monkeypatch.setattr(carleman, "_kron_sums", counted)
+    carlgd.embed(fld, order, include_constant=True)
+    total = sum(yielded)
+    monkeypatch.setattr(carleman, "MAX_KEYS", total)
+    carlgd.embed(fld, order, include_constant=True)
+    monkeypatch.setattr(carleman, "MAX_KEYS", total - 1)
+    with pytest.raises(CapacityError) as err:
+        carlgd.embed(fld, order, include_constant=True)
+    assert err.value.required == total
+
+
+def test_embed_key_budget_checked_before_keys_are_written(monkeypatch):
+    def no_keys(*args, **kwargs):
+        raise AssertionError("keys written before the key budget check")
+
+    monkeypatch.setattr(carleman, "_kron_sums", no_keys)
+    monkeypatch.setattr(carleman, "MAX_KEYS", 10)
+    with pytest.raises(CapacityError, match="raw keys"):
+        carlgd.embed(random_field(3, 2, seed=1), 3)
+
+
 def test_embed_keeps_overflowing_sum_as_inf():
     """The order-2 block of F_1 = [[1e308]] sums to 2e308: embed keeps it as
     inf, with no RuntimeWarning, and both κ methods reject the system."""
@@ -280,7 +318,7 @@ def test_upload_stats():
     sched = carlgd.Schedule(total_steps=4, eta=0.1, reupload_period=2,
                             classical_refine_steps=0, carleman_order=2)
     report = pipeline.run_pipeline(spec, None, sched, params)
-    _, M = pipeline.lift(spec, None, params.values, 1, 0.1, params.mask, 2)
+    _, M = pipeline.lift(spec, None, params.values, 1, 0.1, params.mask, 2, 2)
     y0 = M.initial_state(params.values)
     assert np.count_nonzero(y0) == 1
     segs = report.segments
@@ -551,7 +589,7 @@ def test_lanczos_kappa_matches_dense_svd_on_pruned_iris_system(mlp_spec, iris):
     anchor = pruned.values
     _, M = pipeline.lift(mlp_spec, iris, anchor,
                          pipeline._field_degree(mlp_spec, 2), 0.05,
-                         pruned.mask, 2)
+                         pruned.mask, 2, 10)
     G = carlgd.build_global(M, M.initial_state(anchor[pruned.mask]), 10)
     assert (G.T + 1) * G.D == 1221
     kd = carlgd.condition_number(G, "dense_svd")
@@ -668,7 +706,7 @@ def pruned_iris(mlp_spec, iris):
 def lift_pruned_iris(mlp_spec, iris, pruned, order):
     _, M = pipeline.lift(mlp_spec, iris, pruned.values,
                          pipeline._field_degree(mlp_spec, order), 0.05,
-                         pruned.mask, order)
+                         pruned.mask, order, 0)
     return M, M.initial_state(pruned.values[pruned.mask])
 
 

@@ -436,6 +436,69 @@ def test_hessian_that_overflows_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--model", "scalar_cubic", "--set", "init.params=[1e200]"],
+    ["--data", str(IRIS_CSV), "--eta", "1e200", "--steps", "3"],
+], ids=["cubic", "mlp"])
+def test_pretrain_that_overflows_exits_2(tmp_path, capsys, argv):
+    """A pretraining step that overflows is reported as divergence: exit 2,
+    with no warning and no params written."""
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["pretrain", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("numeric failure: ")
+    assert not (out / "params.csv").exists()
+
+
+def test_lanczos_spectrum_of_large_eigenvalues(tmp_path, capsys):
+    """At H = 3e6 an absolute 1e-9 pad vanishes: the bin edges still grow,
+    so every density is finite, they integrate to 1, and proxy reads the
+    file back."""
+    out = tmp_path / "spec"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["hessian", "--model", "scalar_cubic", "--set",
+                     "init.params=[1e3]", "--method", "lanczos",
+                     "--out", str(out)]) == 0
+        assert main(["proxy", "--spectrum", str(out / "spectrum.csv"),
+                     "--eta", "1e-6", "--tmax", "10",
+                     "--out", str(tmp_path / "proxy")]) == 0
+    rows = read_csv(out / "spectrum.csv")
+    lo, hi, dens = (np.array([float(r[c]) for r in rows])
+                    for c in ("bin_left", "bin_right", "density"))
+    width = hi - lo
+    assert np.all(np.isfinite(width)) and np.all(width > 0)
+    assert np.all(np.isfinite(dens))
+    assert (dens * width).sum() == pytest.approx(1.0, rel=1e-12)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["kappa", "--model", "scalar_cubic", "--set", "init.params=[NaN]"],
+     "init.params"),
+    (["kappa", "--model", "scalar_cubic", "--set", "init.params=[Infinity]"],
+     "init.params"),
+    (["simulate", "--model", "scalar_cubic", "--set", "init.params=[NaN]"],
+     "init.params"),
+    (["simulate", "--model", "scalar_cubic", "--theta0", "NaN"], "init.params"),
+    (["simulate", "--model", "scalar_cubic", "--theta0", "Infinity"],
+     "init.params"),
+    (["simulate", "--model", "scalar_cubic", "--set",
+      "simulate.anchor=[-Infinity]"], "simulate.anchor"),
+    (["simulate", "--model", "diag_quadratic", "--theta0", "1,1", "--set",
+      "model.coefficients=[1,NaN]"], "model.coefficients"),
+])
+def test_non_finite_list_values_exit_1(tmp_path, capsys, argv, key):
+    """A list of floats takes finite values only, so that no NaN reaches
+    the manifest, which is strict JSON."""
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: config key {key!r} has invalid value")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "--model", "scalar_cubic", "--order", "3", "--eta", "nan"],
     ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
      "--steps", "4", "--reupload", "2", "--eta", "nan"],
@@ -497,15 +560,44 @@ def test_exit_code_capacity(tmp_path, capsys):
     ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
      "--steps", "4", "--reupload", "4", "--order", "7", "--fraction", "0.37"],
     ["kappa", "--set", f"data.path={IRIS_CSV}", "--order", "5"],
+    ["simulate", "--model", "scalar_cubic", "--set", "simulate.order=1e200",
+     "--steps", "5", "--eta", "0.1", "--theta0", "0.5"],
+    ["kappa", "--model", "scalar_cubic", "--set", "kappa.order=1e200"],
+    ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
+     "--steps", "4", "--reupload", "4", "--set", "schedule.order=1e200"],
+    ["simulate", "--model", "scalar_cubic", "--order", "3",
+     "--steps", "100000000", "--eta", "0.1", "--theta0", "0.5"],
+    ["kappa", "--model", "scalar_cubic", "--order", "2",
+     "--steps-list", "100000000", "--method", "power_iteration"],
+    ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
+     "--steps", "100000000", "--reupload", "100000000", "--order", "2",
+     "--fraction", "0.37"],
 ])
 def test_capacity_checked_before_extraction(tmp_path, capsys, monkeypatch,
                                             argv):
+    """D, the order itself and (T + 1) * D, the size of a T-step
+    trajectory, are each checked before any Hessian is evaluated."""
     def no_hessians(*args, **kwargs):
         raise AssertionError("Hessian evaluated before the capacity check")
 
     monkeypatch.setattr(models, "hvp_batch", no_hessians)
     assert main(argv + ["--out", str(tmp_path / "run")]) == 3
     assert "capacity error" in capsys.readouterr().err
+
+
+def test_raw_key_budget_checked_before_keys_are_written(tmp_path, capsys,
+                                                        monkeypatch):
+    """The order-4 Iris lift fits the D budget (D = 551 881) but would
+    write 83 631 890 raw keys: embed rejects it from the field alone."""
+    def no_keys(*args, **kwargs):
+        raise AssertionError("keys written before the key budget check")
+
+    monkeypatch.setattr(carleman, "_kron_sums", no_keys)
+    rc = main(["simulate", "--data", str(IRIS_CSV), "--order", "4",
+               "--steps", "1", "--eta", "0.05", "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "capacity error: embedding writes 83631890 raw keys")
 
 
 @pytest.mark.parametrize("argv", [

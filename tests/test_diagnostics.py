@@ -236,3 +236,15 @@ def test_loglog_slope_on_cubic_run(cubic_spec):
 
 def test_loglog_slope_degenerate_returns_nan():
     assert np.isnan(carlgd.loglog_slope(np.zeros(5)))
+
+
+def test_bin_edges_pad_never_vanishes():
+    """The pad is 1e-9 wherever that resolves next to max|points|, so those
+    edges keep their bits; at 3e6 it grows, and every bin keeps a positive
+    width."""
+    pts = np.array([1.0, 17.8])
+    assert diagnostics.bin_edges(pts, 40).tobytes() == \
+        np.linspace(1.0 - 1e-9, 17.8 + 1e-9, 41).tobytes()
+    for pts in (np.array([3e6]), np.array([-1e300, -1e300])):
+        edges = diagnostics.bin_edges(pts, 40)
+        assert np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)
