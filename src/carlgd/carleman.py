@@ -151,11 +151,20 @@ MAX_DIM = 2_000_000
 # Budget on (T + 1) * D, the floats of one T-step trajectory. The
 # power-iteration kappa holds about six vectors of that size (the solve
 # about three), so this keeps its working set near 1 GiB: 6 * 8 B * 2e7 =
-# 0.96 GB.
+# 0.96 GB. `check_floats` holds every other array whose size a count
+# sets (a reference trajectory, Lanczos probes, bin edges, proxy values)
+# to the same budget.
 MAX_STATES = 20_000_000
 # Budget on the raw keys `embed` writes before summing them. Its peak, in
 # the sort, is about 65 B a key, so this keeps `embed` near 1 GiB.
 MAX_KEYS = 16_000_000
+
+
+def check_floats(required, what):
+    """Raise CapacityError when `what` needs more than MAX_STATES floats."""
+    if required > MAX_STATES:
+        raise CapacityError(f"{what} need {required} floats, over the budget "
+                            f"{MAX_STATES}", required=required, budget=MAX_STATES)
 
 
 def check_capacity(n, order, include_constant, max_dim, steps=0):
@@ -180,11 +189,7 @@ def check_capacity(n, order, include_constant, max_dim, steps=0):
             f"embedding needs dimension D={D}, over the budget {max_dim}",
             required=D, budget=max_dim,
         )
-    if (steps + 1) * D > MAX_STATES:
-        raise CapacityError(
-            f"{steps} steps of dimension D={D} need (T + 1) * D = "
-            f"{(steps + 1) * D} floats, over the budget {MAX_STATES}",
-            required=(steps + 1) * D, budget=MAX_STATES)
+    check_floats((steps + 1) * D, f"{steps} steps of dimension D={D}")
     return block_orders, dims
 
 
@@ -334,6 +339,14 @@ class ReadoutResult:
     shots: int
 
 
+def check_shots(shots, name):
+    """InputError unless `shots`, the value of `name`, is a count that the
+    multinomial draw takes: an integer in 1 ... 2**63 - 1."""
+    if not 0 < shots < 2 ** 63:
+        raise InputError(f"{name} must be an integer in 1 ... 2**63 - 1, "
+                         f"got {shots}")
+
+
 def readout(y, theta_star, shots, seed=None, has_constant=True):
     """Sampled (tomographic) readout of parameters from a solution state.
 
@@ -349,8 +362,7 @@ def readout(y, theta_star, shots, seed=None, has_constant=True):
     if y.size < off + n:
         raise InputError("state too short for the requested readout")
     block = y[off:off + n]
-    if shots <= 0:
-        raise InputError("shots must be a positive integer")
+    check_shots(shots, "shots")
     if not np.all(np.isfinite(y)):
         raise DegenerateStateError("cannot sample from a non-finite state")
     scale = np.max(np.abs(y))

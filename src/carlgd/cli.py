@@ -193,6 +193,8 @@ def cmd_prune(args, cfg, out):
 
 
 def cmd_simulate(args, cfg, out):
+    if cfg["readout.shots"] is not None:
+        carleman.check_shots(cfg["readout.shots"], "readout.shots")
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     params0 = config.initial_point(cfg, spec)
@@ -247,6 +249,7 @@ def cmd_hessian(args, cfg, out):
     bins = cfg["hessian.bins"]
     if bins < 1:
         raise InputError(f"hessian.bins must be >= 1, got {bins}")
+    carleman.check_floats(bins + 1, f"{bins} histogram bins")
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     point = _params_from_csv(args.params) if args.params \
@@ -274,15 +277,17 @@ def cmd_hessian(args, cfg, out):
 def cmd_proxy(args, cfg, out):
     if not args.spectrum:
         raise InputError("--spectrum CSV is required")
+    tmax = cfg["proxy.tmax"]
+    carleman.check_floats(tmax + 1, f"proxy values at t = 0 ... {tmax}")
     spect = _spectrum_from_csv(args.spectrum)
-    t_range = range(cfg["proxy.tmax"] + 1)
+    t_range = range(tmax + 1)
     E = diagnostics.error_proxy(spect,
                                 eta=cfg["proxy.eta"],
                                 t_range=t_range,
                                 threshold=cfg["proxy.threshold"],
                                 scale=cfg["proxy.scale"])
     write_csv(out / "proxy.csv", {"t": t_range, "E": E})
-    print(f"proxy over t=0..{cfg['proxy.tmax']} -> {out / 'proxy.csv'}")
+    print(f"proxy over t=0..{tmax} -> {out / 'proxy.csv'}")
     return ["proxy.csv"], 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
+from . import carleman, models
 from .errors import EmptySupportError, InputError
 from .util import rng_for
 
@@ -69,39 +69,42 @@ def histogram_l1(a, b, nbins=20):
     return float(np.abs(a.histogram(edges) - b.histogram(edges)).sum())
 
 
-def _lanczos_probe(matvec, n, k, rng):
-    """One stochastic Lanczos quadrature probe: Ritz values and weights."""
-    from scipy.linalg import eigh_tridiagonal
-
-    v = rng.choice([-1.0, 1.0], size=n)
-    v /= np.linalg.norm(v)
-    V = [v]
-    alphas, betas = [], []
-    w = matvec(v)
-    a = float(v @ w)
-    w = w - a * v
-    alphas.append(a)
-    for _ in range(min(k, n) - 1):
-        b = float(np.linalg.norm(w))
-        if b < 1e-12:
-            break
-        v_next = w / b
-        # full reorthogonalization; n is small enough here that it is cheap
-        for u in V:
-            v_next = v_next - (u @ v_next) * u
-        nrm = np.linalg.norm(v_next)
-        if nrm < 1e-12:
-            break
-        v_next /= nrm
-        w = matvec(v_next)
-        a = float(v_next @ w)
-        w = w - a * v_next - b * V[-1]
-        V.append(v_next)
-        alphas.append(a)
-        betas.append(b)
-    theta, U = eigh_tridiagonal(np.array(alphas), np.array(betas))
-    weights = U[0, :] ** 2
-    return theta, weights
+def _lanczos(spec, theta, data, idx, m, seed, probes):
+    """Up to `m` Lanczos steps from the seeded Rademacher start of each of
+    `probes` on the free coordinates `idx`, all in lockstep: one checked
+    HVP call per step on the stack of the probes still running, and one
+    product that reorthogonalises each new vector against its own basis.
+    A probe stops where its beta, or its reorthogonalised norm, falls below
+    1e-12. Returns each probe's tridiagonal matrix as (alpha, beta)."""
+    n = idx.size
+    v = np.array([rng_for(seed, f"lanczos:{p}").choice([-1.0, 1.0], size=n)
+                  for p in probes]) / np.sqrt(n)
+    V = np.zeros((len(probes), m, n))
+    alpha, beta = np.zeros((len(probes), m)), np.zeros((len(probes), m))
+    live = np.arange(len(probes))
+    for j in range(m):
+        if j:
+            b = np.linalg.norm(W, axis=1)  # beta, before reorthogonalisation
+            keep = b >= 1e-12
+            live, b, v = live[keep], b[keep], W[keep] / b[keep, None]
+            basis = V[live, :j]
+            v -= np.einsum("pjn,pj->pn", basis, np.einsum("pjn,pn->pj", basis, v))
+            nrm = np.linalg.norm(v, axis=1)
+            keep = nrm >= 1e-12
+            live, b, v = live[keep], b[keep], v[keep] / nrm[keep, None]
+            if not live.size:
+                break
+            beta[live, j - 1] = b
+        full = np.zeros((live.size, spec.n))
+        full[:, idx] = v
+        W = models.hvp(spec, theta, data, full)[:, idx]
+        alpha[live, j] = np.einsum("pn,pn->p", v, W)
+        W -= alpha[live, j, None] * v
+        if j:
+            W -= b[:, None] * V[live, j - 1]
+        V[live, j] = v
+    steps = 1 + np.count_nonzero(beta, axis=1)  # every recorded beta is > 0
+    return [(a[:s], b[:s - 1]) for a, b, s in zip(alpha, beta, steps)]
 
 
 def spectrum(spec, params, data=None, method="direct", k=80, probes=16,
@@ -110,8 +113,10 @@ def spectrum(spec, params, data=None, method="direct", k=80, probes=16,
 
     'direct' does an exact symmetric eigendecomposition (n <= dense_limit);
     'lanczos' runs stochastic Lanczos quadrature using Hessian-vector
-    products only. Masked parameters restrict the Hessian to the surviving
-    coordinates.
+    products only: each probe starts from its own seeded Rademacher
+    vector, and the probes run in lockstep, in groups whose bases hold at
+    most `carleman.MAX_STATES` floats (or one probe's basis). Masked
+    parameters restrict the Hessian to the surviving coordinates.
     """
     pv = params if isinstance(params, models.ParamVector) \
         else models.ParamVector(np.asarray(params, float))
@@ -124,26 +129,20 @@ def spectrum(spec, params, data=None, method="direct", k=80, probes=16,
         return Spectrum(n=n, method="direct", eigenvalues=lam)
     if method != "lanczos":
         raise InputError(f"unknown spectrum method {method!r}")
-    if k < 1 or probes < 1:
-        raise InputError(f"Lanczos needs k >= 1 and probes >= 1, got {k}, {probes}")
+    if k < 1 or probes < 1 or n < 1:
+        raise InputError(f"Lanczos needs k >= 1, probes >= 1 and a free "
+                         f"parameter, got {k}, {probes} and {n}")
+    from scipy.linalg import eigh_tridiagonal
 
-    full = np.zeros(spec.n)
-
-    def matvec(v):
-        full[idx] = v
-        out = models.hvp(spec, pv.values, data, full)
-        full[idx] = 0.0
-        return out[idx]
-
-    vals, weights = [], []
-    for p in range(probes):
-        rng = rng_for(seed, f"lanczos:{p}")
-        th, w = _lanczos_probe(matvec, n, k, rng)
-        vals.append(th)
-        weights.append(w / probes)
+    m = min(k, n)
+    carleman.check_floats(probes * m, f"{probes} Lanczos probes of {m} steps")
+    group = max(1, carleman.MAX_STATES // (m * n))
+    ritz = [eigh_tridiagonal(a, b) for first in range(0, probes, group)
+            for a, b in _lanczos(spec, pv.values, data, idx, m, seed,
+                                 range(probes)[first:first + group])]
     return Spectrum(n=n, method="lanczos",
-                    ritz_values=np.concatenate(vals),
-                    ritz_weights=np.concatenate(weights))
+                    ritz_values=np.concatenate([theta for theta, _ in ritz]),
+                    ritz_weights=np.concatenate([U[0] ** 2 for _, U in ritz]) / probes)
 
 
 def error_proxy(spectrum_, eta, t_range, threshold=0.4, scale="eta"):
@@ -168,8 +167,10 @@ def error_proxy(spectrum_, eta, t_range, threshold=0.4, scale="eta"):
     w = w[support]
     nc = w.sum()
     growth = np.abs(1.0 + a)
-    E = np.array([(w * growth ** t).sum() / nc for t in t_range])
-    return E
+    # a power past the float range is inf; a point of zero weight adds 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([np.where(w > 0, w * growth ** t, 0.0).sum() / nc
+                         for t in t_range])
 
 
 @dataclass

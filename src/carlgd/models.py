@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import carleman
 from .errors import DivergenceError, InputError, NumericOverflowError, ParseError
 from .util import open_input
 
@@ -373,11 +374,11 @@ def grad(spec, params, data=None):
 
 
 def hvp(spec, params, data, v):
-    """Exact Hessian-vector product H(theta) @ v; raises
-    NumericOverflowError on non-finite values."""
+    """Exact Hessian-vector product H(theta) @ v, or one per row of a (K, n)
+    stack of directions; raises NumericOverflowError on non-finite values."""
     theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
-        return _finite(hvp_batch(spec, theta, data, np.ravel(v))[0, 0],
+        return _finite(hvp_batch(spec, theta, data, v)[0].reshape(np.shape(v)),
                        "Hessian-vector product")
 
 
@@ -417,6 +418,8 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
     pv = params0 if isinstance(params0, ParamVector) else ParamVector(np.asarray(params0, float))
     theta = pv.values.copy()
     _check_inputs(spec, theta, data)
+    carleman.check_floats((steps + 1) * theta.size,
+                          f"{steps} steps of {theta.size} parameters")
     mask = pv.mask
     stochastic = batch is not None and data is not None and batch < data.n_samples
     if batch is not None and batch < 1:

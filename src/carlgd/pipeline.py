@@ -27,7 +27,7 @@ import numpy as np
 from . import carleman, models, polyfield
 from .errors import (DivergenceError, InputError, NumericError,
                      SingularSystemError)
-from .util import norm2
+from .util import check_eta, norm2
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ class Schedule:
             raise InputError("carleman_order must be >= 1")
         if not (0.0 < self.prune_fraction <= 1.0):
             raise InputError("prune_fraction must be in (0, 1]")
-        if not 0 < self.eta < math.inf:  # false for NaN too
-            raise InputError(f"eta must be positive and finite, got {self.eta}")
+        check_eta(self.eta)
 
 
 # The keys of a trajectory table and of a segment table, in CSV column
@@ -110,6 +109,7 @@ def lift(spec, data, anchor, degree, eta, mask, order, steps):
     D against `carleman.MAX_DIM` and a `steps`-step trajectory against
     `carleman.MAX_STATES`, is checked from the free dimension and the drift
     before any Hessian is evaluated."""
+    check_eta(eta)
     idx = np.arange(spec.n) if mask is None else np.flatnonzero(mask)
     drift = bool(np.any(eta * models.grad(spec, anchor, data)[idx]))
     carleman.check_capacity(idx.size, order, drift, carleman.MAX_DIM, steps)

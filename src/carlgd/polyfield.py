@@ -28,6 +28,7 @@ import numpy as np
 from . import models
 from .carleman import CSR
 from .errors import InputError
+from .util import check_eta
 
 _STENCIL_STEP = 0.5  # any step is exact; this one keeps rounding low
 
@@ -143,8 +144,7 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
     """
     if degree not in (1, 2, 3):
         raise InputError(f"degree must be 1, 2 or 3, got {degree}")
-    if not 0 < eta < math.inf:  # false for NaN too
-        raise InputError(f"eta must be positive and finite, got {eta}")
+    check_eta(eta)
     theta_star = np.asarray(theta_star, dtype=float).ravel()
     if theta_star.size != spec.n:
         raise InputError(f"anchor length {theta_star.size} != model n={spec.n}")

@@ -1,5 +1,5 @@
-"""Small shared helpers: seed derivation, norms, finite numbers, input
-files, float formatting."""
+"""Small shared helpers: seed derivation, norms, finite numbers, the step
+size rule, input files, float formatting."""
 
 import hashlib
 import math
@@ -38,6 +38,12 @@ def norm2(x):
     if not math.isfinite(scale):
         return value
     return scale * float(np.linalg.norm(np.asarray(x) / scale))
+
+
+def check_eta(eta):
+    """InputError unless the step size eta is positive and finite."""
+    if not 0 < eta < math.inf:  # false for NaN too
+        raise InputError(f"eta must be positive and finite, got {eta}")
 
 
 def finite_float(value):

@@ -473,6 +473,64 @@ def test_lanczos_spectrum_of_large_eigenvalues(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_proxy_past_overflow_writes_inf_not_nan(tmp_path, capsys):
+    """The proxy of the same spectrum at eta = 1 overflows |1 - eta*lambda|^t
+    within 100 steps: those rows read inf, none NaN, with no warning."""
+    spec = tmp_path / "spec"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["hessian", "--model", "scalar_cubic", "--set",
+                     "init.params=[1e3]", "--method", "lanczos",
+                     "--out", str(spec)]) == 0
+        assert main(["proxy", "--spectrum", str(spec / "spectrum.csv"),
+                     "--out", str(tmp_path / "proxy")]) == 0
+    E = [r["E"] for r in read_csv(tmp_path / "proxy" / "proxy.csv")]
+    assert len(E) == 101 and "nan" not in E and E[-1] == "inf"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["1e200", "0"])
+def test_bad_readout_shots_exit_1_before_simulating(tmp_path, capsys, value):
+    """readout.shots takes 1 ... 2**63 - 1, the counts the multinomial draw
+    takes; any other value is rejected before the run writes a CSV."""
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--model", "scalar_cubic",
+                     "--set", f"readout.shots={value}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: readout.shots must be")
+    assert list(out.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("value", ["Infinity", "NaN"])
+def test_non_finite_kappa_eta_exits_1_without_warning(tmp_path, capsys, value):
+    """kappa checks eta before the lift scales the gradient by it."""
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kappa", "--model", "scalar_cubic",
+                     "--set", f"kappa.eta={value}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: eta must be positive and finite")
+    assert not (out / "manifest.json").exists()
+
+
+def test_kappa_with_explicit_start(tmp_path, capsys):
+    """The upload does not enter L, so an explicit init.params gives the
+    kappa.csv of the default start; a start of the wrong length exits 1."""
+    base = ["kappa", "--model", "diag_quadratic",
+            "--set", "model.coefficients=[5, 2]", "--steps-list", "5,10"]
+    assert main(base + ["--out", str(tmp_path / "a")]) == 0
+    assert main(base + ["--set", "init.params=[0.3, -2.0]",
+                        "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "kappa.csv").read_bytes()
+            == (tmp_path / "b" / "kappa.csv").read_bytes())
+    capsys.readouterr()
+    assert main(base + ["--set", "init.params=[0.3]",
+                        "--out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().err.startswith("error: theta0 length 1")
+
+
 @pytest.mark.parametrize("argv, key", [
     (["kappa", "--model", "scalar_cubic", "--set", "init.params=[NaN]"],
      "init.params"),
@@ -572,17 +630,67 @@ def test_exit_code_capacity(tmp_path, capsys):
     ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
      "--steps", "100000000", "--reupload", "100000000", "--order", "2",
      "--fraction", "0.37"],
+    ["hessian", "--model", "scalar_cubic", "--method", "lanczos",
+     "--set", "hessian.bins=1e200"],
+    ["hessian", "--model", "scalar_cubic", "--method", "lanczos",
+     "--set", "hessian.probes=1e200"],
+    ["pretrain", "--model", "scalar_cubic", "--set", "pretrain.steps=1e200"],
 ])
 def test_capacity_checked_before_extraction(tmp_path, capsys, monkeypatch,
                                             argv):
     """D, the order itself and (T + 1) * D, the size of a T-step
-    trajectory, are each checked before any Hessian is evaluated."""
+    trajectory, are each checked before any Hessian is evaluated; so are
+    the histogram's bins + 1 edges, the probes' Ritz values and the
+    (steps + 1) * n floats of a reference trajectory."""
     def no_hessians(*args, **kwargs):
         raise AssertionError("Hessian evaluated before the capacity check")
 
     monkeypatch.setattr(models, "hvp_batch", no_hessians)
     assert main(argv + ["--out", str(tmp_path / "run")]) == 3
     assert "capacity error" in capsys.readouterr().err
+
+
+def test_proxy_values_checked_before_work(tmp_path, capsys):
+    """proxy.tmax + 1 proxy values over MAX_STATES floats exit 3 before
+    the spectrum is read or any value is computed."""
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("index,eigenvalue\n0,1.0\n")
+    out = tmp_path / "run"
+    assert main(["proxy", "--spectrum", str(spectrum), "--set",
+                 "proxy.tmax=1e200", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("capacity error: proxy values")
+    assert list(out.glob("*")) == []
+
+
+def test_pretraining_trajectory_checked_before_work(tmp_path, capsys,
+                                                    monkeypatch):
+    """(steps + 1) * n floats of the pretraining trajectory over the budget
+    exit 3 before the first gradient; 740 739 steps fill the default
+    budget on the 27-parameter Iris net."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("gradient evaluated before the size check")
+
+    monkeypatch.setattr(models, "_grad_values", no_work)
+    monkeypatch.setattr(carleman, "MAX_STATES", 100 * 27)
+    out = tmp_path / "run"
+    assert main(["pretrain", "--data", str(IRIS_CSV), "--steps", "100",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "capacity error: 100 steps of 27 parameters need 2727 floats, "
+        "over the budget 2700\n")
+    assert list(out.glob("*")) == []
+
+
+def test_refinement_trajectory_checked(tmp_path, capsys):
+    """A refinement of 1e200 steps exits 3 when it is reached, with no
+    CSV written."""
+    out = tmp_path / "run"
+    assert main(["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
+                 "--set", "schedule.steps=1e200", "--reupload", "2",
+                 "--set", "schedule.refine_steps=1e200",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("capacity error: ")
+    assert list(out.glob("*")) == []
 
 
 def test_raw_key_budget_checked_before_keys_are_written(tmp_path, capsys,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import carlgd
-from carlgd import diagnostics, pipeline
+from carlgd import carleman, diagnostics, models, pipeline
 from carlgd.errors import EmptySupportError, InputError
 
 
@@ -40,6 +40,50 @@ def test_lanczos_matches_direct_histogram(iris):
     lan = carlgd.spectrum(spec, point, iris, method="lanczos",
                           k=80, probes=16, seed=0)
     assert carlgd.histogram_l1(direct, lan, nbins=20) < 0.05
+
+
+def test_lanczos_breakdown_counts():
+    """A probe stops where its beta falls below 1e-12, so it yields one
+    Ritz value per distinct eigenvalue its start reaches: 2 on the
+    coefficients (1, 1, 1, 2), 1 on a zero Hessian."""
+    for coeffs, ritz in (((1.0, 1.0, 1.0, 2.0), [1.0, 2.0]),
+                         ((0.0, 0.0, 0.0), [0.0])):
+        spec = carlgd.ModelSpec(kind="diag_quadratic", coefficients=coeffs)
+        s = carlgd.spectrum(spec, np.ones(len(coeffs)), method="lanczos",
+                            k=80, probes=16, seed=0)
+        np.testing.assert_allclose(s.ritz_values, np.tile(ritz, 16),
+                                   rtol=0, atol=1e-12)
+        assert s.ritz_weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lanczos_probe_groups_match_one_group(mlp_spec, iris, monkeypatch):
+    """The probes advance in lockstep, one HVP call per step on all of a
+    group's probes; a MAX_STATES too small for every probe's basis splits
+    them into groups, down to one probe each, with the same spectrum."""
+    point = carlgd.init_params(mlp_spec, 1)
+    calls = []
+    hvp = models.hvp
+    monkeypatch.setattr(models, "hvp", lambda spec, theta, data, v:
+                        calls.append(len(v)) or hvp(spec, theta, data, v))
+    one = carlgd.spectrum(mlp_spec, point, iris, method="lanczos", k=5,
+                          probes=4, seed=0)
+    assert calls == [4] * 5
+    for budget, group in ((2 * 5 * mlp_spec.n, 2), (100, 1)):
+        calls.clear()
+        monkeypatch.setattr(carleman, "MAX_STATES", budget)
+        split = carlgd.spectrum(mlp_spec, point, iris, method="lanczos", k=5,
+                                probes=4, seed=0)
+        assert calls == [group] * (5 * 4 // group)
+        np.testing.assert_allclose(split.ritz_values, one.ritz_values, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(one.ritz_values)))
+        np.testing.assert_allclose(split.ritz_weights, one.ritz_weights,
+                                   rtol=0, atol=1e-12)
+
+
+def test_lanczos_needs_a_free_parameter(diag_spec):
+    none_free = carlgd.ParamVector([0.0, 0.0], mask=[False, False])
+    with pytest.raises(InputError, match="free parameter"):
+        carlgd.spectrum(diag_spec, none_free, method="lanczos")
 
 
 def test_lanczos_weights_normalized(mlp_spec, iris):
@@ -103,6 +147,16 @@ def test_proxy_asymptotic_ratio():
         E = carlgd.error_proxy(spect, eta=1.0, t_range=[200, 201])
         ratio = E[1] / E[0]
         assert abs(ratio - want) <= 0.01 * want
+
+
+def test_proxy_past_overflow_reads_inf():
+    """Once |1 + a|^t overflows, E(t) is +inf, never NaN: a point of zero
+    weight adds exactly 0, not 0 * inf, and no warning is raised."""
+    spect = diagnostics.Spectrum(n=2, method="lanczos",
+                                 ritz_values=np.array([1e3, 3e3]),
+                                 ritz_weights=np.array([1.0, 0.0]))
+    E = carlgd.error_proxy(spect, eta=1.0, t_range=[0, 1, 200])
+    np.testing.assert_array_equal(E, [1.0, 999.0, np.inf])
 
 
 def test_proxy_from_lanczos_spectrum(mlp_spec, iris):

@@ -190,6 +190,35 @@ def test_pipeline_divergence_truncates_report():
     assert report.steps["step"][-1] < 400
 
 
+def test_pipeline_diverges_in_refinement(tmp_path, capsys):
+    """A run that leaves bounds during a classical refinement ends there:
+    the multiplier 1 - 0.1 * 110 = -10 passes the 1e8 bound at step 9, the
+    last rows are the refinement's, and the CLI exits 2."""
+    spec = carlgd.ModelSpec(kind="diag_quadratic", coefficients=(110.0, 1.0))
+    params = pipeline.prune_topk(carlgd.ParamVector([1.0, 0.5]), 1.0)
+    sched = carlgd.Schedule(total_steps=20, eta=0.1, reupload_period=2,
+                            classical_refine_steps=10, carleman_order=1,
+                            prune_fraction=1.0)
+    report = pipeline.run_pipeline(spec, None, sched, params, seed=0)
+    assert report.diverged_at == 9
+    np.testing.assert_array_equal(report.steps["step"], np.arange(9))
+    assert list(report.steps["phase"]) == (["carleman"] * 3
+                                           + ["classical_refine"] * 6)
+    assert report.segments["segment"].size == 1
+
+    out = tmp_path / "run"
+    rc = main(["pipeline", "--set", "model.kind=diag_quadratic",
+               "--set", "model.coefficients=[110.0,1.0]",
+               "--set", "init.params=[1.0,0.5]", "--set", "pretrain.steps=0",
+               "--fraction", "1.0", "--steps", "20", "--reupload", "2",
+               "--refine", "10", "--order", "1", "--eta", "0.1",
+               "--out", str(out)])
+    assert rc == 2
+    assert "diverged at step 9" in capsys.readouterr().out
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 10 and lines[-1].endswith(",classical_refine")
+
+
 def test_pipeline_cut_at_first_step(tmp_path, capsys):
     """A segment whose first Carleman step already leaves bounds adds an
     empty table: the report keeps the start row alone, with every column's
