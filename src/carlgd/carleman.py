@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (CapacityError, ConvergenceError, DegenerateStateError,
                      InputError, SingularSystemError)
-from .util import norm2
+from .util import count_text, norm2
 
 class CSR:
     """A canonical CSR matrix: in each row the column indices are sorted and
@@ -163,8 +163,9 @@ MAX_KEYS = 16_000_000
 def check_floats(required, what):
     """Raise CapacityError when `what` needs more than MAX_STATES floats."""
     if required > MAX_STATES:
-        raise CapacityError(f"{what} need {required} floats, over the budget "
-                            f"{MAX_STATES}", required=required, budget=MAX_STATES)
+        raise CapacityError(f"{what} need {count_text(required)} floats, over "
+                            f"the budget {MAX_STATES}", required=required,
+                            budget=MAX_STATES)
 
 
 def check_capacity(n, order, include_constant, max_dim, steps=0):
@@ -179,17 +180,19 @@ def check_capacity(n, order, include_constant, max_dim, steps=0):
     # budget, and is rejected before its blocks are listed
     if order > (max_dim if n < 2 else max_dim.bit_length()):
         raise CapacityError(
-            f"truncation order {order} needs a dimension D over the budget {max_dim}",
+            f"truncation order {count_text(order)} needs a dimension D over "
+            f"the budget {max_dim}",
             required=max_dim + 1, budget=max_dim)
     block_orders = ([0] if include_constant else []) + list(range(1, order + 1))
     dims = [n ** j for j in block_orders]
     D = int(sum(dims))
     if D > max_dim:
         raise CapacityError(
-            f"embedding needs dimension D={D}, over the budget {max_dim}",
+            f"embedding needs dimension D={count_text(D)}, over the budget "
+            f"{max_dim}",
             required=D, budget=max_dim,
         )
-    check_floats((steps + 1) * D, f"{steps} steps of dimension D={D}")
+    check_floats((steps + 1) * D, f"{count_text(steps)} steps of dimension D={D}")
     return block_orders, dims
 
 
@@ -221,8 +224,9 @@ def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
     raw = sum(i * Fk.nnz * n ** (i - 1) for k, Fk in enumerate(field_.terms)
               for i in range(1, order + 2 - max(k, 1)) if i + k - 1 in start)
     if raw > MAX_KEYS:
-        raise CapacityError(f"embedding writes {raw} raw keys, over the budget "
-                            f"{MAX_KEYS}", required=raw, budget=MAX_KEYS)
+        raise CapacityError(f"embedding writes {count_text(raw)} raw keys, over "
+                            f"the budget {MAX_KEYS}", required=raw,
+                            budget=MAX_KEYS)
     keys, vals = [], []
     for k, Fk in enumerate(field_.terms):  # blocks (i, i + k - 1), j <= order
         for i, (key, val) in enumerate(_kron_sums(Fk, order + 1 - max(k, 1), D), 1):
@@ -344,7 +348,7 @@ def check_shots(shots, name):
     multinomial draw takes: an integer in 1 ... 2**63 - 1."""
     if not 0 < shots < 2 ** 63:
         raise InputError(f"{name} must be an integer in 1 ... 2**63 - 1, "
-                         f"got {shots}")
+                         f"got {count_text(shots)}")
 
 
 def readout(y, theta_star, shots, seed=None, has_constant=True):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, carleman, config, diagnostics, models, pipeline
 from .errors import CapacityError, InputError, NumericError, ParseError
-from .util import finite_float, fmt17, open_input, sub_seed
+from .util import count_text, finite_float, open_input, sub_seed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,14 +38,19 @@ class _Parser(argparse.ArgumentParser):
 
 def write_csv(path, columns):
     """Write a table, {header: column} with one entry per row in each
-    column, through csv.writer: a float column with fmt17, any other with
-    str."""
-    cells = [map(fmt17, col) if np.asarray(col).dtype.kind == "f"
-             else map(str, col) for col in columns.values()]
+    column: the header line, then one line per row from one row template,
+    "%.17g" for a float column (a lossless round trip, the text of
+    format(x, ".17g")) and "%s" for any other, joined by "," and ended by
+    "\r\n". Every cell the program writes is a number or one of its own
+    identifiers (a phase, a kappa method name), with no comma, quote or
+    line break, so csv.writer would quote none of them and write these
+    same bytes."""
+    cols = [np.asarray(col) for col in columns.values()]
+    row = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
+                   for col in cols) + "\r\n"
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(columns)
-        w.writerows(zip(*cells))
+        f.write(",".join(columns) + "\r\n")
+        f.writelines(row % cells for cells in zip(*(c.tolist() for c in cols)))
 
 
 def write_manifest(out, command, cfg, outputs, started):
@@ -62,8 +67,8 @@ def write_manifest(out, command, cfg, outputs, started):
         "wall_clock_s": time.perf_counter() - started,
         "outputs": sorted(outputs),
     }
-    with open(Path(out) / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    (Path(out) / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True))
 
 
 # Parser dests that are not config keys; every other dest is the key its
@@ -248,8 +253,8 @@ def cmd_pipeline(args, cfg, out):
 def cmd_hessian(args, cfg, out):
     bins = cfg["hessian.bins"]
     if bins < 1:
-        raise InputError(f"hessian.bins must be >= 1, got {bins}")
-    carleman.check_floats(bins + 1, f"{bins} histogram bins")
+        raise InputError(f"hessian.bins must be >= 1, got {count_text(bins)}")
+    carleman.check_floats(bins + 1, f"{count_text(bins)} histogram bins")
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     point = _params_from_csv(args.params) if args.params \
@@ -278,7 +283,8 @@ def cmd_proxy(args, cfg, out):
     if not args.spectrum:
         raise InputError("--spectrum CSV is required")
     tmax = cfg["proxy.tmax"]
-    carleman.check_floats(tmax + 1, f"proxy values at t = 0 ... {tmax}")
+    carleman.check_floats(tmax + 1,
+                          f"proxy values at t = 0 ... {count_text(tmax)}")
     spect = _spectrum_from_csv(args.spectrum)
     t_range = range(tmax + 1)
     E = diagnostics.error_proxy(spect,

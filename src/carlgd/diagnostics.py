@@ -18,7 +18,7 @@ import numpy as np
 
 from . import carleman, models
 from .errors import EmptySupportError, InputError
-from .util import rng_for
+from .util import count_text, rng_for
 
 
 @dataclass
@@ -131,11 +131,13 @@ def spectrum(spec, params, data=None, method="direct", k=80, probes=16,
         raise InputError(f"unknown spectrum method {method!r}")
     if k < 1 or probes < 1 or n < 1:
         raise InputError(f"Lanczos needs k >= 1, probes >= 1 and a free "
-                         f"parameter, got {k}, {probes} and {n}")
+                         f"parameter, got {count_text(k)}, "
+                         f"{count_text(probes)} and {n}")
     from scipy.linalg import eigh_tridiagonal
 
     m = min(k, n)
-    carleman.check_floats(probes * m, f"{probes} Lanczos probes of {m} steps")
+    carleman.check_floats(probes * m, f"{count_text(probes)} Lanczos probes of "
+                                      f"{count_text(m)} steps")
     group = max(1, carleman.MAX_STATES // (m * n))
     ritz = [eigh_tridiagonal(a, b) for first in range(0, probes, group)
             for a, b in _lanczos(spec, pv.values, data, idx, m, seed,

@@ -11,13 +11,14 @@ Hessian-vector products for the MLP use the exact forward-over-reverse
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import carleman
 from .errors import DivergenceError, InputError, NumericOverflowError, ParseError
-from .util import open_input
+from .util import count_text, open_input
 
 ANALYTIC_KINDS = ("diag_quadratic", "scalar_cubic")
 MODEL_KINDS = ANALYTIC_KINDS + ("mlp",)
@@ -212,13 +213,25 @@ def _mlp_forward(spec, theta, X):
 
 
 def _loss_value(spec, theta):
-    """Loss of an analytic testbed at one parameter vector."""
+    """Loss of an analytic testbed at each row of a (rows, n) stack, each
+    with the bits of the loss of its row alone."""
     if spec.kind == "diag_quadratic":
         c = np.asarray(spec.coefficients)
-        return 0.5 * float(np.dot(c, theta * theta))
+        sq = np.ascontiguousarray(theta * theta)
+        dots = (sq[:, None, :] @ c[:, None]).ravel()  # one ddot per row, but
+        for r in np.flatnonzero(dots == 0):  # a zero's sign is np.dot's
+            dots[r] = np.dot(c, sq[r])
+        return 0.5 * dots
     c0, c1 = spec.coefficients
-    t = theta[0]
-    return 0.5 * c0 * t * t + 0.25 * c1 * t ** 4
+    t = theta[:, 0]
+    # t ** 4 by libm's pow, which a float64 scalar uses, row by row: numpy's
+    # vector pow can differ in the last bit. Python's float ** raises on an
+    # overflow, which comes from |t| = 2**256 on; there the vector inf
+    # stands, as does its NaN
+    t4 = t ** 4
+    small = np.abs(t) < 2.0 ** 256
+    t4[small] = t[small].astype(object) ** 4
+    return 0.5 * c0 * t * t + 0.25 * c1 * t4
 
 
 def _mse(out, data):
@@ -354,7 +367,7 @@ def loss_accuracy(spec, params, data):
         for r in range(0, len(rows), _FORWARD_ROWS):
             block = slice(r, r + _FORWARD_ROWS)
             if spec.kind != "mlp":
-                value[block] = [_loss_value(spec, t) for t in rows[block]]
+                value[block] = _loss_value(spec, rows[block])
                 continue
             out = _mlp_forward(spec, rows[block], data.features)[1][-1]
             value[block] = _mse(out, data)
@@ -407,29 +420,31 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
     theta(t+1) = theta(t) - eta * grad L(theta(t)), with the gradient taken
     over the full set or a minibatch of `batch` samples per step, drawn
     with `default_rng(noise_seed)`. Masked coordinates stay exactly zero.
-    Returns an array of shape (steps+1, n); with raise_on_divergence=False
-    a diverged run returns the trajectory up to the last in-bounds step
-    instead.
+    Returns an array of shape (steps+1, n). The run diverges at the first
+    step whose theta has an inf or NaN entry or a norm over the finite
+    `divergence_bound`; with raise_on_divergence=False a diverged run
+    returns the trajectory up to the last in-bounds step instead.
     """
     if not eta >= 0:  # false for NaN too
         raise InputError(f"eta must be >= 0, got {eta}")
     if steps < 0:
-        raise InputError(f"step count must be >= 0, got {steps}")
+        raise InputError(f"step count must be >= 0, got {count_text(steps)}")
     pv = params0 if isinstance(params0, ParamVector) else ParamVector(np.asarray(params0, float))
     theta = pv.values.copy()
     _check_inputs(spec, theta, data)
     carleman.check_floats((steps + 1) * theta.size,
-                          f"{steps} steps of {theta.size} parameters")
+                          f"{count_text(steps)} steps of {theta.size} parameters")
     mask = pv.mask
     stochastic = batch is not None and data is not None and batch < data.n_samples
     if batch is not None and batch < 1:
-        raise InputError(f"batch must be >= 1, got {batch}")
+        raise InputError(f"batch must be >= 1, got {count_text(batch)}")
     if batch is not None and data is not None and batch > data.n_samples:
-        raise InputError(f"batch {batch} exceeds {data.n_samples} samples")
+        raise InputError(f"batch {count_text(batch)} exceeds {data.n_samples} samples")
     rng = np.random.default_rng(noise_seed) if stochastic else None
+    pruned = None if mask is None else ~mask
     traj = np.empty((steps + 1, theta.size))
     traj[0] = theta
-    # an overflow in a step is caught by the checks on theta below
+    # an overflow in a step is caught by the bound test on theta below
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, steps + 1):
             d = data
@@ -438,9 +453,11 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
                 d = data.subset(idx)
             g = _grad_values(spec, theta, d)
             theta = theta - eta * g
-            if mask is not None:
-                theta[~mask] = 0.0
-            if not np.all(np.isfinite(theta)) or np.linalg.norm(theta) > divergence_bound:
+            if pruned is not None:
+                theta[pruned] = 0.0
+            # sqrt(theta . theta) is np.linalg.norm's bits; the test is false
+            # for an inf or NaN entry as for a norm over the bound
+            if not math.sqrt(theta @ theta) <= divergence_bound:
                 if raise_on_divergence:
                     raise DivergenceError(f"trajectory diverged at step {t}", step=t)
                 return traj[:t]

@@ -27,12 +27,20 @@ import numpy as np
 from . import carleman, models, polyfield
 from .errors import (DivergenceError, InputError, NumericError,
                      SingularSystemError)
-from .util import check_eta, norm2
+from .util import check_eta, count_text, norm2
+
+# The keys of a trajectory table and of a segment table, in CSV column
+# order; `phase` is 'carleman' or 'classical_refine'.
+STEP_COLUMNS = ("step", "loss", "accuracy", "err_l2", "err_linf", "segment",
+                "phase")
+SEGMENT_COLUMNS = ("segment", "start_step", "kappa", "kappa_method", "D",
+                   "upload_nnz", "y0_norm")
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Knobs of a pipeline run."""
+    """Knobs of a pipeline run. The trajectory table of `total_steps` + 1
+    rows is held to `carleman.MAX_STATES` floats here, before any work."""
 
     total_steps: int
     eta: float
@@ -53,14 +61,10 @@ class Schedule:
         if not (0.0 < self.prune_fraction <= 1.0):
             raise InputError("prune_fraction must be in (0, 1]")
         check_eta(self.eta)
-
-
-# The keys of a trajectory table and of a segment table, in CSV column
-# order; `phase` is 'carleman' or 'classical_refine'.
-STEP_COLUMNS = ("step", "loss", "accuracy", "err_l2", "err_linf", "segment",
-                "phase")
-SEGMENT_COLUMNS = ("segment", "start_step", "kappa", "kappa_method", "D",
-                   "upload_nnz", "y0_norm")
+        rows = self.total_steps + 1
+        carleman.check_floats(rows * len(STEP_COLUMNS),
+                              f"{count_text(rows)} trajectory rows of "
+                              f"{len(STEP_COLUMNS)} columns")
 
 
 @dataclass
@@ -151,13 +155,13 @@ def _loss_acc(spec, theta, data):
 def _records(spec, data, approx, exact, step0, seg, phase):
     """The trajectory table of the rows of `approx`: one array per key of
     STEP_COLUMNS, steps numbered from `step0`, errors against the same rows
-    of `exact`. `err_l2` is one `norm2` per row, so that each keeps the
-    bits and the overflow handling of a 1-D norm."""
+    of `exact`. `err_l2` is `norm2` of the stack of differences, so that
+    each row keeps the bits and the overflow handling of a 1-D norm."""
     losses, accs = _loss_acc(spec, approx, data)
     diff = approx - exact
     rows = diff.shape[0]
     return {"step": np.arange(step0, step0 + rows), "loss": losses,
-            "accuracy": accs, "err_l2": np.array([norm2(d) for d in diff]),
+            "accuracy": accs, "err_l2": norm2(diff),
             "err_linf": np.max(np.abs(diff), axis=1),
             "segment": np.full(rows, seg), "phase": np.full(rows, phase)}
 

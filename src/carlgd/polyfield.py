@@ -28,7 +28,7 @@ import numpy as np
 from . import models
 from .carleman import CSR
 from .errors import InputError
-from .util import check_eta
+from .util import check_eta, count_text
 
 _STENCIL_STEP = 0.5  # any step is exact; this one keeps rounding low
 
@@ -143,7 +143,7 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
     from an exact stencil over them, with no step-size error.
     """
     if degree not in (1, 2, 3):
-        raise InputError(f"degree must be 1, 2 or 3, got {degree}")
+        raise InputError(f"degree must be 1, 2 or 3, got {count_text(degree)}")
     check_eta(eta)
     theta_star = np.asarray(theta_star, dtype=float).ravel()
     if theta_star.size != spec.n:

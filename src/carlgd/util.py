@@ -1,5 +1,7 @@
-"""Small shared helpers: seed derivation, norms, finite numbers, the step
-size rule, input files, float formatting."""
+"""Small shared helpers: seed derivation, the Euclidean norm of a vector
+or of each row of a stack, finite numbers, the step size rule, input
+files and the short text of a count. The CSV writer formats its own
+cells (`cli.write_csv`)."""
 
 import hashlib
 import math
@@ -24,20 +26,35 @@ def rng_for(seed, name):
     return np.random.default_rng(sub_seed(seed, name))
 
 
-def norm2(x):
-    """Euclidean norm that stays finite while it is representable.
+def _row_norms(rows):
+    """sqrt of each row's dot product with itself: a stacked (1, n) @ (n, 1)
+    product, which numpy runs as one BLAS ddot per row, the dot of
+    np.linalg.norm on a vector."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
 
-    np.linalg.norm overflows once max|x| passes about 1e154; only then is
-    the norm recomputed on x / max|x|, so finite results keep their bits.
+
+def norm2(x):
+    """Euclidean norm of a vector, or array of the norms of the rows of a
+    (rows, n) stack, that stays finite while it is representable.
+
+    Each norm has the bits of np.linalg.norm on its row. That overflows
+    once max|x| passes about 1e154; only then is the row's norm recomputed
+    on row / max|row|, so finite results keep their bits. A row holding
+    inf or NaN keeps its inf or NaN.
     """
+    x = np.asarray(x, dtype=float)
+    # contiguous rows, as np.linalg.norm ravels its input: ddot's strided
+    # kernel can round differently
+    rows = np.ascontiguousarray(x.reshape(1, -1) if x.ndim < 2 else x)
     with np.errstate(over="ignore"):  # the overflow is handled below
-        value = float(np.linalg.norm(x))
-    if math.isfinite(value):
-        return value
-    scale = float(np.max(np.abs(x)))
-    if not math.isfinite(scale):
-        return value
-    return scale * float(np.linalg.norm(np.asarray(x) / scale))
+        value = _row_norms(rows)
+    bad = np.flatnonzero(~np.isfinite(value))
+    if bad.size:
+        scale = np.max(np.abs(rows[bad]), axis=1)
+        fix = np.isfinite(scale)
+        bad, scale = bad[fix], scale[fix]
+        value[bad] = scale * _row_norms(rows[bad] / scale[:, None])
+    return value if x.ndim > 1 else float(value[0])
 
 
 def check_eta(eta):
@@ -64,6 +81,16 @@ def open_input(path, **kwargs):
         raise InputError(f"cannot read {path}: {e.strerror}") from None
 
 
-def fmt17(x):
-    """Format a float with 17 significant digits (lossless round trip)."""
-    return format(float(x), ".17g")
+def count_text(n):
+    """An integer count as text: in full up to 15 digits, else in short
+    form, so that a count given as 1e200 reads 1e+200, not as 200 digits:
+    '%.6g' within the float range, its first six digits (truncated) and
+    power of ten past it."""
+    text = str(n)
+    digits = text.lstrip("-")
+    if len(digits) <= 15:
+        return text
+    if len(digits) <= 308:
+        return "%.6g" % n
+    mantissa = f"{digits[0]}.{digits[1:6]}".rstrip("0").rstrip(".")
+    return f"{text[:-len(digits)]}{mantissa}e+{len(digits) - 1}"

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import os
 import subprocess
@@ -12,8 +13,9 @@ import pytest
 
 import carlgd
 from carlgd import carleman, config, models, polyfield
-from carlgd.cli import CLI_ONLY, COMMANDS, build_parser, main
+from carlgd.cli import CLI_ONLY, COMMANDS, build_parser, main, write_csv
 from carlgd.errors import ConvergenceError
+from carlgd.util import count_text
 
 from conftest import IRIS_CSV
 
@@ -628,7 +630,7 @@ def test_exit_code_capacity(tmp_path, capsys):
     ["kappa", "--model", "scalar_cubic", "--order", "2",
      "--steps-list", "100000000", "--method", "power_iteration"],
     ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
-     "--steps", "100000000", "--reupload", "100000000", "--order", "2",
+     "--steps", "200000", "--reupload", "200000", "--order", "2",
      "--fraction", "0.37"],
     ["hessian", "--model", "scalar_cubic", "--method", "lanczos",
      "--set", "hessian.bins=1e200"],
@@ -682,15 +684,104 @@ def test_pretraining_trajectory_checked_before_work(tmp_path, capsys,
 
 
 def test_refinement_trajectory_checked(tmp_path, capsys):
-    """A refinement of 1e200 steps exits 3 when it is reached, with no
-    CSV written."""
+    """A refinement of 1e200 steps, cut to the 1 999 998 steps left of a
+    run whose trajectory table fits the budget, exits 3 when it is
+    reached, with no CSV written."""
+    out = tmp_path / "run"
+    assert main(["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
+                 "--set", "schedule.steps=2000000", "--reupload", "2",
+                 "--set", "schedule.refine_steps=1e200",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "capacity error: 1999998 steps of 27 parameters need 53999973 "
+        "floats, over the budget 20000000\n")
+    assert list(out.glob("*")) == []
+
+
+def test_pipeline_step_table_checked_before_pretraining(tmp_path, capsys,
+                                                        monkeypatch):
+    """The trajectory table of schedule.steps + 1 rows is held to
+    MAX_STATES floats before pretraining starts, so 1e200 steps exit 3 at
+    once rather than running segment after segment."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("gradient evaluated before the table check")
+
+    monkeypatch.setattr(models, "_grad_values", no_work)
     out = tmp_path / "run"
     assert main(["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
                  "--set", "schedule.steps=1e200", "--reupload", "2",
-                 "--set", "schedule.refine_steps=1e200",
                  "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("capacity error: ")
+    assert capsys.readouterr().err == (
+        "capacity error: 1e+200 trajectory rows of 7 columns need 7e+200 "
+        "floats, over the budget 20000000\n")
     assert list(out.glob("*")) == []
+
+
+def test_count_text():
+    assert count_text(0) == "0"
+    assert count_text(-12345) == "-12345"
+    assert count_text(10 ** 15 - 1) == "999999999999999"  # 15 digits in full
+    assert count_text(10 ** 15) == "1e+15"
+    assert count_text(int(1e200)) == "1e+200"
+    assert count_text(-123456789 * 10 ** 12) == "-1.23457e+20"
+    assert count_text(10 ** 400) == "1e+400"  # past the float range
+    assert count_text(-123456789 * 10 ** 400) == "-1.23456e+408"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "scalar_cubic", "--set", "readout.shots=1e200"],
+    ["simulate", "--model", "scalar_cubic", "--set", "readout.shots=" + "9" * 400],
+    ["simulate", "--model", "scalar_cubic", "--set", "simulate.order=1e200"],
+    ["simulate", "--model", "scalar_cubic", "--set", "simulate.degree=1e200"],
+    ["hessian", "--model", "scalar_cubic", "--method", "lanczos",
+     "--set", "hessian.probes=1e200"],
+    ["hessian", "--model", "scalar_cubic", "--method", "lanczos",
+     "--set", "hessian.bins=-1e200"],
+    ["pretrain", "--model", "scalar_cubic", "--set", "pretrain.steps=1e200"],
+    ["pretrain", "--model", "scalar_cubic", "--set", "pretrain.steps=-1e200"],
+    ["proxy", "--spectrum", "spectrum.csv", "--set", "proxy.tmax=1e200"],
+    ["kappa", "--model", "scalar_cubic", "--set", "kappa.steps=[1e200]"],
+    ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "5",
+     "--set", "schedule.steps=1e200", "--reupload", "2"],
+])
+def test_huge_counts_print_in_short_form(tmp_path, capsys, argv):
+    """A count given as 1e200 (or as 400 digits) is echoed in its error
+    or capacity error line in short form, not as a 200-digit integer."""
+    assert main(argv + ["--out", str(tmp_path / "run")]) in (1, 3)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 120, err
+    assert "e+" in err, err
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    """write_csv writes the bytes of csv.writer with format(x, ".17g") for
+    a float column and str for any other: on awkward floats (NaN, +-inf,
+    -0.0, subnormals, random bit patterns), ints, a 0/1 mask, strings, a
+    range and a list, and on tables with no rows or no columns."""
+    rng = np.random.default_rng(0)
+    floats = np.concatenate([
+        [0.1, -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, -2.5e-320,
+         1e300, 123456789.0, -1.5, 2.0 ** 53, 1 / 3],
+        rng.integers(0, 2 ** 64, 2000, dtype=np.uint64).view(np.float64)])
+    n = floats.size
+    tables = [{"x": floats, "i": np.arange(n) - 3,
+               "mask": (np.arange(n) % 2).astype(int),
+               "phase": np.full(n, "classical_refine"),
+               "method": ["dense_svd"] * n, "t": range(n),
+               "y": list(floats[::-1])},
+              {"step": np.arange(0), "loss": np.zeros(0)},
+              {}]
+    for k, columns in enumerate(tables):
+        path = tmp_path / f"{k}.csv"
+        write_csv(path, columns)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(columns)
+        writer.writerows(zip(*(
+            [format(float(x), ".17g") for x in col]
+            if np.asarray(col).dtype.kind == "f" else [str(x) for x in col]
+            for col in columns.values())))
+        assert path.read_bytes() == expected.getvalue().encode(), k
 
 
 def test_raw_key_budget_checked_before_keys_are_written(tmp_path, capsys,

@@ -1,11 +1,15 @@
 """Golden bytes of the CSV contract.
 
-Each run below writes small CSVs whose exact text is pinned here, as
-written by the program before its trajectory tables became columns. The
-texts cover 17-significant-digit floats, integer columns written with no
-".0", inf and nan, a 0/1 mask column, string columns and csv.writer's
-"\\r\\n" line ends. A change to any writer, or to the numbers behind it,
-shows as a byte difference in the file named by the failing case.
+Each run below writes small CSVs whose exact text is pinned here: the
+trajectory, segment, final-params, readout and kappa tables as written
+before the trajectory tables became columns, and the pretrain, prune,
+spectrum and proxy tables as written by csv.writer before the one
+row-template writer replaced it. The texts cover 17-significant-digit
+floats, integer columns written with no ".0", inf and nan, a 0/1 mask
+column, string columns and "\\r\\n" line ends. A change to the writer, or
+to the numbers behind it, shows as a byte difference in the file named by
+the failing case. A run's argv may name an earlier run's directory as
+{root}/<run>.
 """
 
 import pytest
@@ -32,6 +36,16 @@ RUNS = {
                   "--eta", "1e9"], 2),
     "kappa": (["kappa", "--model", "scalar_cubic", "--order", "2",
                "--steps-list", "2,5"], 0),
+    "pretrain": (["pretrain", *DIAG4[:6], "--steps", "3", "--eta", "0.1"], 0),
+    "prune": (["prune", "--params", "{root}/pretrain/params.csv",
+               "--fraction", "0.5"], 0),
+    "direct": (["hessian", *DIAG4[:6],
+                "--params", "{root}/prune/masked_params.csv"], 0),
+    "lanczos": (["hessian", *DIAG4[:6], "--method", "lanczos",
+                 "--lanczos-k", "4", "--probes", "2", "--bins", "3",
+                 "--seed", "5"], 0),
+    "proxy": (["proxy", "--spectrum", "{root}/lanczos/spectrum.csv",
+               "--eta", "0.3", "--tmax", "3"], 0),
 }
 
 GOLDEN = {
@@ -83,6 +97,33 @@ GOLDEN = {
         "T,kappa,method\r\n"
         "2,3.5332133477057095,dense_svd\r\n"
         "5,6.244832573501542,dense_svd\r\n"),
+    ("pretrain", "params.csv"): (
+        "index,value\r\n"
+        "0,0.72900000000000009\r\n"
+        "1,-0.043199999999999995\r\n"
+        "2,0.051200000000000002\r\n"
+        "3,1.71475\r\n"),
+    ("prune", "masked_params.csv"): (
+        "index,value,mask\r\n"
+        "0,0.72900000000000009,1\r\n"
+        "1,0,0\r\n"
+        "2,0,0\r\n"
+        "3,1.71475,1\r\n"),
+    ("direct", "spectrum.csv"): (
+        "index,eigenvalue\r\n"
+        "0,0.5\r\n"
+        "1,1\r\n"),
+    ("lanczos", "spectrum.csv"): (
+        "bin_left,bin_right,density\r\n"
+        "0.49999999900000019,1.6666666663333336,0.42857142832653111\r\n"
+        "1.6666666663333336,2.8333333336666673,0.21428571416326506\r\n"
+        "2.8333333336666673,4.000000001000001,0.21428571416326506\r\n"),
+    ("proxy", "proxy.csv"): (
+        "t,E\r\n"
+        "0,1\r\n"
+        "1,0.17500000010000002\r\n"
+        "2,0.053125000004999957\r\n"
+        "3,0.017171875000187475\r\n"),
 }
 
 
@@ -91,6 +132,7 @@ def runs(tmp_path_factory):
     """Each run's output directory, after checking its exit code."""
     root = tmp_path_factory.mktemp("golden")
     for name, (argv, rc) in RUNS.items():
+        argv = [arg.format(root=root) for arg in argv]
         assert main(argv + ["--out", str(root / name)]) == rc, name
     return root
 

@@ -83,6 +83,46 @@ def test_loss_accuracy_of_a_stack_equals_per_row_calls_bitwise(
         assert np.isnan(acc).all() == (spec is not mlp_spec)
 
 
+def scalar_testbed_loss(spec, theta):
+    """A testbed's loss at one row by float64 scalar arithmetic."""
+    if spec.kind == "diag_quadratic":
+        return 0.5 * float(np.dot(np.asarray(spec.coefficients), theta * theta))
+    c0, c1 = spec.coefficients
+    t = theta[0]
+    return 0.5 * c0 * t * t + 0.25 * c1 * t ** 4
+
+
+@pytest.mark.parametrize("kind, n", [("scalar_cubic", 1),
+                                     ("diag_quadratic", 1),
+                                     ("diag_quadratic", 2),
+                                     ("diag_quadratic", 5),
+                                     ("diag_quadratic", 70),
+                                     ("diag_quadratic", 200)])
+def test_testbed_loss_of_a_stack_has_the_bits_of_scalar_arithmetic(kind, n):
+    """A testbed's loss on a stack is, row by row, the bits of its loss by
+    float64 scalar arithmetic: the scalar cubic's t ** 4 is libm's pow, as
+    a scalar's is, also around 2**256, where it starts to overflow, and a
+    diagonal quadratic's zero has np.dot's sign (negative coefficients)."""
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((2000, n)) * 10.0 ** rng.uniform(-150, 150,
+                                                                 (2000, 1))
+    edge = 2.0 ** 256
+    extra = [0.0, -0.0, np.inf, -np.inf, np.nan, edge, -edge,
+             np.nextafter(edge, 0.0), np.nextafter(-edge, 0.0), 1e-200]
+    stack = np.vstack([stack, np.repeat(np.array(extra)[:, None], n, axis=1)])
+    size = 2 if kind == "scalar_cubic" else n
+    for sign in (1.0, -1.0):
+        spec = carlgd.ModelSpec(kind=kind, coefficients=tuple(
+            sign * rng.uniform(0.1, 4.0, size)))
+        lv = models.loss_accuracy(spec, stack, None)[0]
+        with np.errstate(all="ignore"):
+            expected = np.array([scalar_testbed_loss(spec, t) for t in stack])
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(lv), nan)
+        assert lv[~nan].tobytes() == expected[~nan].tobytes()
+        assert np.isinf(lv).any() and (lv == 0).any()
+
+
 def test_accuracy_on_overflowing_forward_pass_warns_nothing(mlp_spec, iris):
     # every weight at 1e160 overflows the forward pass; under the suite's
     # error::RuntimeWarning filter a leaked warning fails the call
@@ -273,6 +313,35 @@ def test_sgd_divergence_reports_step(diag_spec):
         carlgd.sgd_reference(diag_spec, carlgd.ParamVector([1.0, 1.0]),
                              eta=1.0, steps=100)
     assert err.value.step > 0
+
+
+# theta doubles each step (eta = 1 on the loss -|theta|^2 / 2), so a start
+# of bound / 8 reaches the bound 1e8 itself at step 3
+DOUBLING = carlgd.ModelSpec(kind="diag_quadratic", coefficients=(-1.0, -1.0))
+
+
+@pytest.mark.parametrize("start, diverged_at", [
+    ([1e8 / 8, 0.0], None),  # norm exactly 1e8 at step 3: in bounds
+    ([6e7 / 8, 8e7 / 8], None),  # (6e7, 8e7): norm exactly 1e8 at step 3
+    ([np.nextafter(1e8 / 8, np.inf), 0.0], 3),  # the next float up
+    ([1e200, 0.0], 1),  # finite, but its dot product overflows
+    ([np.inf, 0.0], 1),
+    ([0.0, -np.inf], 1),
+    ([np.nan, 0.0], 1),
+])
+def test_sgd_divergence_step_at_the_bound(start, diverged_at):
+    """A run diverges at the first step whose theta has a norm over
+    1e8 or an inf or NaN entry: a norm of exactly 1e8 is in bounds."""
+    p0 = carlgd.ParamVector(np.array(start))
+    traj = carlgd.sgd_reference(DOUBLING, p0, eta=1.0, steps=3,
+                                raise_on_divergence=False)
+    assert traj.shape[0] == (diverged_at or 4)
+    if diverged_at is None:
+        assert np.linalg.norm(traj[-1]) == 1e8
+        return
+    with pytest.raises(DivergenceError) as err:
+        carlgd.sgd_reference(DOUBLING, p0, eta=1.0, steps=3)
+    assert err.value.step == diverged_at
 
 
 def test_iris_gd_loss_decreases_and_matches_independent_loop(mlp_spec, iris):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import carlgd
-from carlgd import pipeline
+from carlgd import carleman, pipeline
 from carlgd.cli import main
-from carlgd.errors import InputError
+from carlgd.errors import CapacityError, InputError
 from carlgd.util import norm2
 
 
@@ -346,6 +346,55 @@ def test_norm2_finite_past_overflow():
         assert norm2(x) == np.linalg.norm(x)  # same bits in the normal range
     assert norm2(np.array([np.inf, 1.0])) == np.inf
     assert np.isnan(norm2(np.array([np.nan, 1.0])))
+
+
+def one_row_norm(x):
+    """The 1-D rule, independently: np.linalg.norm, recomputed on
+    x / max|x| when it overflows and max|x| is finite."""
+    with np.errstate(over="ignore"):
+        value = np.linalg.norm(x)
+    scale = np.max(np.abs(x), initial=0.0)
+    if np.isfinite(value) or not np.isfinite(scale):
+        return value
+    return scale * np.linalg.norm(x / scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 27, 40, 100, 257])
+def test_norm2_of_a_stack_is_per_row_norm2(n):
+    """norm2 of a (rows, n) stack gives each row the bits of norm2 on that
+    row alone, and of the 1-D rule, across scales from 1e-300 to 1e300:
+    rows that overflow, hold inf or NaN, or are zero included, and on a
+    strided view of the stack."""
+    rng = np.random.default_rng(n)
+    scales = 10.0 ** rng.uniform(-300, 300, size=(400, 1))
+    X = rng.standard_normal((400, n)) * scales
+    X[0] = 0.0
+    X[1, 0] = np.inf
+    X[2, -1] = -np.inf
+    X[3, 0] = np.nan
+    X[4] = 1e200  # overflows, finite after the rescale
+    X[5, 0], X[5, -1] = np.inf, np.nan
+    expected = np.array([one_row_norm(x) for x in X])
+    stacked = norm2(X)
+    one_by_one = np.array([norm2(x) for x in X])
+    strided = norm2(np.repeat(X, 2, axis=1)[:, ::2])
+    for got in (stacked, one_by_one, strided):
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+    assert np.isnan(stacked[[3, 5]]).all() and np.isinf(stacked[[1, 2]]).all()
+    assert norm2(np.zeros((0, n))).shape == (0,)
+
+
+def test_schedule_holds_its_trajectory_table_to_the_budget(monkeypatch):
+    """A schedule whose trajectory table, total_steps + 1 rows of the
+    STEP_COLUMNS, has more than MAX_STATES floats is rejected when it is
+    made; one that fills the budget exactly is not."""
+    width = len(pipeline.STEP_COLUMNS)
+    monkeypatch.setattr(carleman, "MAX_STATES", 11 * width)
+    pipeline.Schedule(total_steps=10, eta=0.1, reupload_period=5)
+    with pytest.raises(CapacityError, match="12 trajectory rows of 7 columns"):
+        pipeline.Schedule(total_steps=11, eta=0.1, reupload_period=5)
 
 
 def test_loss_acc_reads_inf_for_overflowing_loss(mlp_spec, cubic_spec, iris):
