@@ -160,9 +160,12 @@ MAX_STATES = 20_000_000
 MAX_KEYS = 16_000_000
 
 
-def check_floats(required, what):
-    """Raise CapacityError when `what` needs more than MAX_STATES floats."""
+def check_floats(required, what, *counts):
+    """Raise CapacityError when `what` needs more than MAX_STATES floats.
+    `what` is a message template whose {} fields take `counts`; these
+    counts and `required` print by count_text, so 1e200 reads 1e+200."""
     if required > MAX_STATES:
+        what = what.format(*map(count_text, counts))
         raise CapacityError(f"{what} need {count_text(required)} floats, over "
                             f"the budget {MAX_STATES}", required=required,
                             budget=MAX_STATES)
@@ -192,7 +195,7 @@ def check_capacity(n, order, include_constant, max_dim, steps=0):
             f"{max_dim}",
             required=D, budget=max_dim,
         )
-    check_floats((steps + 1) * D, f"{count_text(steps)} steps of dimension D={D}")
+    check_floats((steps + 1) * D, "{} steps of dimension D={}", steps, D)
     return block_orders, dims
 
 
@@ -224,9 +227,8 @@ def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
     raw = sum(i * Fk.nnz * n ** (i - 1) for k, Fk in enumerate(field_.terms)
               for i in range(1, order + 2 - max(k, 1)) if i + k - 1 in start)
     if raw > MAX_KEYS:
-        raise CapacityError(f"embedding writes {count_text(raw)} raw keys, over "
-                            f"the budget {MAX_KEYS}", required=raw,
-                            budget=MAX_KEYS)
+        raise CapacityError(f"embedding writes {raw} raw keys, over the budget "
+                            f"{MAX_KEYS}", required=raw, budget=MAX_KEYS)
     keys, vals = [], []
     for k, Fk in enumerate(field_.terms):  # blocks (i, i + k - 1), j <= order
         for i, (key, val) in enumerate(_kron_sums(Fk, order + 1 - max(k, 1), D), 1):

@@ -36,6 +36,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{message}\n{self.format_usage()}")
 
 
+CSV_BLOCK_ROWS = 4096  # rows turned into Python values at a time
+
+
 def write_csv(path, columns):
     """Write a table, {header: column} with one entry per row in each
     column: the header line, then one line per row from one row template,
@@ -44,13 +47,17 @@ def write_csv(path, columns):
     "\r\n". Every cell the program writes is a number or one of its own
     identifiers (a phase, a kappa method name), with no comma, quote or
     line break, so csv.writer would quote none of them and write these
-    same bytes."""
+    same bytes. The rows are filled CSV_BLOCK_ROWS at a time, so the
+    Python values of a large table are never all held at once."""
     cols = [np.asarray(col) for col in columns.values()]
     row = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
                    for col in cols) + "\r\n"
+    rows = min(map(len, cols), default=0)
     with open(path, "w", newline="") as f:
         f.write(",".join(columns) + "\r\n")
-        f.writelines(row % cells for cells in zip(*(c.tolist() for c in cols)))
+        for a in range(0, rows, CSV_BLOCK_ROWS):
+            block = (c[a:a + CSV_BLOCK_ROWS].tolist() for c in cols)
+            f.writelines(row % cells for cells in zip(*block))
 
 
 def write_manifest(out, command, cfg, outputs, started):
@@ -254,7 +261,7 @@ def cmd_hessian(args, cfg, out):
     bins = cfg["hessian.bins"]
     if bins < 1:
         raise InputError(f"hessian.bins must be >= 1, got {count_text(bins)}")
-    carleman.check_floats(bins + 1, f"{count_text(bins)} histogram bins")
+    carleman.check_floats(bins + 1, "{} histogram bins", bins)
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     point = _params_from_csv(args.params) if args.params \
@@ -283,16 +290,15 @@ def cmd_proxy(args, cfg, out):
     if not args.spectrum:
         raise InputError("--spectrum CSV is required")
     tmax = cfg["proxy.tmax"]
-    carleman.check_floats(tmax + 1,
-                          f"proxy values at t = 0 ... {count_text(tmax)}")
+    carleman.check_floats(tmax + 1, "proxy values at t = 0 ... {}", tmax)
     spect = _spectrum_from_csv(args.spectrum)
-    t_range = range(tmax + 1)
+    t = np.arange(tmax + 1)
     E = diagnostics.error_proxy(spect,
                                 eta=cfg["proxy.eta"],
-                                t_range=t_range,
+                                t_range=t,
                                 threshold=cfg["proxy.threshold"],
                                 scale=cfg["proxy.scale"])
-    write_csv(out / "proxy.csv", {"t": t_range, "E": E})
+    write_csv(out / "proxy.csv", {"t": t, "E": E})
     print(f"proxy over t=0..{tmax} -> {out / 'proxy.csv'}")
     return ["proxy.csv"], 0
 

@@ -136,8 +136,8 @@ def spectrum(spec, params, data=None, method="direct", k=80, probes=16,
     from scipy.linalg import eigh_tridiagonal
 
     m = min(k, n)
-    carleman.check_floats(probes * m, f"{count_text(probes)} Lanczos probes of "
-                                      f"{count_text(m)} steps")
+    carleman.check_floats(probes * m, "{} Lanczos probes of {} steps", probes,
+                          m)
     group = max(1, carleman.MAX_STATES // (m * n))
     ritz = [eigh_tridiagonal(a, b) for first in range(0, probes, group)
             for a, b in _lanczos(spec, pv.values, data, idx, m, seed,

@@ -213,25 +213,13 @@ def _mlp_forward(spec, theta, X):
 
 
 def _loss_value(spec, theta):
-    """Loss of an analytic testbed at each row of a (rows, n) stack, each
-    with the bits of the loss of its row alone."""
+    """Loss of an analytic testbed at one parameter vector."""
     if spec.kind == "diag_quadratic":
         c = np.asarray(spec.coefficients)
-        sq = np.ascontiguousarray(theta * theta)
-        dots = (sq[:, None, :] @ c[:, None]).ravel()  # one ddot per row, but
-        for r in np.flatnonzero(dots == 0):  # a zero's sign is np.dot's
-            dots[r] = np.dot(c, sq[r])
-        return 0.5 * dots
+        return 0.5 * float(np.dot(c, theta * theta))
     c0, c1 = spec.coefficients
-    t = theta[:, 0]
-    # t ** 4 by libm's pow, which a float64 scalar uses, row by row: numpy's
-    # vector pow can differ in the last bit. Python's float ** raises on an
-    # overflow, which comes from |t| = 2**256 on; there the vector inf
-    # stands, as does its NaN
-    t4 = t ** 4
-    small = np.abs(t) < 2.0 ** 256
-    t4[small] = t[small].astype(object) ** 4
-    return 0.5 * c0 * t * t + 0.25 * c1 * t4
+    t = theta[0]
+    return 0.5 * c0 * t * t + 0.25 * c1 * t ** 4
 
 
 def _mse(out, data):
@@ -367,7 +355,7 @@ def loss_accuracy(spec, params, data):
         for r in range(0, len(rows), _FORWARD_ROWS):
             block = slice(r, r + _FORWARD_ROWS)
             if spec.kind != "mlp":
-                value[block] = _loss_value(spec, rows[block])
+                value[block] = [_loss_value(spec, t) for t in rows[block]]
                 continue
             out = _mlp_forward(spec, rows[block], data.features)[1][-1]
             value[block] = _mse(out, data)
@@ -432,8 +420,8 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
     pv = params0 if isinstance(params0, ParamVector) else ParamVector(np.asarray(params0, float))
     theta = pv.values.copy()
     _check_inputs(spec, theta, data)
-    carleman.check_floats((steps + 1) * theta.size,
-                          f"{count_text(steps)} steps of {theta.size} parameters")
+    carleman.check_floats((steps + 1) * theta.size, "{} steps of {} parameters",
+                          steps, theta.size)
     mask = pv.mask
     stochastic = batch is not None and data is not None and batch < data.n_samples
     if batch is not None and batch < 1:

@@ -27,7 +27,7 @@ import numpy as np
 from . import carleman, models, polyfield
 from .errors import (DivergenceError, InputError, NumericError,
                      SingularSystemError)
-from .util import check_eta, count_text, norm2
+from .util import check_eta, norm2
 
 # The keys of a trajectory table and of a segment table, in CSV column
 # order; `phase` is 'carleman' or 'classical_refine'.
@@ -63,8 +63,8 @@ class Schedule:
         check_eta(self.eta)
         rows = self.total_steps + 1
         carleman.check_floats(rows * len(STEP_COLUMNS),
-                              f"{count_text(rows)} trajectory rows of "
-                              f"{len(STEP_COLUMNS)} columns")
+                              "{} trajectory rows of {} columns", rows,
+                              len(STEP_COLUMNS))
 
 
 @dataclass

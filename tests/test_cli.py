@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import carlgd
-from carlgd import carleman, config, models, polyfield
+from carlgd import carleman, cli, config, models, polyfield
 from carlgd.cli import CLI_ONLY, COMMANDS, build_parser, main, write_csv
 from carlgd.errors import ConvergenceError
 from carlgd.util import count_text
@@ -782,6 +783,25 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
             if np.asarray(col).dtype.kind == "f" else [str(x) for x in col]
             for col in columns.values())))
         assert path.read_bytes() == expected.getvalue().encode(), k
+
+
+def test_write_csv_fills_rows_block_by_block(tmp_path, monkeypatch):
+    """write_csv turns CSV_BLOCK_ROWS rows at a time into Python values:
+    the bytes do not depend on the block size, and the memory it holds at
+    once follows the block, not the whole table."""
+    rows = 40_000
+    columns = {"t": np.arange(rows), "E": np.linspace(0.0, 1.0, rows)}
+    texts, peaks = [], []
+    for block in (rows, 1000):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        path = tmp_path / f"{block}.csv"
+        tracemalloc.start()
+        write_csv(path, columns)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
+    assert 4 * peaks[1] < peaks[0], peaks
 
 
 def test_raw_key_budget_checked_before_keys_are_written(tmp_path, capsys,

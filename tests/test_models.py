@@ -83,46 +83,6 @@ def test_loss_accuracy_of_a_stack_equals_per_row_calls_bitwise(
         assert np.isnan(acc).all() == (spec is not mlp_spec)
 
 
-def scalar_testbed_loss(spec, theta):
-    """A testbed's loss at one row by float64 scalar arithmetic."""
-    if spec.kind == "diag_quadratic":
-        return 0.5 * float(np.dot(np.asarray(spec.coefficients), theta * theta))
-    c0, c1 = spec.coefficients
-    t = theta[0]
-    return 0.5 * c0 * t * t + 0.25 * c1 * t ** 4
-
-
-@pytest.mark.parametrize("kind, n", [("scalar_cubic", 1),
-                                     ("diag_quadratic", 1),
-                                     ("diag_quadratic", 2),
-                                     ("diag_quadratic", 5),
-                                     ("diag_quadratic", 70),
-                                     ("diag_quadratic", 200)])
-def test_testbed_loss_of_a_stack_has_the_bits_of_scalar_arithmetic(kind, n):
-    """A testbed's loss on a stack is, row by row, the bits of its loss by
-    float64 scalar arithmetic: the scalar cubic's t ** 4 is libm's pow, as
-    a scalar's is, also around 2**256, where it starts to overflow, and a
-    diagonal quadratic's zero has np.dot's sign (negative coefficients)."""
-    rng = np.random.default_rng(n)
-    stack = rng.standard_normal((2000, n)) * 10.0 ** rng.uniform(-150, 150,
-                                                                 (2000, 1))
-    edge = 2.0 ** 256
-    extra = [0.0, -0.0, np.inf, -np.inf, np.nan, edge, -edge,
-             np.nextafter(edge, 0.0), np.nextafter(-edge, 0.0), 1e-200]
-    stack = np.vstack([stack, np.repeat(np.array(extra)[:, None], n, axis=1)])
-    size = 2 if kind == "scalar_cubic" else n
-    for sign in (1.0, -1.0):
-        spec = carlgd.ModelSpec(kind=kind, coefficients=tuple(
-            sign * rng.uniform(0.1, 4.0, size)))
-        lv = models.loss_accuracy(spec, stack, None)[0]
-        with np.errstate(all="ignore"):
-            expected = np.array([scalar_testbed_loss(spec, t) for t in stack])
-        nan = np.isnan(expected)
-        assert np.array_equal(np.isnan(lv), nan)
-        assert lv[~nan].tobytes() == expected[~nan].tobytes()
-        assert np.isinf(lv).any() and (lv == 0).any()
-
-
 def test_accuracy_on_overflowing_forward_pass_warns_nothing(mlp_spec, iris):
     # every weight at 1e160 overflows the forward pass; under the suite's
     # error::RuntimeWarning filter a leaked warning fails the call
