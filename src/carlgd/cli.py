@@ -28,15 +28,13 @@ import numpy as np
 
 from . import __version__, carleman, config, diagnostics, models, pipeline
 from .errors import CapacityError, InputError, NumericError, ParseError
-from .util import count_text, finite_float, open_input, sub_seed
+from .util import (block_items, count_text, finite_float, open_input,
+                   sub_seed, writing)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(f"{message}\n{self.format_usage()}")
-
-
-CSV_BLOCK_ROWS = 4096  # rows turned into Python values at a time
 
 
 def write_csv(path, columns):
@@ -47,16 +45,18 @@ def write_csv(path, columns):
     "\r\n". Every cell the program writes is a number or one of its own
     identifiers (a phase, a kappa method name), with no comma, quote or
     line break, so csv.writer would quote none of them and write these
-    same bytes. The rows are filled CSV_BLOCK_ROWS at a time, so the
-    Python values of a large table are never all held at once."""
+    same bytes. The rows are filled in blocks of at most
+    util.BLOCK_VALUES cells (or one row), so the Python values of a large
+    table are never all held at once. An OSError becomes an InputError."""
     cols = [np.asarray(col) for col in columns.values()]
     row = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
                    for col in cols) + "\r\n"
     rows = min(map(len, cols), default=0)
-    with open(path, "w", newline="") as f:
+    step = block_items(len(cols))
+    with writing(path), open(path, "w", newline="") as f:
         f.write(",".join(columns) + "\r\n")
-        for a in range(0, rows, CSV_BLOCK_ROWS):
-            block = (c[a:a + CSV_BLOCK_ROWS].tolist() for c in cols)
+        for a in range(0, rows, step):
+            block = (c[a:a + step].tolist() for c in cols)
             f.writelines(row % cells for cells in zip(*block))
 
 
@@ -74,8 +74,9 @@ def write_manifest(out, command, cfg, outputs, started):
         "wall_clock_s": time.perf_counter() - started,
         "outputs": sorted(outputs),
     }
-    (Path(out) / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True))
+    path = Path(out) / "manifest.json"
+    with writing(path):
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 # Parser dests that are not config keys; every other dest is the key its
@@ -373,8 +374,10 @@ def cmd_report(args):
                for key, v in summary.items()}  # JSON has no NaN or inf
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     out = Path(args.out) if args.out else run
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(text)
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+    with writing(out / "report.json"):
+        (out / "report.json").write_text(text)
     print(text)
     return 0
 
@@ -481,7 +484,8 @@ def main(argv=None):
         if not args.out:
             raise InputError("--out directory is required")
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        with writing(out):
+            out.mkdir(parents=True, exist_ok=True)
         outputs, rc = args.func(args, cfg, out)
         write_manifest(out, args.command, cfg, outputs, started)
         return rc

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import carleman, models
 from .errors import EmptySupportError, InputError
-from .util import count_text, rng_for
+from .util import block_items, count_text, rng_for
 
 
 @dataclass
@@ -152,7 +152,9 @@ def error_proxy(spectrum_, eta, t_range, threshold=0.4, scale="eta"):
 
     a_i = -eta * lambda_i (scale='eta', the default) or -lambda_i
     (scale='raw'). Only modes with |a_i| >= threshold contribute; raises
-    EmptySupportError when none do. E(0) = 1 exactly.
+    EmptySupportError when none do. E(0) = 1 exactly. The t values run in
+    blocks of at most util.BLOCK_VALUES powers (or one t), each row of
+    powers summed as a one-t sum is.
     """
     if scale not in ("eta", "raw"):
         raise InputError(f"unknown scale {scale!r}")
@@ -169,10 +171,21 @@ def error_proxy(spectrum_, eta, t_range, threshold=0.4, scale="eta"):
     w = w[support]
     nc = w.sum()
     growth = np.abs(1.0 + a)
+    E = np.empty(t_range.size)
+    step = block_items(a.size)
     # a power past the float range is inf; a point of zero weight adds 0
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([np.where(w > 0, w * growth ** t, 0.0).sum() / nc
-                         for t in t_range])
+        for b in range(0, t_range.size, step):
+            t = t_range[b:b + step]
+            power = growth ** t[:, None]
+            if t.dtype.kind in "iu":
+                # numpy takes growth ** t for one integer t of 2 or -1 as a
+                # square or a reciprocal, whose last bit a vectorised pow
+                # over a block can miss
+                power[t == 2] = np.square(growth)
+                power[t == -1] = np.reciprocal(growth)
+            E[b:b + step] = np.where(w > 0, w * power, 0.0).sum(axis=1) / nc
+    return E
 
 
 @dataclass

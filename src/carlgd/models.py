@@ -18,13 +18,11 @@ import numpy as np
 
 from . import carleman
 from .errors import DivergenceError, InputError, NumericOverflowError, ParseError
-from .util import count_text, open_input
+from .util import block_items, count_text, open_input
 
 ANALYTIC_KINDS = ("diag_quadratic", "scalar_cubic")
 MODEL_KINDS = ANALYTIC_KINDS + ("mlp",)
 ACTIVATIONS = ("identity", "quadratic_poly")
-_BATCH_PAIRS = 64  # (point, direction) pairs per forward-over-reverse block
-_FORWARD_ROWS = 256  # parameter rows per stacked forward pass of loss_accuracy
 
 
 @dataclass
@@ -187,6 +185,15 @@ def _check_inputs(spec, theta, data):
             raise InputError("more classes than output units")
 
 
+def _item_values(spec, data):
+    """Values of the widest array that one parameter vector, or one
+    (point, direction) pair, adds to a batched pass: samples x widest
+    layer for an MLP, the parameter count for a testbed."""
+    if spec.kind == "mlp":
+        return data.n_samples * max(spec.layer_widths)
+    return spec.n
+
+
 def _act(spec, A):
     if spec.activation == "quadratic_poly":
         return A + spec.alpha * A * A
@@ -238,17 +245,16 @@ def _grad_values(spec, theta, data):
         return np.array([c0 * t + c1 * t ** 3])
     layers = spec.split(theta)
     A_list, H_list = _mlp_forward(spec, theta, data.features)
-    S = data.n_samples
-    G = (H_list[-1] - data.one_hot) / S
-    grads = [None] * len(layers)
+    G = (H_list[-1] - data.one_hot) / data.n_samples
+    out = np.empty(spec.n)
+    out_layers = spec.split(out)  # views into out
     for li in range(len(layers) - 1, -1, -1):
-        W, _ = layers[li]
-        gW = H_list[li].T @ G
-        gb = G.sum(axis=0)
-        grads[li] = (gW, gb)
+        (W, _), (gW, gb) = layers[li], out_layers[li]
+        gW[...] = H_list[li].T @ G
+        gb[...] = G.sum(axis=0)
         if li > 0:
             G = (G @ W.T) * _act_d1(spec, A_list[li - 1])
-    return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+    return out
 
 
 def _hvp_block(spec, thetas, data, V, out):
@@ -307,8 +313,9 @@ def hvp_batch(spec, points, data, directions):
     `points` is (P, n) and `directions` (K, n); returns (P, K, n) with
     out[p, k] = H(points[p]) @ directions[k]. Closed form for the
     testbeds, forward-over-reverse (Pearlmutter 1994) for the MLP. The
-    (point, direction) pairs are processed in blocks of at most
-    _BATCH_PAIRS, so the working set stays bounded.
+    (point, direction) pairs run in blocks whose widest arrays hold at
+    most util.BLOCK_VALUES values (or one pair), so the working set
+    follows the budget, not the sample count.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -319,8 +326,9 @@ def hvp_batch(spec, points, data, directions):
     P, K = points.shape[0], directions.shape[0]
     _check_inputs(spec, points, data)
     out = np.empty((P, K, n))
-    kc = max(1, min(K, _BATCH_PAIRS))
-    pc = max(1, _BATCH_PAIRS // kc)
+    pairs = block_items(_item_values(spec, data))
+    kc = max(1, min(K, pairs))  # at least 1 for K = 0, a range step
+    pc = max(1, pairs // kc)
     for p in range(0, P, pc):
         for k in range(0, K, kc):
             _hvp_block(spec, points[p:p + pc], data, directions[k:k + kc],
@@ -346,14 +354,16 @@ def loss_accuracy(spec, params, data):
     `accuracy`, except that a non-finite loss is returned, not raised, and
     an analytic testbed's accuracy is NaN. A (rows, n) stack of parameter
     vectors gives two arrays of the rows' values, from one forward pass
-    over the stack (in blocks of `_FORWARD_ROWS` rows)."""
+    over the stack, in blocks whose widest arrays hold at most
+    util.BLOCK_VALUES values (or one row)."""
     theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
     _check_inputs(spec, theta, data)
     rows = np.atleast_2d(theta)
     value, acc = np.empty(len(rows)), np.full(len(rows), np.nan)
+    step = block_items(_item_values(spec, data))
     with np.errstate(over="ignore", invalid="ignore"):  # left to the caller
-        for r in range(0, len(rows), _FORWARD_ROWS):
-            block = slice(r, r + _FORWARD_ROWS)
+        for r in range(0, len(rows), step):
+            block = slice(r, r + step)
             if spec.kind != "mlp":
                 value[block] = [_loss_value(spec, t) for t in rows[block]]
                 continue

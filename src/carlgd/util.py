@@ -1,8 +1,9 @@
 """Small shared helpers: seed derivation, the Euclidean norm of a vector
-or of each row of a stack, finite numbers, the step size rule, input
-files and the short text of a count. The CSV writer formats its own
-cells (`cli.write_csv`)."""
+or of each row of a stack, finite numbers, the step size rule, input and
+output files, the short text of a count and the block budget of batched
+loops. The CSV writer formats its own cells (`cli.write_csv`)."""
 
+import contextlib
 import hashlib
 import math
 
@@ -79,6 +80,28 @@ def open_input(path, **kwargs):
         return open(path, **kwargs)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}") from None
+
+
+@contextlib.contextmanager
+def writing(path):
+    """Run the block that makes or writes `path`; an OSError in it becomes
+    an InputError naming the path, as open_input does for reads."""
+    try:
+        yield
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror}") from None
+
+
+# Values one block of a batched loop may hold in its widest array: 8 MiB
+# of floats. Blocking never changes an item's arithmetic, only how many
+# items share one pass.
+BLOCK_VALUES = 1 << 20
+
+
+def block_items(item_values):
+    """Items per block when each item holds `item_values` values: as many
+    as BLOCK_VALUES allows, and at least one."""
+    return max(1, BLOCK_VALUES // max(1, item_values))
 
 
 def count_text(n):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import carlgd
-from carlgd import carleman, cli, config, models, polyfield
+from carlgd import carleman, cli, config, models, polyfield, util
 from carlgd.cli import CLI_ONLY, COMMANDS, build_parser, main, write_csv
 from carlgd.errors import ConvergenceError
 from carlgd.util import count_text
@@ -754,11 +754,12 @@ def test_huge_counts_print_in_short_form(tmp_path, capsys, argv):
     assert "e+" in err, err
 
 
-def test_write_csv_bytes_match_csv_writer(tmp_path):
+def test_write_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
     """write_csv writes the bytes of csv.writer with format(x, ".17g") for
     a float column and str for any other: on awkward floats (NaN, +-inf,
     -0.0, subnormals, random bit patterns), ints, a 0/1 mask, strings, a
-    range and a list, and on tables with no rows or no columns."""
+    range and a list, and on tables with no rows or no columns; under the
+    default block budget and under budgets of one row and of 9 rows."""
     rng = np.random.default_rng(0)
     floats = np.concatenate([
         [0.1, -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, -2.5e-320,
@@ -773,8 +774,6 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
               {"step": np.arange(0), "loss": np.zeros(0)},
               {}]
     for k, columns in enumerate(tables):
-        path = tmp_path / f"{k}.csv"
-        write_csv(path, columns)
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(columns)
@@ -782,18 +781,22 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
             [format(float(x), ".17g") for x in col]
             if np.asarray(col).dtype.kind == "f" else [str(x) for x in col]
             for col in columns.values())))
-        assert path.read_bytes() == expected.getvalue().encode(), k
+        for budget in (util.BLOCK_VALUES, 1, 63):
+            monkeypatch.setattr(util, "BLOCK_VALUES", budget)
+            path = tmp_path / f"{k}-{budget}.csv"
+            write_csv(path, columns)
+            assert path.read_bytes() == expected.getvalue().encode(), k
 
 
 def test_write_csv_fills_rows_block_by_block(tmp_path, monkeypatch):
-    """write_csv turns CSV_BLOCK_ROWS rows at a time into Python values:
-    the bytes do not depend on the block size, and the memory it holds at
-    once follows the block, not the whole table."""
+    """write_csv turns a block of at most util.BLOCK_VALUES cells at a time
+    into Python values: the bytes do not depend on the block size, and the
+    memory it holds at once follows the block, not the whole table."""
     rows = 40_000
     columns = {"t": np.arange(rows), "E": np.linspace(0.0, 1.0, rows)}
     texts, peaks = [], []
     for block in (rows, 1000):
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        monkeypatch.setattr(util, "BLOCK_VALUES", 2 * block)
         path = tmp_path / f"{block}.csv"
         tracemalloc.start()
         write_csv(path, columns)
@@ -984,3 +987,64 @@ def test_floats_emitted_with_17_significant_digits(tmp_path):
     losses = [r["loss"] for r in read_csv(out / "trajectory.csv")]
     assert any(len(v.replace("-", "").replace(".", "").lstrip("0")) >= 16
                for v in losses)
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+@pytest.mark.parametrize("case", ["out below a file", "out is a file",
+                                  "output is a directory"])
+def test_unwritable_out_exits_1(tmp_path, capsys, command, case):
+    """An --out that cannot be made, or an output file that cannot be
+    written, exits 1 with one line naming the path, as an unreadable input
+    does; no traceback."""
+    run = tmp_path / "run"
+    assert main(["simulate", "--model", "scalar_cubic", "--steps", "3",
+                 "--out", str(run)]) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = {"out below a file": afile / "x", "out is a file": afile,
+           "output is a directory": tmp_path / "new"}[case]
+    path = out
+    if case == "output is a directory":
+        path = out / ("trajectory.csv" if command == "simulate"
+                      else "report.json")
+        path.mkdir(parents=True)
+    argv = (["simulate", "--model", "scalar_cubic", "--steps", "3"]
+            if command == "simulate" else ["report", "--run", str(run)])
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1, err
+
+
+def test_unwritable_manifest_exits_1(tmp_path, capsys):
+    (tmp_path / "run" / "manifest.json").mkdir(parents=True)
+    assert main(["simulate", "--model", "scalar_cubic", "--steps", "3",
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / 'run' / 'manifest.json'}: "
+        "Is a directory\n")
+
+
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A D = 111 Iris pipeline op, a size at which OpenBLAS may split
+    kappa's products over threads, writes the same CSV bytes under one and
+    under two OpenBLAS threads (each in its own interpreter)."""
+    argv = ["pipeline", "--data", str(IRIS_CSV), "--pretrain-steps", "20",
+            "--steps", "4", "--reupload", "2", "--refine", "2",
+            "--order", "2", "--fraction", "0.37", "--eta", "0.05",
+            "--set", "pipeline.kappa_method=power_iteration"]
+    src = str(Path(carlgd.__file__).resolve().parents[1])
+    procs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": threads}
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-m", "carlgd.cli", *argv,
+             "--out", str(tmp_path / threads)], env=env)
+    assert [proc.wait(timeout=120) for proc in procs.values()] == [0, 0]
+    names = ("trajectory.csv", "segments.csv", "final_params.csv")
+    one, two = ([(tmp_path / threads / name).read_bytes() for name in names]
+                for threads in procs)
+    assert one == two
+    assert read_csv(tmp_path / "1" / "segments.csv")[0]["D"] == "111"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import carlgd
-from carlgd import carleman, diagnostics, models, pipeline
+from carlgd import carleman, diagnostics, models, pipeline, util
 from carlgd.errors import EmptySupportError, InputError
 
 
@@ -157,6 +157,50 @@ def test_proxy_past_overflow_reads_inf():
                                  ritz_weights=np.array([1.0, 0.0]))
     E = carlgd.error_proxy(spect, eta=1.0, t_range=[0, 1, 200])
     np.testing.assert_array_equal(E, [1.0, 999.0, np.inf])
+
+
+def _proxy_per_t(spect, eta, t_range):
+    """E(t) one t at a time, each a sum over the support (threshold 0.4)."""
+    lam, w = spect.points_weights()
+    a = -eta * lam
+    support = np.abs(a) >= 0.4
+    growth, w = np.abs(1.0 + a[support]), w[support]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([np.where(w > 0, w * growth ** t, 0.0).sum() / w.sum()
+                         for t in np.asarray(list(t_range))])
+
+
+def test_proxy_blocks_of_t_match_the_per_t_sums_bitwise(monkeypatch):
+    """E over blocks of t has the bits of one sum per t: spectra with 1, 11,
+    58 and 263 support points, zero weights and powers past the float
+    range, integer t (2 and -1 included) and float t, under the default
+    budget and under blocks of one t and of a few t."""
+    rng = np.random.default_rng(4)
+    t_ranges = [range(-3, 2500), np.linspace(0.0, 300.0, 601), [5, 2, 2, 0]]
+    overflowed = []
+    for size in (1, 11, 58, 263):
+        lam = rng.uniform(-4.0, 4.0, size)
+        lam[np.abs(lam) < 0.4] += 1.0  # all on the support
+        lam[:size // 3] *= 10.0  # |1 + a| up to 41 overflows by t = 191
+        w = rng.random(size)
+        w[1::4] = 0.0
+        spect = diagnostics.Spectrum(n=size, method="lanczos",
+                                     ritz_values=lam, ritz_weights=w / w.sum())
+        for t_range in t_ranges:
+            want = _proxy_per_t(spect, 1.0, t_range)
+            for budget in (util.BLOCK_VALUES, 1, 3 * size + 1):
+                monkeypatch.setattr(util, "BLOCK_VALUES", budget)
+                E = carlgd.error_proxy(spect, eta=1.0, t_range=t_range)
+                assert E.view(np.uint64).tobytes() \
+                    == want.view(np.uint64).tobytes(), (size, budget)
+            overflowed.append(np.isinf(want).any())
+    assert any(overflowed) and not any(np.isnan(want))
+    # one point: a last-bit difference in one power is not rounded away
+    for lam in rng.uniform(0.4, 4.0, 300):
+        spect = exact_spectrum([lam])
+        want = _proxy_per_t(spect, 1.0, [-1, 2, 3, 2])
+        E = carlgd.error_proxy(spect, eta=1.0, t_range=[-1, 2, 3, 2])
+        assert E.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
 def test_proxy_from_lanczos_spectrum(mlp_spec, iris):

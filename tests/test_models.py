@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import carlgd
-from carlgd import models
+from carlgd import models, util
+from carlgd.models import ACTIVATIONS
 from carlgd.errors import DivergenceError, InputError, ParseError
 
 from conftest import IRIS_CSV
@@ -62,9 +63,9 @@ def test_loss_accuracy_equals_separate_calls_bitwise(mlp_spec, cubic_spec,
 
 def test_loss_accuracy_of_a_stack_equals_per_row_calls_bitwise(
         mlp_spec, diag_spec, cubic_spec, iris):
-    # past the first block of rows, one row overflows the forward pass (inf
-    # loss) and one of mixed signs gives inf - inf (NaN loss); under the
-    # suite's error::RuntimeWarning filter a leaked warning fails the call
+    # after 300 finite rows, one row overflows the forward pass (inf loss)
+    # and one of mixed signs gives inf - inf (NaN loss); under the suite's
+    # error::RuntimeWarning filter a leaked warning fails the call
     rng = np.random.default_rng(3)
     mixed = 1e200 * (-1.0) ** np.arange(mlp_spec.n)
     cases = [(mlp_spec, iris, np.vstack([rng.standard_normal((300, mlp_spec.n)),
@@ -190,7 +191,8 @@ def test_hvp_batch_matches_hessian_and_single_products(iris, widths,
     points = rng.standard_normal((3, spec.n)) * 0.5
     dirs = rng.standard_normal((5, spec.n))
     # blocks of 4 pairs split both the points and the directions
-    monkeypatch.setattr(models, "_BATCH_PAIRS", 4)
+    monkeypatch.setattr(util, "BLOCK_VALUES",
+                        4 * models._item_values(spec, iris))
     out = models.hvp_batch(spec, points, iris, dirs)
     assert out.shape == (3, 5, spec.n)
     for p, theta in enumerate(points):
@@ -203,6 +205,112 @@ def test_hvp_batch_matches_hessian_and_single_products(iris, widths,
                 <= 1e-13 * np.linalg.norm(single)
             assert np.linalg.norm(out[p, k] - H @ v) \
                 <= 1e-13 * np.linalg.norm(single)
+
+
+def test_blocking_keeps_every_bit(mlp_spec, diag_spec, cubic_spec, iris,
+                                  monkeypatch):
+    """hvp_batch and loss_accuracy give the same bits with one item a block
+    as under the default budget, where each call is one block; non-finite
+    rows included, and with no directions or no rows at all."""
+    rng = np.random.default_rng(5)
+    wide = carlgd.ModelSpec(kind="mlp", layer_widths=(4, 6, 3),
+                            activation="identity")
+    cases = [(mlp_spec, iris), (wide, iris), (diag_spec, None),
+             (cubic_spec, None)]
+    for spec, data in cases:
+        points = rng.standard_normal((3, spec.n))
+        dirs = rng.standard_normal((7, spec.n))
+        rows = np.vstack([rng.standard_normal((5, spec.n)),
+                          np.full(spec.n, 1e100)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = []
+            for budget in (util.BLOCK_VALUES, 1):
+                monkeypatch.setattr(util, "BLOCK_VALUES", budget)
+                results.append([models.hvp_batch(spec, points, data, dirs),
+                                *models.loss_accuracy(spec, rows, data)])
+                empty = models.hvp_batch(spec, points, data,
+                                         np.zeros((0, spec.n)))
+                assert empty.shape == (3, 0, spec.n)
+                lv, acc = models.loss_accuracy(spec, np.zeros((0, spec.n)),
+                                               data)
+                assert lv.shape == acc.shape == (0,)
+        for one_block, per_item in zip(*results):
+            assert one_block.view(np.uint64).tobytes() \
+                == per_item.view(np.uint64).tobytes()
+
+
+def test_blocks_hold_at_most_the_budget(mlp_spec, diag_spec, iris,
+                                        monkeypatch):
+    """Every block of hvp_batch and of loss_accuracy's stacked forward pass
+    holds at most util.BLOCK_VALUES values in its widest arrays, or one
+    item when one item is over the budget."""
+    blocks = []
+    hvp_block, forward = models._hvp_block, models._mlp_forward
+
+    def hvp_spy(spec, thetas, data, V, out):
+        blocks.append(len(thetas) * len(V))
+        hvp_block(spec, thetas, data, V, out)
+
+    def forward_spy(spec, theta, X):
+        blocks.append(len(theta))
+        return forward(spec, theta, X)
+
+    rng = np.random.default_rng(2)
+    for spec, data in ((mlp_spec, iris), (diag_spec, None)):
+        item = models._item_values(spec, data)
+        assert item == (iris.n_samples * 4 if data else spec.n)
+        for budget in (1, item - 1, item, 3 * item + 1, 16 * item):
+            monkeypatch.setattr(util, "BLOCK_VALUES", budget)
+            largest = max(1, budget // item)
+            blocks.clear()
+            monkeypatch.setattr(models, "_hvp_block", hvp_spy)
+            models.hvp_batch(spec, rng.standard_normal((3, spec.n)), data,
+                             rng.standard_normal((5, spec.n)))
+            monkeypatch.setattr(models, "_hvp_block", hvp_block)
+            assert sum(blocks) == 15 and max(blocks) <= largest, blocks
+            if spec is mlp_spec:
+                blocks.clear()
+                monkeypatch.setattr(models, "_mlp_forward", forward_spy)
+                models.loss_accuracy(spec, rng.standard_normal((20, spec.n)),
+                                     data)
+                monkeypatch.setattr(models, "_mlp_forward", forward)
+                assert sum(blocks) == 20 and max(blocks) <= largest, blocks
+                assert len(blocks) == -(-20 // largest)
+
+
+def _grad_by_layers(spec, theta, data):
+    """The MLP gradient by the per-layer formula: backpropagation into a
+    list of per-layer arrays, concatenated at the end."""
+    layers = spec.split(theta)
+    A_list, H_list = models._mlp_forward(spec, theta, data.features)
+    G = (H_list[-1] - data.one_hot) / data.n_samples
+    grads = [None] * len(layers)
+    for li in range(len(layers) - 1, -1, -1):
+        W, _ = layers[li]
+        grads[li] = (H_list[li].T @ G, G.sum(axis=0))
+        if li > 0:
+            G = (G @ W.T) * models._act_d1(spec, A_list[li - 1])
+    return np.concatenate([np.concatenate([gW.ravel(), gb])
+                           for gW, gb in grads])
+
+
+def test_grad_in_place_matches_per_layer_formula_bitwise(iris):
+    """2 000 random points over four MLP shapes, both activations and
+    scales from 1e-3 to 30: the in-place gradient has the bits of the
+    per-layer formula."""
+    rng = np.random.default_rng(11)
+    for widths in ((4, 3, 3), (4, 5, 4, 3), (4, 3), (4, 6, 3)):
+        for activation in ACTIVATIONS:
+            spec = carlgd.ModelSpec(kind="mlp", layer_widths=widths,
+                                    activation=activation, alpha=0.1)
+            for _ in range(250):
+                scale = 10.0 ** rng.uniform(-3, np.log10(30))
+                theta = rng.standard_normal(spec.n) * scale
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = models._grad_values(spec, theta, iris)
+                    want = _grad_by_layers(spec, theta, iris)
+                assert got.view(np.uint64).tobytes() \
+                    == want.view(np.uint64).tobytes()
 
 
 def test_hvp_batch_testbeds_closed_form(diag_spec, cubic_spec):
