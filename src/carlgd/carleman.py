@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import util
 from .errors import (CapacityError, ConvergenceError, DegenerateStateError,
                      InputError, SingularSystemError)
 from .util import count_text, norm2
@@ -145,38 +146,13 @@ class CarlemanMatrix:
         return np.concatenate(parts[self.block_orders[0]:])
 
 
-# Budget on the embedding dimension D, shared by `embed` and the capacity
-# check that runs before a field is extracted.
-MAX_DIM = 2_000_000
-# Budget on (T + 1) * D, the floats of one T-step trajectory. The
-# power-iteration kappa holds about six vectors of that size (the solve
-# about three), so this keeps its working set near 1 GiB: 6 * 8 B * 2e7 =
-# 0.96 GB. `check_floats` holds every other array whose size a count
-# sets (a reference trajectory, Lanczos probes, bin edges, proxy values)
-# to the same budget.
-MAX_STATES = 20_000_000
-# Budget on the raw keys `embed` writes before summing them. Its peak, in
-# the sort, is about 65 B a key, so this keeps `embed` near 1 GiB.
-MAX_KEYS = 16_000_000
-
-
-def check_floats(required, what, *counts):
-    """Raise CapacityError when `what` needs more than MAX_STATES floats.
-    `what` is a message template whose {} fields take `counts`; these
-    counts and `required` print by count_text, so 1e200 reads 1e+200."""
-    if required > MAX_STATES:
-        what = what.format(*map(count_text, counts))
-        raise CapacityError(f"{what} need {count_text(required)} floats, over "
-                            f"the budget {MAX_STATES}", required=required,
-                            budget=MAX_STATES)
-
-
-def check_capacity(n, order, include_constant, max_dim, steps=0):
+def check_capacity(n, order, include_constant, steps=0):
     """Dimensions of the blocks kept in an order-`order` embedding of an
     n-dimensional field; raises CapacityError when their total D exceeds
-    `max_dim`, or a trajectory of `steps` steps, (steps + 1) * D floats,
-    exceeds MAX_STATES. Needs no field, so callers can check before
+    util.MAX_DIM, or a trajectory of `steps` steps, (steps + 1) * D floats,
+    exceeds util.MAX_STATES. Needs no field, so callers can check before
     extracting one."""
+    max_dim = util.MAX_DIM
     if order < 1:
         raise InputError("truncation order must be >= 1")
     # D >= order, and D >= 2^order when n >= 2: a larger order is over the
@@ -195,11 +171,11 @@ def check_capacity(n, order, include_constant, max_dim, steps=0):
             f"{max_dim}",
             required=D, budget=max_dim,
         )
-    check_floats((steps + 1) * D, "{} steps of dimension D={}", steps, D)
+    util.check_floats((steps + 1) * D, "{} steps of dimension D={}", steps, D)
     return block_orders, dims
 
 
-def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
+def embed(field_, order):
     """Build the truncated Carleman step operator of a PolyField.
 
     S is one canonical `CSR` matrix, built by one sort from every block's
@@ -210,25 +186,24 @@ def embed(field_, order, max_dim=MAX_DIM, include_constant=None):
     diagonal; an entry that sums to 0 is dropped. Each block's local keys
     are checked as `_kron_sums` yields them to lie inside that block, row
     < n^i and column < n^j (InputError naming the block), so S never needs
-    a structure scan. `include_constant` defaults to auto: the order-0
-    block is kept exactly when the field has a nonzero constant term.
-    Raises CapacityError when the total dimension would exceed `max_dim`,
+    a structure scan. The order-0 block is kept exactly when F_0 != 0.
+    Raises CapacityError when the total dimension would exceed util.MAX_DIM,
     or the raw keys of the kept blocks, i * nnz(F_k) * n^(i-1) for block
-    (i, i + k - 1), would exceed MAX_KEYS; both are known before any key
-    is written.
+    (i, i + k - 1), would exceed util.MAX_KEYS; both are known before any
+    key is written.
     """
     n = field_.n
-    if include_constant is None:
-        include_constant = field_.terms[0].nnz > 0
-    block_orders, dims = check_capacity(n, order, include_constant, max_dim)
+    include_constant = field_.terms[0].nnz > 0
+    block_orders, dims = check_capacity(n, order, include_constant)
     D = int(sum(dims))
     offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(np.int64)
     start = dict(zip(block_orders, offsets))
     raw = sum(i * Fk.nnz * n ** (i - 1) for k, Fk in enumerate(field_.terms)
               for i in range(1, order + 2 - max(k, 1)) if i + k - 1 in start)
-    if raw > MAX_KEYS:
+    if raw > util.MAX_KEYS:
         raise CapacityError(f"embedding writes {raw} raw keys, over the budget "
-                            f"{MAX_KEYS}", required=raw, budget=MAX_KEYS)
+                            f"{util.MAX_KEYS}", required=raw,
+                            budget=util.MAX_KEYS)
     keys, vals = [], []
     for k, Fk in enumerate(field_.terms):  # blocks (i, i + k - 1), j <= order
         for i, (key, val) in enumerate(_kron_sums(Fk, order + 1 - max(k, 1), D), 1):
@@ -414,9 +389,12 @@ def _top_ritz(d, e):
 # Lanczos steps between convergence tests. A test costs about one gram
 # apply, and the recurrence runs up to this many steps past convergence.
 _CHECK_EVERY = 8
+# kappa's Lanczos tolerance on the Ritz residual, relative to the Ritz
+# value, and its step cap, past which it raises ConvergenceError.
+_LANCZOS_TOL, _LANCZOS_STEPS = 1e-8, 20000
 
 
-def _lanczos_top(apply, dim, seed, tol, max_iter):
+def _lanczos_top(apply, dim, seed):
     """Largest eigenvalue of a symmetric positive semidefinite operator.
 
     A plain three-term Lanczos recurrence from the start vector drawn with
@@ -424,12 +402,13 @@ def _lanczos_top(apply, dim, seed, tol, max_iter):
     extreme Ritz value still converges in floating point (Paige 1980).
     With theta the top eigenvalue of the k-step tridiagonal matrix and s_k
     the last entry of its unit eigenvector, it stops once the Ritz residual
-    beta_k |s_k| <= tol * theta. The test runs every `_CHECK_EVERY` steps,
-    at step `max_iter`, and whenever beta collapses to tol * |alpha_k| or
+    beta_k |s_k| <= tol * theta, tol = `_LANCZOS_TOL`. The test runs every
+    `_CHECK_EVERY` steps, at the step cap `_LANCZOS_STEPS` (ConvergenceError
+    when it fails there), and whenever beta collapses to tol * |alpha_k| or
     less, which passes it. theta is then off by about (beta_k s_k)^2 / gap
-    (Parlett). `max_iter` counts steps; hitting it raises ConvergenceError.
-    Returns inf when `apply` or the recurrence overflows.
+    (Parlett). Returns inf when `apply` or the recurrence overflows.
     """
+    tol, max_iter = _LANCZOS_TOL, _LANCZOS_STEPS
     q = np.random.default_rng(seed).standard_normal(dim)
     q /= np.linalg.norm(q)
     q_prev = np.zeros(dim)
@@ -465,37 +444,33 @@ def _lanczos_top(apply, dim, seed, tol, max_iter):
         f"(dimension {dim}, tol {tol:g})")
 
 
-def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
-                     tol=1e-8, max_iter=20000):
+def condition_number(G, method="dense_svd", seed=0):
     """kappa = sigma_max / sigma_min of the global matrix L.
 
-    `dense_svd` is allowed up to (T+1)*D <= dense_limit; it assembles L
-    densely from S and takes all its singular values. `power_iteration`
-    works at any size without assembling L: a numpy Lanczos recurrence
-    (`_lanczos_top`) finds sigma_max^2 = lambda_max(L^T L),
-    applied blockwise from S, and 1/sigma_min^2 = lambda_max((L L^T)^-1),
+    `dense_svd` is allowed up to (T+1)*D <= util.MAX_DENSE_ORDER; it
+    assembles L densely from S and takes all its singular values.
+    `power_iteration` works at any size without assembling L: a numpy
+    Lanczos recurrence (`_lanczos_top`) finds sigma_max^2 = lambda_max(L^T
+    L), applied blockwise from S, and 1/sigma_min^2 = lambda_max((L L^T)^-1),
     applied by forward and back substitution, from start vectors seeded by
     `seed` and `seed + 1`. Both operators multiply by a dense copy of S
     while it takes at most `_DENSE_BYTES` = 512 KiB (D <= 256), and by a
     scipy CSR S above that. Each stops once its Ritz residual is at most
-    `tol` times its Ritz value theta, so theta is off by about
-    tol^2 * theta^2 / gap: at the default 1e-8, under 1e-14 relative when
-    the top eigenvalue is separated by more than 1% of theta. `max_iter`
-    counts Lanczos steps. T = 0 gives exactly 1.
+    tol = `_LANCZOS_TOL` = 1e-8 times its Ritz value theta, so theta is off
+    by about tol^2 * theta^2 / gap: under 1e-14 relative when the top
+    eigenvalue is separated by more than 1% of theta. T = 0 gives exactly 1.
 
     Raises SingularSystemError when sigma_min < 1e-14 * sigma_max, when
     the inverse overflows or when L has a non-finite entry;
     ConvergenceError when either recurrence has not converged after
-    `max_iter` Lanczos steps; and InputError for an unknown method or a
-    dense SVD over `dense_limit`.
+    `_LANCZOS_STEPS` = 20 000 Lanczos steps; and InputError for an unknown
+    method or a dense SVD over util.MAX_DENSE_ORDER.
     """
     dim = (G.T + 1) * G.D
     if method == "dense_svd":
-        if dim > dense_limit:
-            raise InputError(
-                f"dense SVD rejected for dimension {dim} > {dense_limit}; "
-                "use power_iteration"
-            )
+        if dim > util.MAX_DENSE_ORDER:
+            raise InputError(f"dense SVD rejected for dimension {dim} > "
+                             f"{util.MAX_DENSE_ORDER}; use power_iteration")
         if G.T and not np.all(np.isfinite(G.S.data)):  # L = I at T = 0
             raise SingularSystemError(
                 "numerically singular system: L has a non-finite entry",
@@ -528,9 +503,8 @@ def condition_number(G, method="dense_svd", seed=0, dense_limit=4096,
         def inverse_gram(v):  # (L L^T)^-1 v
             return G.solve_lower_t(G.solve_lower(v))
 
-        smax = np.sqrt(_lanczos_top(gram, dim, seed, tol, max_iter))
-        smin = 1.0 / np.sqrt(_lanczos_top(inverse_gram, dim, seed + 1, tol,
-                                          max_iter))
+        smax = np.sqrt(_lanczos_top(gram, dim, seed))
+        smin = 1.0 / np.sqrt(_lanczos_top(inverse_gram, dim, seed + 1))
     else:
         raise InputError(f"unknown method {method!r}")
     if smin < 1e-14 * smax:

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__, carleman, config, diagnostics, models, pipeline
 from .errors import CapacityError, InputError, NumericError, ParseError
-from .util import (block_items, count_text, finite_float, open_input,
-                   sub_seed, writing)
+from .util import (block_items, check_floats, count_text, finite_float,
+                   open_input, sub_seed, writing)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,13 +46,14 @@ def write_csv(path, columns):
     identifiers (a phase, a kappa method name), with no comma, quote or
     line break, so csv.writer would quote none of them and write these
     same bytes. The rows are filled in blocks of at most
-    util.BLOCK_VALUES cells (or one row), so the Python values of a large
-    table are never all held at once. An OSError becomes an InputError."""
+    util.BLOCK_VALUES / 4 cells (or one row), so the Python values of a
+    large table are never all held at once. An OSError becomes an
+    InputError."""
     cols = [np.asarray(col) for col in columns.values()]
     row = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
                    for col in cols) + "\r\n"
     rows = min(map(len, cols), default=0)
-    step = block_items(len(cols))
+    step = block_items(4 * len(cols))  # a cell's Python float: about 32 B
     with writing(path), open(path, "w", newline="") as f:
         f.write(",".join(columns) + "\r\n")
         for a in range(0, rows, step):
@@ -262,7 +263,7 @@ def cmd_hessian(args, cfg, out):
     bins = cfg["hessian.bins"]
     if bins < 1:
         raise InputError(f"hessian.bins must be >= 1, got {count_text(bins)}")
-    carleman.check_floats(bins + 1, "{} histogram bins", bins)
+    check_floats(bins + 1, "{} histogram bins", bins)
     spec = config.build_model(cfg)
     data = config.load_dataset(cfg)
     point = _params_from_csv(args.params) if args.params \
@@ -291,7 +292,7 @@ def cmd_proxy(args, cfg, out):
     if not args.spectrum:
         raise InputError("--spectrum CSV is required")
     tmax = cfg["proxy.tmax"]
-    carleman.check_floats(tmax + 1, "proxy values at t = 0 ... {}", tmax)
+    check_floats(tmax + 1, "proxy values at t = 0 ... {}", tmax)
     spect = _spectrum_from_csv(args.spectrum)
     t = np.arange(tmax + 1)
     E = diagnostics.error_proxy(spect,

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import carleman, models
+from . import models, util
 from .errors import EmptySupportError, InputError
-from .util import block_items, count_text, rng_for
+from .util import block_items, count_text, norm2, rng_for
 
 
 @dataclass
@@ -107,23 +107,23 @@ def _lanczos(spec, theta, data, idx, m, seed, probes):
     return [(a[:s], b[:s - 1]) for a, b, s in zip(alpha, beta, steps)]
 
 
-def spectrum(spec, params, data=None, method="direct", k=80, probes=16,
-             seed=0, dense_limit=4096):
+def spectrum(spec, params, data=None, method="direct", k=80, probes=16, seed=0):
     """Hessian spectrum of a model at a point.
 
-    'direct' does an exact symmetric eigendecomposition (n <= dense_limit);
-    'lanczos' runs stochastic Lanczos quadrature using Hessian-vector
-    products only: each probe starts from its own seeded Rademacher
-    vector, and the probes run in lockstep, in groups whose bases hold at
-    most `carleman.MAX_STATES` floats (or one probe's basis). Masked
-    parameters restrict the Hessian to the surviving coordinates.
+    'direct' does an exact symmetric eigendecomposition of
+    `models.hessian` (n <= util.MAX_DENSE_ORDER); 'lanczos' runs
+    stochastic Lanczos quadrature using Hessian-vector products only:
+    each probe starts from its own seeded Rademacher vector, and the
+    probes run in lockstep, in groups whose bases hold at most
+    util.MAX_STATES floats (or one probe's basis). Masked parameters
+    restrict the Hessian to the surviving coordinates.
     """
     pv = params if isinstance(params, models.ParamVector) \
         else models.ParamVector(np.asarray(params, float))
     idx = pv.free_indices()
     n = idx.size
     if method == "direct":
-        H = models.hessian(spec, pv.values, data, dense_limit=dense_limit)
+        H = models.hessian(spec, pv.values, data)
         H = H[np.ix_(idx, idx)]
         lam = np.linalg.eigvalsh(H)
         return Spectrum(n=n, method="direct", eigenvalues=lam)
@@ -136,9 +136,8 @@ def spectrum(spec, params, data=None, method="direct", k=80, probes=16,
     from scipy.linalg import eigh_tridiagonal
 
     m = min(k, n)
-    carleman.check_floats(probes * m, "{} Lanczos probes of {} steps", probes,
-                          m)
-    group = max(1, carleman.MAX_STATES // (m * n))
+    util.check_floats(probes * m, "{} Lanczos probes of {} steps", probes, m)
+    group = max(1, util.MAX_STATES // (m * n))
     ritz = [eigh_tridiagonal(a, b) for first in range(0, probes, group)
             for a, b in _lanczos(spec, pv.values, data, idx, m, seed,
                                  range(probes)[first:first + group])]
@@ -245,17 +244,17 @@ def trajectory_error(approx, exact, mode="l2", param_index=None,
                      relative=False):
     """Per-step error series between two trajectories of equal length.
 
-    mode: 'l2', 'linf', or 'single_param' (needs param_index). `relative`
-    divides by the corresponding magnitude of the exact trajectory.
+    mode: 'l2' (`util.norm2` of each row, finite while representable),
+    'linf', or 'single_param' (needs param_index). `relative` divides by
+    the corresponding magnitude of the exact trajectory.
     """
     approx = np.atleast_2d(np.asarray(approx, dtype=float))
     exact = np.atleast_2d(np.asarray(exact, dtype=float))
     if approx.shape != exact.shape:
         raise InputError(f"length mismatch: {approx.shape} vs {exact.shape}")
     diff = approx - exact
-    if mode == "l2":
-        err = np.linalg.norm(diff, axis=1)
-        ref = np.linalg.norm(exact, axis=1)
+    if mode == "l2":  # the norm2 rows of trajectory.csv's err_l2
+        err, ref = norm2(diff), norm2(exact)
     elif mode == "linf":
         err = np.max(np.abs(diff), axis=1)
         ref = np.max(np.abs(exact), axis=1)

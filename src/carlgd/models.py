@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import carleman
+from . import util
 from .errors import DivergenceError, InputError, NumericOverflowError, ParseError
 from .util import block_items, count_text, open_input
 
@@ -257,23 +257,44 @@ def _grad_values(spec, theta, data):
     return out
 
 
-def _hvp_block(spec, thetas, data, V, out):
-    """Write H(thetas[p]) @ V[k] into out[p, k] for one bounded block."""
+def _hvp_points(spec, thetas, data):
+    """What H(thetas[p]) @ v needs of one block of points for any v: the
+    points of a testbed; for the MLP, the layers' weights, the forward pass
+    and, for each layer li > 0, the backward residual G, the contiguous
+    W^T, sigma' of layer li - 1 and G @ W^T. Every array keeps a length-1
+    direction axis (axis 1)."""
+    if spec.kind != "mlp":
+        return thetas
+    layers = spec.split(thetas[:, None])
+    A_list, H_list = _mlp_forward(spec, thetas[:, None], data.features)
+    G = (H_list[-1] - data.one_hot) / data.n_samples
+    backward = [None] * len(layers)
+    for li in range(len(layers) - 1, 0, -1):
+        # contiguous transposes keep the stacked products on BLAS
+        Wt = np.ascontiguousarray(np.swapaxes(layers[li][0], -1, -2))
+        sprime = _act_d1(spec, A_list[li - 1])
+        back = G @ Wt
+        backward[li] = G, Wt, sprime, back
+        G = back * sprime
+    return layers, A_list, H_list, backward
+
+
+def _hvp_block(spec, point, data, V, out):
+    """Write H(theta_p) @ V[k] into out[p, k] for one bounded block, from
+    `point`, what `_hvp_points` gave for a block of points theta_p."""
     if spec.kind == "diag_quadratic":
         out[...] = np.asarray(spec.coefficients) * V
         return
     if spec.kind == "scalar_cubic":
         c0, c1 = spec.coefficients
-        t = thetas[:, None, :1]
+        t = point[:, None, :1]
         out[...] = (c0 + 3.0 * c1 * t * t) * V
         return
     # Pearlmutter forward-over-reverse, broadcast over points (axis 0) and
     # directions (axis 1); arrays that do not depend on one of them keep a
     # length-1 (or missing) axis there.
-    layers = spec.split(thetas[:, None])
+    layers, A_list, H_list, backward = point
     dirs = spec.split(V)
-    A_list, H_list = _mlp_forward(spec, thetas[:, None], data.features)
-    S = data.n_samples
     n_layers = len(layers)
 
     RA_list, RH_list = [], [None]
@@ -286,25 +307,20 @@ def _hvp_block(spec, thetas, data, V, out):
         RH = _act_d1(spec, A_list[li]) * RA if li < n_layers - 1 else RA
         RH_list.append(RH)
 
-    G = (H_list[-1] - data.one_hot) / S
-    RG = RH_list[-1] / S
-    ones = np.ones(S)
+    RG = RH_list[-1] / data.n_samples
+    ones = np.ones(data.n_samples)
     out_layers = spec.split(out)  # views into out
     for li in range(n_layers - 1, -1, -1):
-        (W, _), (U, _), (rW, rb) = layers[li], dirs[li], out_layers[li]
+        (U, _), (rW, rb) = dirs[li], out_layers[li]
         rW[...] = np.swapaxes(H_list[li], -1, -2) @ RG
         rb[...] = ones @ RG
         if li > 0:
+            G, Wt, sprime, back = backward[li]
             rW += np.swapaxes(RH_list[li], -1, -2) @ G
-            # contiguous transposes keep the stacked products on BLAS
-            Wt = np.ascontiguousarray(np.swapaxes(W, -1, -2))
             Ut = np.ascontiguousarray(np.swapaxes(U, -1, -2))
-            sprime = _act_d1(spec, A_list[li - 1])
-            back = G @ Wt
             RG = (RG @ Wt + G @ Ut) * sprime
             if spec.activation == "quadratic_poly":
                 RG = RG + back * (2.0 * spec.alpha * RA_list[li - 1])
-            G = back * sprime
 
 
 def hvp_batch(spec, points, data, directions):
@@ -315,7 +331,8 @@ def hvp_batch(spec, points, data, directions):
     testbeds, forward-over-reverse (Pearlmutter 1994) for the MLP. The
     (point, direction) pairs run in blocks whose widest arrays hold at
     most util.BLOCK_VALUES values (or one pair), so the working set
-    follows the budget, not the sample count.
+    follows the budget, not the sample count. A block of points runs its
+    forward pass once, for all of its blocks of directions.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -329,9 +346,10 @@ def hvp_batch(spec, points, data, directions):
     pairs = block_items(_item_values(spec, data))
     kc = max(1, min(K, pairs))  # at least 1 for K = 0, a range step
     pc = max(1, pairs // kc)
-    for p in range(0, P, pc):
+    for p in range(0, P if K else 0, pc):  # no directions, nothing to run
+        point = _hvp_points(spec, points[p:p + pc], data)
         for k in range(0, K, kc):
-            _hvp_block(spec, points[p:p + pc], data, directions[k:k + kc],
+            _hvp_block(spec, point, data, directions[k:k + kc],
                        out[p:p + pc, k:k + kc])
     return out
 
@@ -393,34 +411,32 @@ def hvp(spec, params, data, v):
                        "Hessian-vector product")
 
 
-def hessian(spec, params, data=None, dense_limit=4096):
+def hessian(spec, params, data=None):
     """Dense Hessian: one batched product on the identity directions.
 
-    Rejected above `dense_limit` parameters; use hvp / a Lanczos estimate
-    instead at that scale. Raises NumericOverflowError on non-finite values.
+    Rejected above util.MAX_DENSE_ORDER parameters; use hvp / a Lanczos
+    estimate at that scale. Raises NumericOverflowError on non-finite values.
     """
     theta = params.values if isinstance(params, ParamVector) else np.asarray(params, float)
     _check_inputs(spec, theta, data)
     n = theta.size
-    if n > dense_limit:
-        raise InputError(
-            f"dense Hessian rejected for n={n} > limit {dense_limit}; use hvp"
-        )
+    if n > util.MAX_DENSE_ORDER:
+        raise InputError(f"dense Hessian rejected for n={n} > limit "
+                         f"{util.MAX_DENSE_ORDER}; use hvp")
     with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
         return _finite(hvp_batch(spec, theta, data, np.eye(n))[0].T, "Hessian")
 
 
 def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
-                  noise_seed=None, divergence_bound=1e8,
-                  raise_on_divergence=True):
+                  noise_seed=None, raise_on_divergence=True):
     """Classical (stochastic) gradient-descent reference trajectory.
 
     theta(t+1) = theta(t) - eta * grad L(theta(t)), with the gradient taken
     over the full set or a minibatch of `batch` samples per step, drawn
     with `default_rng(noise_seed)`. Masked coordinates stay exactly zero.
     Returns an array of shape (steps+1, n). The run diverges at the first
-    step whose theta has an inf or NaN entry or a norm over the finite
-    `divergence_bound`; with raise_on_divergence=False a diverged run
+    step whose theta has an inf or NaN entry or a norm over
+    util.DIVERGENCE_BOUND; with raise_on_divergence=False a diverged run
     returns the trajectory up to the last in-bounds step instead.
     """
     if not eta >= 0:  # false for NaN too
@@ -430,8 +446,8 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
     pv = params0 if isinstance(params0, ParamVector) else ParamVector(np.asarray(params0, float))
     theta = pv.values.copy()
     _check_inputs(spec, theta, data)
-    carleman.check_floats((steps + 1) * theta.size, "{} steps of {} parameters",
-                          steps, theta.size)
+    util.check_floats((steps + 1) * theta.size, "{} steps of {} parameters",
+                      steps, theta.size)
     mask = pv.mask
     stochastic = batch is not None and data is not None and batch < data.n_samples
     if batch is not None and batch < 1:
@@ -455,7 +471,7 @@ def sgd_reference(spec, params0, data=None, eta=0.1, steps=1, batch=None,
                 theta[pruned] = 0.0
             # sqrt(theta . theta) is np.linalg.norm's bits; the test is false
             # for an inf or NaN entry as for a norm over the bound
-            if not math.sqrt(theta @ theta) <= divergence_bound:
+            if not math.sqrt(theta @ theta) <= util.DIVERGENCE_BOUND:
                 if raise_on_divergence:
                     raise DivergenceError(f"trajectory diverged at step {t}", step=t)
                 return traj[:t]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import carleman, models, polyfield
+from . import carleman, models, polyfield, util
 from .errors import (DivergenceError, InputError, NumericError,
                      SingularSystemError)
 from .util import check_eta, norm2
@@ -40,7 +40,7 @@ SEGMENT_COLUMNS = ("segment", "start_step", "kappa", "kappa_method", "D",
 @dataclass(frozen=True)
 class Schedule:
     """Knobs of a pipeline run. The trajectory table of `total_steps` + 1
-    rows is held to `carleman.MAX_STATES` floats here, before any work."""
+    rows is held to util.MAX_STATES floats here, before any work."""
 
     total_steps: int
     eta: float
@@ -62,9 +62,9 @@ class Schedule:
             raise InputError("prune_fraction must be in (0, 1]")
         check_eta(self.eta)
         rows = self.total_steps + 1
-        carleman.check_floats(rows * len(STEP_COLUMNS),
-                              "{} trajectory rows of {} columns", rows,
-                              len(STEP_COLUMNS))
+        util.check_floats(rows * len(STEP_COLUMNS),
+                          "{} trajectory rows of {} columns", rows,
+                          len(STEP_COLUMNS))
 
 
 @dataclass
@@ -110,13 +110,13 @@ def _field_degree(spec, order):
 
 def lift(spec, data, anchor, degree, eta, mask, order, steps):
     """Field around `anchor` and its order-`order` embedding. The capacity,
-    D against `carleman.MAX_DIM` and a `steps`-step trajectory against
-    `carleman.MAX_STATES`, is checked from the free dimension and the drift
+    D against util.MAX_DIM and a `steps`-step trajectory against
+    util.MAX_STATES, is checked from the free dimension and the drift
     before any Hessian is evaluated."""
     check_eta(eta)
     idx = np.arange(spec.n) if mask is None else np.flatnonzero(mask)
     drift = bool(np.any(eta * models.grad(spec, anchor, data)[idx]))
-    carleman.check_capacity(idx.size, order, drift, carleman.MAX_DIM, steps)
+    carleman.check_capacity(idx.size, order, drift, steps)
     fld = polyfield.from_model(spec, data, anchor, degree, eta, mask=mask)
     return fld, carleman.embed(fld, order)
 

@@ -1,7 +1,8 @@
 """Small shared helpers: seed derivation, the Euclidean norm of a vector
 or of each row of a stack, finite numbers, the step size rule, input and
-output files, the short text of a count and the block budget of batched
-loops. The CSV writer formats its own cells (`cli.write_csv`)."""
+output files, the short text of a count, and every limit of a run, which
+callers read as `util.MAX_STATES` when they run. The CSV writer formats
+its own cells (`cli.write_csv`)."""
 
 import contextlib
 import hashlib
@@ -9,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 
 
 def sub_seed(seed, name):
@@ -92,10 +93,37 @@ def writing(path):
         raise InputError(f"cannot write {path}: {e.strerror}") from None
 
 
+# Budget on the embedding dimension D (`carleman.check_capacity`).
+MAX_DIM = 2_000_000
+# Budget on (T + 1) * D, the floats of one T-step trajectory. The
+# power-iteration kappa holds about six vectors of that size (the solve
+# about three), so this keeps its working set near 1 GiB: 6 * 8 B * 2e7 =
+# 0.96 GB. `check_floats` holds every other array whose size a count
+# sets (a reference trajectory, Lanczos probes, bin edges, proxy values)
+# to the same budget.
+MAX_STATES = 20_000_000
+# Budget on the raw keys `embed` writes before summing them. Its peak, in
+# the sort, is about 65 B a key, so this keeps `embed` near 1 GiB.
+MAX_KEYS = 16_000_000
+# Order of the largest matrix a dense SVD or eigendecomposition runs on:
+# the dense-SVD kappa's L or a dense Hessian (128 MiB of floats).
+MAX_DENSE_ORDER = 4096
+DIVERGENCE_BOUND = 1e8  # the norm past which a GD run has diverged
 # Values one block of a batched loop may hold in its widest array: 8 MiB
 # of floats. Blocking never changes an item's arithmetic, only how many
 # items share one pass.
 BLOCK_VALUES = 1 << 20
+
+
+def check_floats(required, what, *counts):
+    """Raise CapacityError when `what` needs more than MAX_STATES floats.
+    `what` is a message template whose {} fields take `counts`; these
+    counts and `required` print by count_text, so 1e200 reads 1e+200."""
+    if required > MAX_STATES:
+        what = what.format(*map(count_text, counts))
+        raise CapacityError(f"{what} need {count_text(required)} floats, over "
+                            f"the budget {MAX_STATES}", required=required,
+                            budget=MAX_STATES)
 
 
 def block_items(item_values):

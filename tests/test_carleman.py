@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carlgd
-from carlgd import carleman, pipeline, polyfield
+from carlgd import carleman, pipeline, polyfield, util
 from carlgd.errors import (CapacityError, DegenerateStateError,
                            DivergenceError, InputError, NumericError,
                            SingularSystemError)
@@ -93,8 +93,9 @@ def dense_embed_oracle(fld, N):
 
 def test_embed_against_dense_kronecker_oracle(mlp_spec, iris):
     # synthetic 6-dimensional degree-2 field
-    fld = random_field(6, 2, seed=1, density=0.25)
-    M = carlgd.embed(fld, 2, include_constant=True)
+    fld = random_field(6, 2, seed=1, density=0.25)  # has drift
+    M = carlgd.embed(fld, 2)
+    assert M.include_constant
     dense = np.eye(M.D) + dense_embed_oracle(fld, 2)
     np.testing.assert_allclose(M.S.toarray(), dense, atol=1e-14)
     assert M.S.nnz == np.count_nonzero(dense)
@@ -122,22 +123,25 @@ ORACLE_MAX_DIM = 128
 
 @st.composite
 def sparse_fields(draw):
-    """A slot-symmetrized sparse field, an order whose D stays under
-    ORACLE_MAX_DIM, and an explicit choice of the constant block."""
+    """A slot-symmetrized sparse field, with or without drift (F_0), and an
+    order whose D stays under ORACLE_MAX_DIM."""
     n = draw(st.integers(1, 4))
     degree = draw(st.integers(0, 3))
     fits = [N for N in range(1, 5) if sum(n ** j for j in range(N + 1)) <= ORACLE_MAX_DIM]
     order = draw(st.sampled_from(fits))
     density = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    drift = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     terms = []
     for k in range(degree + 1):
         shape = (n, n ** k)
         dense = rng.choice(FIELD_VALUES, size=shape) * (rng.random(shape) < density)
+        if k == 0 and not drift:
+            dense[:] = 0.0
         terms.append(sp.csr_matrix(symmetrize_slots(dense, k, n)))
     fld = polyfield.PolyField(n=n, degree=degree, eta=0.1,
                               theta_star=np.zeros(n), terms=terms)
-    return fld, order, draw(st.booleans())
+    return fld, order
 
 
 def assert_canonical_csr(X):
@@ -156,10 +160,12 @@ def assert_canonical_csr(X):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(sparse_fields())
 def test_embed_step_operator_equals_dense_oracle_exactly(case):
-    fld, order, include_constant = case
-    M = carlgd.embed(fld, order, include_constant=include_constant)
+    fld, order = case
+    M = carlgd.embed(fld, order)
     dense = dense_embed_oracle(fld, order)
-    if not include_constant:
+    assert M.include_constant == (fld.terms[0].nnz > 0)
+    if not M.include_constant:  # with no drift, nothing reaches order 0
+        assert not dense[:, 0].any()
         dense = dense[1:, 1:]
     want = np.eye(M.D) + dense  # the oracle also adds the p-terms in order
     assert np.array_equal(M.S.toarray(), want)
@@ -167,18 +173,20 @@ def test_embed_step_operator_equals_dense_oracle_exactly(case):
     assert_canonical_csr(M.S)
 
 
-def test_embed_capacity_error():
+def test_embed_capacity_error(monkeypatch):
     fld = random_field(4, 2, seed=2)  # has drift, so the constant block counts
+    monkeypatch.setattr(util, "MAX_DIM", 50)
     with pytest.raises(CapacityError) as err:
-        carlgd.embed(fld, 3, max_dim=50)
+        carlgd.embed(fld, 3)
     assert err.value.required == 1 + 4 + 16 + 64
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_embed_raw_key_count_is_exact(monkeypatch, seed):
-    """With the constant block kept, the raw key count that embed checks
-    against MAX_KEYS is the count that `_kron_sums` yields: a budget of
-    exactly that count passes, and one key less is rejected."""
+    """On a field with drift, so with the constant block kept, the raw key
+    count that embed checks against MAX_KEYS is the count that
+    `_kron_sums` yields: a budget of exactly that count passes, and one
+    key less is rejected."""
     rng = np.random.default_rng(seed)
     n, degree = int(rng.choice([1, 2, 3])), int(rng.integers(1, 4))
     order = int(rng.integers(1, 5))
@@ -192,13 +200,13 @@ def test_embed_raw_key_count_is_exact(monkeypatch, seed):
             yield keys, vals
 
     monkeypatch.setattr(carleman, "_kron_sums", counted)
-    carlgd.embed(fld, order, include_constant=True)
+    assert carlgd.embed(fld, order).include_constant
     total = sum(yielded)
-    monkeypatch.setattr(carleman, "MAX_KEYS", total)
-    carlgd.embed(fld, order, include_constant=True)
-    monkeypatch.setattr(carleman, "MAX_KEYS", total - 1)
+    monkeypatch.setattr(util, "MAX_KEYS", total)
+    carlgd.embed(fld, order)
+    monkeypatch.setattr(util, "MAX_KEYS", total - 1)
     with pytest.raises(CapacityError) as err:
-        carlgd.embed(fld, order, include_constant=True)
+        carlgd.embed(fld, order)
     assert err.value.required == total
 
 
@@ -207,7 +215,7 @@ def test_embed_key_budget_checked_before_keys_are_written(monkeypatch):
         raise AssertionError("keys written before the key budget check")
 
     monkeypatch.setattr(carleman, "_kron_sums", no_keys)
-    monkeypatch.setattr(carleman, "MAX_KEYS", 10)
+    monkeypatch.setattr(util, "MAX_KEYS", 10)
     with pytest.raises(CapacityError, match="raw keys"):
         carlgd.embed(random_field(3, 2, seed=1), 3)
 
@@ -266,19 +274,21 @@ def test_audit_catches_tampering(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(carleman, "_kron_sums", tampered)
             with pytest.raises(InputError, match=r"block \(2,1\)"):
-                carlgd.embed(fld, 2, include_constant=True)
-    carlgd.embed(fld, 2, include_constant=True)  # untampered: accepted
+                carlgd.embed(fld, 2)
+    carlgd.embed(fld, 2)  # untampered: accepted
 
 
 # ----------------------------------------------------------- initial state
 
 def embedded(n, order, theta_star=None):
-    """Order-`order` embedding, constant block kept, of a linear field on
-    R^n anchored at `theta_star` (zero by default)."""
+    """Order-`order` embedding of a linear field with drift on R^n, so with
+    the constant block kept, anchored at `theta_star` (zero by default)."""
     fld = random_field(n, 1, seed=8)
     if theta_star is not None:
         fld.theta_star = np.asarray(theta_star, dtype=float)
-    return carlgd.embed(fld, order, include_constant=True)
+    M = carlgd.embed(fld, order)
+    assert M.include_constant
+    return M
 
 
 def test_initial_state_at_anchor():
@@ -350,7 +360,7 @@ def test_solve_single_euler_step_cubic():
 
 def test_solve_matches_manual_iteration_bitwise():
     fld = random_field(3, 2, seed=4)
-    M = carlgd.embed(fld, 2, include_constant=True)
+    M = carlgd.embed(fld, 2)
     y0 = M.initial_state(0.1 * np.ones(3))
     G = carlgd.build_global(M, y0, 17)
     Y = carlgd.solve(G)
@@ -543,7 +553,7 @@ def test_power_iteration_matches_dense_svd():
         assert abs(kp - kd) <= 0.05 * kd
     # and on a coupled multivariate system
     fld = random_field(3, 2, seed=6, density=0.3)
-    M = carlgd.embed(fld, 2, include_constant=True)
+    M = carlgd.embed(fld, 2)
     G = carlgd.build_global(M, M.initial_state(np.zeros(3)), 8)
     kd = carlgd.condition_number(G, "dense_svd")
     kp = carlgd.condition_number(G, "power_iteration")
@@ -554,8 +564,7 @@ def lanczos_cases():
     for a, T in ((-0.5, 12), (-0.2, 25), (0.0, 20)):
         M = carlgd.embed(scalar_field(a, 0.0), 1)
         yield carlgd.build_global(M, M.initial_state(np.array([1.0])), T)
-    M = carlgd.embed(random_field(3, 2, seed=6, density=0.3), 2,
-                     include_constant=True)
+    M = carlgd.embed(random_field(3, 2, seed=6, density=0.3), 2)
     yield carlgd.build_global(M, M.initial_state(np.zeros(3)), 8)
 
 
@@ -573,11 +582,12 @@ def test_lanczos_kappa_bitwise_repeatable():
         assert len(runs) == 1
 
 
-def test_lanczos_kappa_iteration_cap_raises():
+def test_lanczos_kappa_iteration_cap_raises(monkeypatch):
     M = carlgd.embed(scalar_field(0.0, 0.0), 1)
     G = carlgd.build_global(M, M.initial_state(np.array([1.0])), 200)
+    monkeypatch.setattr(carleman, "_LANCZOS_STEPS", 1)
     with pytest.raises(NumericError):
-        carlgd.condition_number(G, "power_iteration", max_iter=1)
+        carlgd.condition_number(G, "power_iteration")
 
 
 def test_lanczos_kappa_matches_dense_svd_on_pruned_iris_system(mlp_spec, iris):
@@ -632,7 +642,7 @@ def test_lanczos_kappa_huge_step_operator(T):
     assert err.value.sigma_max == pytest.approx(1e100, rel=1e-8)
 
 
-def test_lanczos_overflowing_recurrence_gives_inf():
+def test_lanczos_overflowing_recurrence_gives_inf(monkeypatch):
     """Each apply of 1e308 * ones((2, 2)) is finite, but the top eigenvalue
     is past the float range, and so is alpha_1 from seed 8's start vector:
     the recurrence returns inf and warns about nothing."""
@@ -641,7 +651,8 @@ def test_lanczos_overflowing_recurrence_gives_inf():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert carleman._lanczos_top(apply, 2, 8, 1e-8, 10) == np.inf
+        monkeypatch.setattr(carleman, "_LANCZOS_STEPS", 10)
+        assert carleman._lanczos_top(apply, 2, 8) == np.inf
 
 
 @pytest.mark.parametrize("k", [1, 2, 8, 40])
@@ -670,12 +681,13 @@ def test_singular_system_detected():
         carlgd.condition_number(G, "power_iteration")
 
 
-def test_dense_svd_rejected_when_too_large():
+def test_dense_svd_rejected_when_too_large(monkeypatch):
     fld = scalar_field(-0.5, 0.0)
     M = carlgd.embed(fld, 1)
     G = carlgd.build_global(M, M.initial_state(np.array([1.0])), 10)
+    monkeypatch.setattr(util, "MAX_DENSE_ORDER", 5)
     with pytest.raises(InputError):
-        carlgd.condition_number(G, "dense_svd", dense_limit=5)
+        carlgd.condition_number(G, "dense_svd")
 
 
 def test_dense_svd_holds_one_copy_of_l():

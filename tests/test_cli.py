@@ -674,7 +674,7 @@ def test_pretraining_trajectory_checked_before_work(tmp_path, capsys,
         raise AssertionError("gradient evaluated before the size check")
 
     monkeypatch.setattr(models, "_grad_values", no_work)
-    monkeypatch.setattr(carleman, "MAX_STATES", 100 * 27)
+    monkeypatch.setattr(util, "MAX_STATES", 100 * 27)
     out = tmp_path / "run"
     assert main(["pretrain", "--data", str(IRIS_CSV), "--steps", "100",
                  "--out", str(out)]) == 3
@@ -789,14 +789,15 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
 
 
 def test_write_csv_fills_rows_block_by_block(tmp_path, monkeypatch):
-    """write_csv turns a block of at most util.BLOCK_VALUES cells at a time
-    into Python values: the bytes do not depend on the block size, and the
-    memory it holds at once follows the block, not the whole table."""
+    """write_csv turns a block of at most util.BLOCK_VALUES / 4 cells at a
+    time into Python values, four values a cell: the bytes do not depend on
+    the block size, and the memory it holds at once follows the block, not
+    the whole table."""
     rows = 40_000
     columns = {"t": np.arange(rows), "E": np.linspace(0.0, 1.0, rows)}
     texts, peaks = [], []
     for block in (rows, 1000):
-        monkeypatch.setattr(util, "BLOCK_VALUES", 2 * block)
+        monkeypatch.setattr(util, "BLOCK_VALUES", 4 * 2 * block)
         path = tmp_path / f"{block}.csv"
         tracemalloc.start()
         write_csv(path, columns)

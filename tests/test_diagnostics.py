@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import carlgd
-from carlgd import carleman, diagnostics, models, pipeline, util
+from carlgd import diagnostics, models, pipeline, util
 from carlgd.errors import EmptySupportError, InputError
+from carlgd.util import norm2
 
 
 def exact_spectrum(lams):
@@ -70,7 +71,7 @@ def test_lanczos_probe_groups_match_one_group(mlp_spec, iris, monkeypatch):
     assert calls == [4] * 5
     for budget, group in ((2 * 5 * mlp_spec.n, 2), (100, 1)):
         calls.clear()
-        monkeypatch.setattr(carleman, "MAX_STATES", budget)
+        monkeypatch.setattr(util, "MAX_STATES", budget)
         split = carlgd.spectrum(mlp_spec, point, iris, method="lanczos", k=5,
                                 probes=4, seed=0)
         assert calls == [group] * (5 * 4 // group)
@@ -321,6 +322,17 @@ def test_trajectory_error_relative():
     b = np.array([[1.0], [2.0]])
     rel = carlgd.trajectory_error(a, b, mode="l2", relative=True)
     np.testing.assert_allclose(rel, [1.0, 1.0])
+
+
+def test_trajectory_error_l2_does_not_overflow():
+    """The l2 error is norm2 of each row, as err_l2 in trajectory.csv: a
+    row of 1e200 entries reads 1.414e200, with no overflow warning (the
+    suite turns RuntimeWarning into an error), and so does its reference."""
+    row = np.array([[1e200, 1e200]])
+    err = carlgd.trajectory_error(row, np.zeros((1, 2)), mode="l2")
+    assert err[0] == norm2(row[0]) == pytest.approx(np.sqrt(2) * 1e200)
+    rel = carlgd.trajectory_error(2 * row, row, mode="l2", relative=True)
+    assert rel[0] == 1.0
 
 
 def test_loglog_slope_on_cubic_run(cubic_spec):

@@ -210,12 +210,15 @@ def test_hvp_batch_matches_hessian_and_single_products(iris, widths,
 def test_blocking_keeps_every_bit(mlp_spec, diag_spec, cubic_spec, iris,
                                   monkeypatch):
     """hvp_batch and loss_accuracy give the same bits with one item a block
-    as under the default budget, where each call is one block; non-finite
-    rows included, and with no directions or no rows at all."""
+    as under the default budget, where each call is one block, and as with
+    three, where one block of points serves several blocks of directions;
+    non-finite rows included, and with no directions or no rows at all."""
     rng = np.random.default_rng(5)
     wide = carlgd.ModelSpec(kind="mlp", layer_widths=(4, 6, 3),
                             activation="identity")
-    cases = [(mlp_spec, iris), (wide, iris), (diag_spec, None),
+    deep = carlgd.ModelSpec(kind="mlp", layer_widths=(4, 5, 4, 3),
+                            activation="quadratic_poly", alpha=0.1)
+    cases = [(mlp_spec, iris), (wide, iris), (deep, iris), (diag_spec, None),
              (cubic_spec, None)]
     for spec, data in cases:
         points = rng.standard_normal((3, spec.n))
@@ -224,7 +227,8 @@ def test_blocking_keeps_every_bit(mlp_spec, diag_spec, cubic_spec, iris,
                           np.full(spec.n, 1e100)])
         with np.errstate(over="ignore", invalid="ignore"):
             results = []
-            for budget in (util.BLOCK_VALUES, 1):
+            for budget in (util.BLOCK_VALUES, 1,
+                           3 * models._item_values(spec, data)):
                 monkeypatch.setattr(util, "BLOCK_VALUES", budget)
                 results.append([models.hvp_batch(spec, points, data, dirs),
                                 *models.loss_accuracy(spec, rows, data)])
@@ -234,9 +238,9 @@ def test_blocking_keeps_every_bit(mlp_spec, diag_spec, cubic_spec, iris,
                 lv, acc = models.loss_accuracy(spec, np.zeros((0, spec.n)),
                                                data)
                 assert lv.shape == acc.shape == (0,)
-        for one_block, per_item in zip(*results):
-            assert one_block.view(np.uint64).tobytes() \
-                == per_item.view(np.uint64).tobytes()
+        for one_block, *blocked in zip(*results):
+            for other in blocked:
+                assert one_block.tobytes() == other.tobytes()
 
 
 def test_blocks_hold_at_most_the_budget(mlp_spec, diag_spec, iris,
@@ -247,9 +251,9 @@ def test_blocks_hold_at_most_the_budget(mlp_spec, diag_spec, iris,
     blocks = []
     hvp_block, forward = models._hvp_block, models._mlp_forward
 
-    def hvp_spy(spec, thetas, data, V, out):
-        blocks.append(len(thetas) * len(V))
-        hvp_block(spec, thetas, data, V, out)
+    def hvp_spy(spec, point, data, V, out):
+        blocks.append(out.shape[0] * out.shape[1])
+        hvp_block(spec, point, data, V, out)
 
     def forward_spy(spec, theta, X):
         blocks.append(len(theta))
@@ -276,6 +280,32 @@ def test_blocks_hold_at_most_the_budget(mlp_spec, diag_spec, iris,
                 monkeypatch.setattr(models, "_mlp_forward", forward)
                 assert sum(blocks) == 20 and max(blocks) <= largest, blocks
                 assert len(blocks) == -(-20 // largest)
+
+
+def test_hvp_batch_runs_each_point_block_forward_once(mlp_spec, iris,
+                                                     monkeypatch):
+    """The forward pass and the point-only backward arrays of a block of
+    points are computed once and shared by all its blocks of directions:
+    at two pairs a block, 3 points x 27 directions take 3 forward passes
+    for 42 blocks."""
+    forward, hvp_block = models._mlp_forward, models._hvp_block
+    calls = {"forward": 0, "block": 0}
+
+    def forward_spy(spec, theta, X):
+        calls["forward"] += 1
+        return forward(spec, theta, X)
+
+    def block_spy(*args):
+        calls["block"] += 1
+        hvp_block(*args)
+
+    monkeypatch.setattr(models, "_mlp_forward", forward_spy)
+    monkeypatch.setattr(models, "_hvp_block", block_spy)
+    monkeypatch.setattr(util, "BLOCK_VALUES",
+                        2 * models._item_values(mlp_spec, iris))
+    points = np.random.default_rng(4).standard_normal((3, mlp_spec.n))
+    models.hvp_batch(mlp_spec, points, iris, np.eye(mlp_spec.n))
+    assert calls == {"forward": 3, "block": 3 * 14}
 
 
 def _grad_by_layers(spec, theta, data):
@@ -327,10 +357,10 @@ def test_hvp_batch_rejects_wrong_widths(mlp_spec, iris):
                          np.zeros((1, mlp_spec.n - 1)))
 
 
-def test_dense_hessian_rejected_above_limit(mlp_spec, iris):
+def test_dense_hessian_rejected_above_limit(mlp_spec, iris, monkeypatch):
+    monkeypatch.setattr(util, "MAX_DENSE_ORDER", 10)
     with pytest.raises(InputError):
-        carlgd.hessian(mlp_spec, carlgd.init_params(mlp_spec, 0), iris,
-                       dense_limit=10)
+        carlgd.hessian(mlp_spec, carlgd.init_params(mlp_spec, 0), iris)
 
 
 # ------------------------------------------------------------------- sgd
@@ -410,6 +440,15 @@ def test_sgd_divergence_step_at_the_bound(start, diverged_at):
     with pytest.raises(DivergenceError) as err:
         carlgd.sgd_reference(DOUBLING, p0, eta=1.0, steps=3)
     assert err.value.step == diverged_at
+
+
+def test_sgd_divergence_bound_is_read_when_the_run_starts(monkeypatch):
+    """The bound is util.DIVERGENCE_BOUND as the run reads it: at 1e8 / 4,
+    a start of 1e8 / 8 is on the bound at step 1 and past it at step 2."""
+    monkeypatch.setattr(util, "DIVERGENCE_BOUND", 1e8 / 4)
+    traj = carlgd.sgd_reference(DOUBLING, carlgd.ParamVector([1e8 / 8, 0.0]),
+                                eta=1.0, steps=3, raise_on_divergence=False)
+    assert traj.shape[0] == 2
 
 
 def test_iris_gd_loss_decreases_and_matches_independent_loop(mlp_spec, iris):

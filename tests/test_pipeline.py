@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import carlgd
-from carlgd import carleman, pipeline
+from carlgd import pipeline, util
 from carlgd.cli import main
 from carlgd.errors import CapacityError, InputError
 from carlgd.util import norm2
@@ -391,7 +391,7 @@ def test_schedule_holds_its_trajectory_table_to_the_budget(monkeypatch):
     STEP_COLUMNS, has more than MAX_STATES floats is rejected when it is
     made; one that fills the budget exactly is not."""
     width = len(pipeline.STEP_COLUMNS)
-    monkeypatch.setattr(carleman, "MAX_STATES", 11 * width)
+    monkeypatch.setattr(util, "MAX_STATES", 11 * width)
     pipeline.Schedule(total_steps=10, eta=0.1, reupload_period=5)
     with pytest.raises(CapacityError, match="12 trajectory rows of 7 columns"):
         pipeline.Schedule(total_steps=11, eta=0.1, reupload_period=5)
