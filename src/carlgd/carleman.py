@@ -14,7 +14,7 @@ as they are yielded, adds the identity's diagonal after them, and sums the
 entries of each key in that order, by one sort, into one canonical `CSR`
 matrix, S. The count of those keys is known from the field before any is
 written, and is checked against a budget, as D is.
-No block is stored on its own: slice `CarlemanMatrix.S` at `offsets`.
+No block is stored on its own: S and the state hold them in order of j.
 `CSR` is this package's own sparse storage, so the lift runs on numpy
 alone; products with S go through `GlobalSystem`, which picks a dense or
 a scipy operator by size.
@@ -119,20 +119,20 @@ def _sorted_sums(key, val):
 
 @dataclass
 class CarlemanMatrix:
-    """Assembled truncated embedding of a PolyField."""
+    """Assembled truncated embedding of a PolyField: the one record of
+    where each block, and so theta, sits in the lifted state."""
 
     n: int
     order: int
-    include_constant: bool
-    block_orders: list  # orders of the stored blocks, e.g. [0, 1, 2]
-    offsets: np.ndarray  # start offset of each block within the state vector
+    include_constant: bool  # whether the state starts with the order-0 block
     D: int
     S: CSR
     field: object = field(repr=False)
 
     def order_one_slice(self):
-        pos = self.block_orders.index(1)
-        return slice(int(self.offsets[pos]), int(self.offsets[pos]) + self.n)
+        """The order-1 block delta of a state: theta is theta_star plus it."""
+        start = 1 if self.include_constant else 0
+        return slice(start, start + self.n)
 
     def initial_state(self, theta0):
         """Upload state for a start point theta0 in the field's coordinates."""
@@ -143,7 +143,7 @@ class CarlemanMatrix:
         parts = [np.ones(1)]  # delta^(x)j, each from the one before
         for _ in range(self.order):
             parts.append(np.multiply.outer(parts[-1], delta).ravel())
-        return np.concatenate(parts[self.block_orders[0]:])
+        return np.concatenate(parts[0 if self.include_constant else 1:])
 
 
 def check_capacity(n, order, include_constant, steps=0):
@@ -224,8 +224,7 @@ def embed(field_, order):
     del keys, vals  # free the per-block arrays before the sort
     S = CSR.from_keys(*_sorted_sums(key, val), (D, D))
     return CarlemanMatrix(n=n, order=order, include_constant=include_constant,
-                          block_orders=block_orders, offsets=offsets, D=D,
-                          S=S, field=field_)
+                          D=D, S=S, field=field_)
 
 
 # Products with S and S^T use dense copies while one takes at most this
@@ -317,7 +316,6 @@ class ReadoutResult:
     params: np.ndarray
     l2_error: float
     linf_error: float
-    shots: int
 
 
 def check_shots(shots, name):
@@ -328,21 +326,21 @@ def check_shots(shots, name):
                          f"got {count_text(shots)}")
 
 
-def readout(y, theta_star, shots, seed=None, has_constant=True):
-    """Sampled (tomographic) readout of parameters from a solution state.
+def readout(M, y, shots, seed=None):
+    """Sampled (tomographic) readout of parameters from a state `y` of the
+    lift `M`; InputError unless `y` has length `M.D`.
 
     Draws `shots` samples from the normalized amplitude distribution of
-    the full state, estimates order-1 magnitudes from counts, takes signs
-    from the exact state, and reports the l2/linf estimation error against
-    the exact readout theta_star + order-1 block.
+    the full state, estimates the magnitudes of the order-1 block
+    (`M.order_one_slice()`) from counts, takes signs from the exact state,
+    and reports the l2/linf estimation error against the exact readout
+    M.field.theta_star + order-1 block.
     """
     y = np.asarray(y, dtype=float).ravel()
-    theta_star = np.asarray(theta_star, dtype=float).ravel()
-    n = theta_star.size
-    off = 1 if has_constant else 0
-    if y.size < off + n:
-        raise InputError("state too short for the requested readout")
-    block = y[off:off + n]
+    if y.size != M.D:
+        raise InputError(f"state length {y.size} != system dimension {M.D}")
+    one = M.order_one_slice()
+    block = y[one]
     check_shots(shots, "shots")
     if not np.all(np.isfinite(y)):
         raise DegenerateStateError("cannot sample from a non-finite state")
@@ -358,13 +356,12 @@ def readout(y, theta_star, shots, seed=None, has_constant=True):
     p = p / p.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, p)
-    amp = nrm * np.sqrt(counts[off:off + n] / shots)
+    amp = nrm * np.sqrt(counts[one] / shots)
     est_block = np.sign(block) * amp
     err = est_block - block
-    return ReadoutResult(params=theta_star + est_block,
+    return ReadoutResult(params=M.field.theta_star + est_block,
                          l2_error=math.hypot(*err),  # scaled: no overflow
-                         linf_error=float(np.max(np.abs(err))) if n else 0.0,
-                         shots=shots)
+                         linf_error=float(np.max(np.abs(err))) if M.n else 0.0)
 
 
 def _top_ritz(d, e):

@@ -225,10 +225,9 @@ def cmd_simulate(args, cfg, out):
                **{f"exact_{i}": col for i, col in enumerate(result.exact.T)}})
     outputs = ["trajectory.csv", "params.csv"]
     if cfg["readout.shots"] is not None:
-        ro = carleman.readout(result.final_state, result.field.theta_star,
+        ro = carleman.readout(result.lift, result.final_state,
                               shots=cfg["readout.shots"],
-                              seed=sub_seed(cfg["seed"], "tomography"),
-                              has_constant=result.has_constant)
+                              seed=sub_seed(cfg["seed"], "tomography"))
         n = ro.params.size
         write_csv(out / "readout.csv",
                   {"index": np.arange(n), "estimate": ro.params,
@@ -236,7 +235,7 @@ def cmd_simulate(args, cfg, out):
                    "linf_error": np.full(n, ro.linf_error)})
         outputs.append("readout.csv")
     print(f"simulated {cfg['simulate.steps']} steps at order "
-          f"{cfg['simulate.order']} (D={result.dim}) -> {out}")
+          f"{cfg['simulate.order']} (D={result.lift.D}) -> {out}")
     return outputs, 0
 
 
@@ -316,8 +315,8 @@ def cmd_kappa(args, cfg, out):
     order = cfg["kappa.order"]
     eta = cfg["kappa.eta"]
     degree = pipeline._field_degree(spec, order)
-    _, M = pipeline.lift(spec, data, np.zeros(spec.n), degree, eta, None, order,
-                         max(steps))
+    M = pipeline.lift(spec, data, np.zeros(spec.n), degree, eta, None, order,
+                      max(steps))
     y0 = M.initial_state(theta0)
     method = cfg["kappa.method"]
     kappas = [carleman.condition_number(carleman.build_global(M, y0, T),

@@ -242,7 +242,8 @@ def cost_estimate(n, T, s, kappa, eps, regime):
 
 def trajectory_error(approx, exact, mode="l2", param_index=None,
                      relative=False):
-    """Per-step error series between two trajectories of equal length.
+    """Per-step error series between two trajectories of equal length; the
+    'l2' and 'linf' series are trajectory.csv's err_l2 and err_linf.
 
     mode: 'l2' (`util.norm2` of each row, finite while representable),
     'linf', or 'single_param' (needs param_index). `relative` divides by
@@ -252,20 +253,16 @@ def trajectory_error(approx, exact, mode="l2", param_index=None,
     exact = np.atleast_2d(np.asarray(exact, dtype=float))
     if approx.shape != exact.shape:
         raise InputError(f"length mismatch: {approx.shape} vs {exact.shape}")
-    diff = approx - exact
-    if mode == "l2":  # the norm2 rows of trajectory.csv's err_l2
-        err, ref = norm2(diff), norm2(exact)
-    elif mode == "linf":
-        err = np.max(np.abs(diff), axis=1)
-        ref = np.max(np.abs(exact), axis=1)
-    elif mode == "single_param":
-        if param_index is None:
-            raise InputError("single_param mode needs param_index")
-        err = np.abs(diff[:, param_index])
-        ref = np.abs(exact[:, param_index])
-    else:
+    sizes = {"l2": norm2,
+             "linf": lambda rows: np.max(np.abs(rows), axis=1),
+             "single_param": lambda rows: np.abs(rows[:, param_index])}
+    if mode not in sizes:
         raise InputError(f"unknown mode {mode!r}")
+    if mode == "single_param" and param_index is None:
+        raise InputError("single_param mode needs param_index")
+    err = sizes[mode](approx - exact)
     if relative:
+        ref = sizes[mode](exact)
         with np.errstate(divide="ignore", invalid="ignore"):
             err = np.where(ref > 0, err / ref, np.inf)
     return err

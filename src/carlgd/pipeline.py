@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import carleman, models, polyfield, util
+from . import carleman, diagnostics, models, polyfield, util
 from .errors import (DivergenceError, InputError, NumericError,
                      SingularSystemError)
-from .util import check_eta, norm2
+from .util import check_eta
 
 # The keys of a trajectory table and of a segment table, in CSV column
 # order; `phase` is 'carleman' or 'classical_refine'.
@@ -109,16 +109,17 @@ def _field_degree(spec, order):
 
 
 def lift(spec, data, anchor, degree, eta, mask, order, steps):
-    """Field around `anchor` and its order-`order` embedding. The capacity,
-    D against util.MAX_DIM and a `steps`-step trajectory against
-    util.MAX_STATES, is checked from the free dimension and the drift
-    before any Hessian is evaluated."""
+    """The order-`order` embedding of the field around `anchor`, a
+    CarlemanMatrix whose `field` is that field. The capacity, D against
+    util.MAX_DIM and a `steps`-step trajectory against util.MAX_STATES, is
+    checked from the free dimension and the drift before any Hessian is
+    evaluated."""
     check_eta(eta)
     idx = np.arange(spec.n) if mask is None else np.flatnonzero(mask)
     drift = bool(np.any(eta * models.grad(spec, anchor, data)[idx]))
     carleman.check_capacity(idx.size, order, drift, steps)
     fld = polyfield.from_model(spec, data, anchor, degree, eta, mask=mask)
-    return fld, carleman.embed(fld, order)
+    return carleman.embed(fld, order)
 
 
 def _segment(spec, data, start, anchor, degree, eta, order, steps):
@@ -126,21 +127,21 @@ def _segment(spec, data, start, anchor, degree, eta, order, steps):
     `anchor`, upload start's free coordinates, run `steps` Carleman steps
     and exact GD from `start`, and cut both to the steps both completed.
 
-    Returns (field, CarlemanMatrix, GlobalSystem, states Y, approx, exact).
-    approx is the download of every state, theta_star plus its order-1
-    block, in the full coordinates; fewer than `steps` + 1 rows mean that
+    Returns (CarlemanMatrix, GlobalSystem, states Y, approx, exact). approx
+    is the download of every state, theta_star plus its order-1 block, in
+    the full coordinates; fewer than `steps` + 1 rows mean that
     one of the runs left bounds at step `len(Y)`.
     """
     free = start.free_indices()
-    fld, M = lift(spec, data, anchor, degree, eta, start.mask, order, steps)
+    M = lift(spec, data, anchor, degree, eta, start.mask, order, steps)
     G = carleman.build_global(M, M.initial_state(start.values[free]), steps)
     Y = carleman.solve(G)
     exact = models.sgd_reference(spec, start, data, eta=eta, steps=Y.shape[0] - 1,
                                  raise_on_divergence=False)
     Y = Y[:exact.shape[0]]
     approx = np.zeros((Y.shape[0], spec.n))
-    approx[:, free] = fld.theta_star + Y[:, M.order_one_slice()]
-    return fld, M, G, Y, approx, exact
+    approx[:, free] = M.field.theta_star + Y[:, M.order_one_slice()]
+    return M, G, Y, approx, exact
 
 
 def _loss_acc(spec, theta, data):
@@ -155,26 +156,25 @@ def _loss_acc(spec, theta, data):
 def _records(spec, data, approx, exact, step0, seg, phase):
     """The trajectory table of the rows of `approx`: one array per key of
     STEP_COLUMNS, steps numbered from `step0`, errors against the same rows
-    of `exact`. `err_l2` is `norm2` of the stack of differences, so that
-    each row keeps the bits and the overflow handling of a 1-D norm."""
+    of `exact` by `diagnostics.trajectory_error`."""
     losses, accs = _loss_acc(spec, approx, data)
-    diff = approx - exact
-    rows = diff.shape[0]
+    rows = approx.shape[0]
     return {"step": np.arange(step0, step0 + rows), "loss": losses,
-            "accuracy": accs, "err_l2": norm2(diff),
-            "err_linf": np.max(np.abs(diff), axis=1),
+            "accuracy": accs,
+            "err_l2": diagnostics.trajectory_error(approx, exact, "l2"),
+            "err_linf": diagnostics.trajectory_error(approx, exact, "linf"),
             "segment": np.full(rows, seg), "phase": np.full(rows, phase)}
 
 
 @dataclass
 class SimulateResult:
+    """A `simulate` run; `readout(lift, final_state, ...)` samples its end."""
+
     approx: np.ndarray  # (steps+1, n) Carleman-readout trajectory
     exact: np.ndarray  # (steps+1, n) exact GD from the same start
     records: dict  # trajectory table, one row per step
-    dim: int  # Carleman dimension D
-    field: polyfield.PolyField
+    lift: carleman.CarlemanMatrix  # the lift; its field is `lift.field`
     final_state: np.ndarray  # full Carleman state at the last step
-    has_constant: bool
 
 
 def simulate(spec, data, params0, eta, order, steps, anchor="start",
@@ -203,16 +203,15 @@ def simulate(spec, data, params0, eta, order, steps, anchor="start",
     else:
         anchor_vec = np.asarray(anchor, dtype=float).ravel()
     d = degree if degree is not None else _field_degree(spec, order)
-    fld, M, _, Y, approx, exact = _segment(spec, data, pv, anchor_vec, d, eta,
-                                           order, steps)
+    M, _, Y, approx, exact = _segment(spec, data, pv, anchor_vec, d, eta,
+                                      order, steps)
     if Y.shape[0] <= steps:
         raise DivergenceError(f"trajectory diverged at step {Y.shape[0]}",
                               step=Y.shape[0])
     return SimulateResult(approx=approx, exact=exact,
                           records=_records(spec, data, approx, exact, 0, 0,
                                            "carleman"),
-                          dim=M.D, field=fld, final_state=Y[-1],
-                          has_constant=M.include_constant)
+                          lift=M, final_state=Y[-1])
 
 
 def run_pipeline(spec, data, schedule, params0, seed=0,
@@ -240,7 +239,7 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
 
     while steps_done < schedule.total_steps and diverged_at is None:
         R = min(schedule.reupload_period, schedule.total_steps - steps_done)
-        _, M, G, _, approx, exact = _segment(
+        M, G, _, approx, exact = _segment(
             spec, data, models.ParamVector(theta, mask=mask), theta, d,
             schedule.eta, N, R)
         try:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
+from . import models, util
 from .carleman import CSR
 from .errors import InputError
 from .util import check_eta, count_text
@@ -73,9 +73,10 @@ def _stencil_weights(m):
             [2 * c / (k * k * d) for k, c, d in terms])
 
 
-def _derivative_tensors(spec, data, theta_star, idx, degree, H):
-    """grad^3 L and grad^4 L on the free coordinates `idx`, each distinct
-    entry evaluated once and copied to all its slot permutations.
+def _derivative_tensors(spec, data, theta_star, idx, E, degree, H):
+    """grad^3 L and grad^4 L on the free coordinates `idx`, whose unit
+    vectors are the rows of `E`, each distinct entry evaluated once and
+    copied to all its slot permutations.
 
     H(theta_star + s u) is a polynomial in s of degree grad_degree() - 1
     <= 2m, so central stencils on -m..m are exact for any step. On the
@@ -92,7 +93,6 @@ def _derivative_tensors(spec, data, theta_star, idx, degree, H):
     h = _STENCIL_STEP
     m = max(1, spec.grad_degree() // 2)
     w1, w2 = _stencil_weights(m)
-    E = np.eye(spec.n)[idx]
     offsets = h * np.arange(1, m + 1)
     offsets = np.concatenate([offsets, -offsets])
 
@@ -140,7 +140,9 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
     is False. With a mask, the field lives on the reduced coordinate
     space of unmasked entries (masked coordinates pinned at zero). Only
     the free Hessian columns are evaluated, and grad^3 L / grad^4 L come
-    from an exact stencil over them, with no step-size error.
+    from an exact stencil over them, with no step-size error. The dense
+    derivative tensors, up to n^(degree + 1) floats over the n free
+    coordinates, are held to util.MAX_STATES before any is evaluated.
     """
     if degree not in (1, 2, 3):
         raise InputError(f"degree must be 1, 2 or 3, got {count_text(degree)}")
@@ -151,13 +153,16 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
     idx = np.arange(spec.n) if mask is None \
         else np.flatnonzero(np.asarray(mask, dtype=bool))
     n = idx.size
+    util.check_floats(n ** (degree + 1), "the derivatives of {} coordinates "
+                      "up to order {}", n, degree + 1)
 
     g = models.grad(spec, theta_star, data)[idx]
-    E = np.eye(spec.n)[idx]
+    E = np.zeros((n, spec.n))  # row i is the unit vector of coordinate idx[i]
+    E[np.arange(n), idx] = 1.0
     H = models.hvp_batch(spec, theta_star, data, E)[0][:, idx]  # H[j, i] = H_ij
     terms = [(-eta * g).reshape(n, 1), -eta * H.T]
     if degree >= 2:
-        T3, T4 = _derivative_tensors(spec, data, theta_star, idx, degree, H)
+        T3, T4 = _derivative_tensors(spec, data, theta_star, idx, E, degree, H)
         terms.append((-0.5 * eta) * T3.reshape(n, n * n))
     if degree >= 3:
         terms.append((-eta / 6.0) * T4.reshape(n, n ** 3))

@@ -48,7 +48,8 @@ def test_embed_degree_two_blocks():
     fld = random_field(2, 2, seed=0)
     M = carlgd.embed(fld, 2)
     S = M.S.toarray()
-    start = dict(zip(M.block_orders, M.offsets))
+    assert M.include_constant
+    start = {0: 0, 1: 1, 2: 3}  # the blocks of orders 0, 1, 2, in order
 
     def block(i, j):
         return S[start[i]:start[i] + 2 ** i, start[j]:start[j] + 2 ** j]
@@ -328,7 +329,7 @@ def test_upload_stats():
     sched = carlgd.Schedule(total_steps=4, eta=0.1, reupload_period=2,
                             classical_refine_steps=0, carleman_order=2)
     report = pipeline.run_pipeline(spec, None, sched, params)
-    _, M = pipeline.lift(spec, None, params.values, 1, 0.1, params.mask, 2, 2)
+    M = pipeline.lift(spec, None, params.values, 1, 0.1, params.mask, 2, 2)
     y0 = M.initial_state(params.values)
     assert np.count_nonzero(y0) == 1
     segs = report.segments
@@ -467,23 +468,36 @@ def bits(a):
 
 # ---------------------------------------------------------------- readout
 
+def drift_lift(theta_star, order=1):
+    """The order-`order` lift of a degree-1 field with drift around
+    `theta_star`: its states start with the order-0 block, then delta."""
+    n = len(theta_star)
+    fld = polyfield.PolyField(n=n, degree=1, eta=0.1, theta_star=theta_star,
+                              terms=[np.full((n, 1), 0.1), np.zeros((n, n))])
+    M = carlgd.embed(fld, order)
+    assert M.include_constant
+    return M
+
+
 def test_readout_all_mass_on_constant():
+    M = drift_lift([1.5, -2.0], order=2)
     y = np.zeros(7)
     y[0] = 5.0
-    res = carlgd.readout(y, np.array([1.5, -2.0]), shots=1000, seed=0)
+    res = carlgd.readout(M, y, shots=1000, seed=0)
     np.testing.assert_array_equal(res.params, [1.5, -2.0])
 
 
 def test_readout_zero_state_rejected():
     with pytest.raises(DegenerateStateError):
-        carlgd.readout(np.zeros(4), np.zeros(1), shots=100)
+        carlgd.readout(drift_lift([0.0], order=3), np.zeros(4), shots=100)
 
 
 def test_readout_tomography_error_shrinks_with_shots():
+    M = drift_lift([0.0, 0.0])
     y = np.array([0.5, 0.3, 0.4])
     means = {}
     for shots in (10 ** 3, 10 ** 5, 10 ** 7):
-        errs = [carlgd.readout(y, np.zeros(2), shots=shots, seed=s).linf_error
+        errs = [carlgd.readout(M, y, shots=shots, seed=s).linf_error
                 for s in range(10)]
         means[shots] = np.mean(errs)
     assert means[10 ** 3] > means[10 ** 5] > means[10 ** 7]
@@ -492,13 +506,13 @@ def test_readout_tomography_error_shrinks_with_shots():
 
 def test_readout_sign_recovery():
     y = np.array([1.0, -0.6, 0.8])
-    res = carlgd.readout(y, np.zeros(2), shots=10 ** 6, seed=1)
+    res = carlgd.readout(drift_lift([0.0, 0.0]), y, shots=10 ** 6, seed=1)
     assert res.params[0] < 0 < res.params[1]
 
 
 def test_readout_samples_state_whose_norm_overflows_unscaled():
     y = np.array([1.0, 1e200, 1e200])
-    res = carlgd.readout(y, np.zeros(2), shots=10 ** 4, seed=0)
+    res = carlgd.readout(drift_lift([0.0, 0.0]), y, shots=10 ** 4, seed=0)
     assert np.all(np.isfinite(res.params))
     np.testing.assert_allclose(res.params, [1e200, 1e200], rtol=0.05)
     assert np.isfinite(res.l2_error) and res.l2_error < 0.05 * 1e200
@@ -508,7 +522,24 @@ def test_readout_samples_state_whose_norm_overflows_unscaled():
                                [1.0, np.inf, 0.0], [1.0, np.nan, 0.0]])
 def test_readout_overflowing_or_nonfinite_state_rejected(y):
     with pytest.raises(DegenerateStateError):
-        carlgd.readout(np.array(y), np.zeros(2), shots=100, seed=0)
+        carlgd.readout(drift_lift([0.0, 0.0]), np.array(y), shots=100, seed=0)
+
+
+def test_readout_of_a_drift_free_lift_reads_the_order_one_block():
+    """With no drift the state has no order-0 block, so theta is read from
+    its first n entries: the scalar cubic anchored at 0 from theta0 = 0.5
+    reads back 0.5, not delta^2 = 0.25."""
+    M = carlgd.embed(scalar_field(-0.1, -0.1), 3)
+    assert not M.include_constant
+    res = carlgd.readout(M, M.initial_state([0.5]), shots=10 ** 6, seed=0)
+    assert abs(res.params[0] - 0.5) < 2e-3  # its shot noise is about 1.4e-4
+
+
+@pytest.mark.parametrize("length", [3, 8])
+def test_readout_rejects_a_state_of_another_length(length):
+    M = drift_lift([0.0, 0.0], order=2)  # D = 7
+    with pytest.raises(InputError, match="state length"):
+        carlgd.readout(M, np.ones(length), shots=100, seed=0)
 
 
 # --------------------------------------------------------- condition number
@@ -597,9 +628,9 @@ def test_lanczos_kappa_matches_dense_svd_on_pruned_iris_system(mlp_spec, iris):
     pruned = pipeline.prune_topk(
         pipeline.pretrain(mlp_spec, iris, steps=200, eta=0.05, seed=0), 0.37)
     anchor = pruned.values
-    _, M = pipeline.lift(mlp_spec, iris, anchor,
-                         pipeline._field_degree(mlp_spec, 2), 0.05,
-                         pruned.mask, 2, 10)
+    M = pipeline.lift(mlp_spec, iris, anchor,
+                      pipeline._field_degree(mlp_spec, 2), 0.05,
+                      pruned.mask, 2, 10)
     G = carlgd.build_global(M, M.initial_state(anchor[pruned.mask]), 10)
     assert (G.T + 1) * G.D == 1221
     kd = carlgd.condition_number(G, "dense_svd")
@@ -716,9 +747,9 @@ def pruned_iris(mlp_spec, iris):
 
 
 def lift_pruned_iris(mlp_spec, iris, pruned, order):
-    _, M = pipeline.lift(mlp_spec, iris, pruned.values,
-                         pipeline._field_degree(mlp_spec, order), 0.05,
-                         pruned.mask, order, 0)
+    M = pipeline.lift(mlp_spec, iris, pruned.values,
+                      pipeline._field_degree(mlp_spec, order), 0.05,
+                      pruned.mask, order, 0)
     return M, M.initial_state(pruned.values[pruned.mask])
 
 

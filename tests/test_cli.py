@@ -638,13 +638,16 @@ def test_exit_code_capacity(tmp_path, capsys):
     ["hessian", "--model", "scalar_cubic", "--method", "lanczos",
      "--set", "hessian.probes=1e200"],
     ["pretrain", "--model", "scalar_cubic", "--set", "pretrain.steps=1e200"],
+    ["simulate", "--data", str(IRIS_CSV), "--set", "model.layer_widths=[4,12,3]",
+     "--order", "3", "--steps", "5"],
 ])
 def test_capacity_checked_before_extraction(tmp_path, capsys, monkeypatch,
                                             argv):
     """D, the order itself and (T + 1) * D, the size of a T-step
     trajectory, are each checked before any Hessian is evaluated; so are
     the histogram's bins + 1 edges, the probes' Ritz values and the
-    (steps + 1) * n floats of a reference trajectory."""
+    (steps + 1) * n floats of a reference trajectory, and the n^4 floats
+    of grad^4 L for the 99 weights of a 4-12-3 net."""
     def no_hessians(*args, **kwargs):
         raise AssertionError("Hessian evaluated before the capacity check")
 

@@ -54,3 +54,29 @@ def test_every_budget_lives_in_util_alone():
     for module in modules:
         if module is not util:
             assert not names & set(vars(module)), module.__name__
+
+
+def names_in(path):
+    """Every identifier, attribute, parameter and keyword a source file
+    names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names.add(node.arg)
+    return names
+
+
+def test_only_the_lift_knows_where_theta_sits():
+    """The pipeline and the CLI find theta in a lifted state through the
+    CarlemanMatrix, never from a flag of their own, and `readout` takes the
+    lift, not a flag."""
+    for name in ("cli.py", "pipeline.py"):
+        assert not {"include_constant", "has_constant"} & names_in(SRC / name), name
+    readout, = (node for node in ast.walk(ast.parse((SRC / "carleman.py").read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "readout")
+    params = [a.arg for a in readout.args.args + readout.args.kwonlyargs]
+    assert params == ["M", "y", "shots", "seed"]

@@ -291,7 +291,7 @@ def test_simulate_anchor_options(cubic_spec):
                                  steps=5, anchor=np.array([0.2]))
     assert np.array_equal(by_start.exact, by_zero.exact)
     assert np.array_equal(by_start.exact, by_point.exact)
-    assert np.array_equal(by_point.field.theta_star, [0.2])
+    assert np.array_equal(by_point.lift.field.theta_star, [0.2])
     # first step is exact under a fresh anchor
     assert by_start.records["err_l2"][1] == 0.0
     with pytest.raises(InputError):

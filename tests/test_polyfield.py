@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import carlgd
-from carlgd import models, polyfield
+from carlgd import models, polyfield, util
+from carlgd.errors import CapacityError
 from conftest import symmetrize_slots
 
 
@@ -234,6 +235,21 @@ def test_dense_degree_three_extraction_hvp_pairs_and_nnz(mlp_spec, iris,
                             carlgd.init_params(mlp_spec, 7).values, 3, 0.05)
     assert count[0] == 27 + 4 * 27 ** 2 + 4 * 2925
     assert fld.terms[3].nnz <= 215215
+
+
+def test_derivative_tensors_checked_before_any_hvp(mlp_spec, iris,
+                                                   monkeypatch):
+    """The n^(degree + 1) floats of the dense derivative tensors are held
+    to MAX_STATES before the first Hessian-vector product."""
+    count = _count_hvp_pairs(monkeypatch)
+    monkeypatch.setattr(util, "MAX_STATES", 27 ** 4 - 1)
+    anchor = carlgd.init_params(mlp_spec, 7).values
+    with pytest.raises(CapacityError,
+                       match="derivatives of 27 coordinates up to order 4"):
+        carlgd.from_model(mlp_spec, iris, anchor, 3, 0.05)
+    assert count[0] == 0
+    carlgd.from_model(mlp_spec, iris, anchor, 2, 0.05)  # 27^3 floats fit
+    assert count[0] == 27 + 4 * 27 * 28 // 2
 
 
 def test_masked_extraction_reduces_dimension(mlp_spec, iris):
