@@ -240,14 +240,12 @@ def cost_estimate(n, T, s, kappa, eps, regime):
     return float(T) ** p * s * kappa * np.log2(n) ** 3 / eps
 
 
-def trajectory_error(approx, exact, mode="l2", param_index=None,
-                     relative=False):
+def trajectory_error(approx, exact, mode="l2", param_index=None):
     """Per-step error series between two trajectories of equal length; the
     'l2' and 'linf' series are trajectory.csv's err_l2 and err_linf.
 
     mode: 'l2' (`util.norm2` of each row, finite while representable),
-    'linf', or 'single_param' (needs param_index). `relative` divides by
-    the corresponding magnitude of the exact trajectory.
+    'linf', or 'single_param' (needs param_index).
     """
     approx = np.atleast_2d(np.asarray(approx, dtype=float))
     exact = np.atleast_2d(np.asarray(exact, dtype=float))
@@ -260,12 +258,7 @@ def trajectory_error(approx, exact, mode="l2", param_index=None,
         raise InputError(f"unknown mode {mode!r}")
     if mode == "single_param" and param_index is None:
         raise InputError("single_param mode needs param_index")
-    err = sizes[mode](approx - exact)
-    if relative:
-        ref = sizes[mode](exact)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            err = np.where(ref > 0, err / ref, np.inf)
-    return err
+    return sizes[mode](approx - exact)
 
 
 def loglog_slope(series, t=None):

@@ -301,10 +301,11 @@ def _hvp_block(spec, point, data, V, out):
     for li, ((W, _), (U, c)) in enumerate(zip(layers, dirs)):
         RA = H_list[li] @ U
         if li > 0:
-            RA = RH_list[li] @ W + RA
-        RA = RA + c[..., None, :]
+            RA += RH_list[li] @ W
+        RA += c[..., None, :]
         RA_list.append(RA)
-        RH = _act_d1(spec, A_list[li]) * RA if li < n_layers - 1 else RA
+        # backward[li + 1] holds sigma' of layer li
+        RH = backward[li + 1][2] * RA if li < n_layers - 1 else RA
         RH_list.append(RH)
 
     RG = RH_list[-1] / data.n_samples

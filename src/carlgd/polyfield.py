@@ -10,11 +10,18 @@ F_1 = -eta H(theta_star), F_2 = -(eta/2) grad^3 L, F_3 = -(eta/6) grad^4 L.
 Terms are stored as sparse n x n^k maps (`carleman.CSR`). grad^3 L and
 grad^4 L come from exact polynomial stencils over Hessian columns, so every
 term is exact up to rounding. Each distinct entry is evaluated on one
-stencil line and copied to every permutation of its input slots, so the
-terms are slot-symmetric by construction:
+stencil line, or copied from an evaluated entry with the same indices, and
+written to every permutation of its input slots, so the terms are
+slot-symmetric by construction:
 
-- the axis line e_l gives grad^3 L[:, j, l] for j >= l (first derivative
-  of H e_j) and grad^4 L[:, j, l, l] for every j (second derivative);
+- the axis line e_l gives grad^3 L[:, j, l] (first derivative of H e_j)
+  and grad^4 L[:, j, l, l] (second derivative). At degree 3 it evaluates
+  every j, as grad^4 L needs, and keeps grad^3 L for j >= l. At degree 2
+  it evaluates only the j >= l in l's half of the coordinates (the first
+  ceil(n/2), or the rest). grad^3 L is symmetric in all three indices, and
+  two of any three share a half, so a slot pair (j, l) across the halves
+  copies an entry with the same three indices whose slot pair lies in one
+  half;
 - the pair line e_a + e_b, a < b, gives the all-distinct grad^4 L[:, j, a, b]
   for j < a, from the mixed second derivative of H e_j.
 """
@@ -75,14 +82,21 @@ def _stencil_weights(m):
 
 def _derivative_tensors(spec, data, theta_star, idx, E, degree, H):
     """grad^3 L and grad^4 L on the free coordinates `idx`, whose unit
-    vectors are the rows of `E`, each distinct entry evaluated once and
-    copied to all its slot permutations.
+    vectors are the rows of `E`, each entry evaluated on one line or
+    copied from one with the same indices, and written to all its slot
+    permutations.
 
     H(theta_star + s u) is a polynomial in s of degree grad_degree() - 1
     <= 2m, so central stencils on -m..m are exact for any step. On the
     axis line e_l, the first derivative of H e_j gives grad^3 L[:, j, l]
-    (j >= l) and its second derivative gives grad^4 L[:, j, l, l] (every
-    j). On the pair line e_a + e_b (a < b), the mixed term
+    and its second derivative gives grad^4 L[:, j, l, l]. At degree 3 the
+    line evaluates every j, for grad^4 L, and keeps grad^3 L for j >= l.
+    At degree 2 it evaluates only the j >= l in l's half, A = [0, ceil(n/2))
+    or B = [ceil(n/2), n): about n^2/4 + n/2 columns per stencil point in
+    place of n(n+1)/2. A cross-half slot pair (j, l) then copies the entry
+    of the same index triple whose slots share a half, T3[l, i, j] when i
+    shares j's half and T3[j, i, l] otherwise, as four block copies.
+    On the pair line e_a + e_b (a < b), the mixed term
     (D^2_{a+b} - D^2_a - D^2_b) / 2 of H e_j gives the all-distinct entry
     grad^4 L[:, j, a, b] (j < a). One hvp_batch call covers an axis line,
     or the pair lines that share a. Offsets +-k enter only through
@@ -109,17 +123,27 @@ def _derivative_tensors(spec, data, theta_star, idx, E, degree, H):
             out += (w2[k] / (h * h)) * ((Hk[k] - H0) + (Hk[m + k] - H0))
         return out
 
+    half = (n + 1) // 2
     T3 = np.empty((n, n, n))
-    T4 = np.empty((n, n, n, n)) if degree >= 3 else None
-    D2 = np.empty((n, n, n))  # D2[l, j, i] = grad^4 L[i, j, l, l]
+    T4 = None
+    if degree >= 3:
+        T4 = np.empty((n, n, n, n))
+        D2 = np.empty((n, n, n))  # D2[l, j, i] = grad^4 L[i, j, l, l]
     for l in range(n):
-        j0 = 0 if degree >= 3 else l
+        j0, j1 = (0, n) if degree >= 3 else (l, half if l < half else n)
         points = theta_star + offsets[:, None] * E[l]
-        Hk = models.hvp_batch(spec, points, data, E[j0:])[:, :, idx]
-        T3[:, l:, l] = T3[:, l, l:] = first(Hk[:, l - j0:]).T
+        Hk = models.hvp_batch(spec, points, data, E[j0:j1])[:, :, idx]
+        T3[:, l:j1, l] = T3[:, l, l:j1] = first(Hk[:, l - j0:]).T
         if degree >= 3:
             D2[l] = second(Hk, H)
             T4[:, :, l, l] = T4[:, l, :, l] = T4[:, l, l, :] = D2[l].T
+    if degree < 3:
+        # T3[i, j, l] = T3[l, i, j] where i shares j's half, else T3[j, i, l]
+        A, B = slice(0, half), slice(half, n)
+        T3[A, A, B] = T3[B, A, A].transpose(1, 2, 0)
+        T3[A, B, A] = T3[B, A, A].transpose(1, 0, 2)
+        T3[B, B, A] = T3[A, B, B].transpose(1, 2, 0)
+        T3[B, A, B] = T3[A, B, B].transpose(1, 0, 2)
     for a in range(1, n if degree >= 3 else 0):
         b = np.arange(a + 1, n)
         points = theta_star + (offsets[:, None, None] * (E[a] + E[b])).reshape(-1, spec.n)

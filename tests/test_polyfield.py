@@ -216,13 +216,14 @@ def _count_hvp_pairs(monkeypatch):
 
 
 def test_pruned_degree_two_extraction_hvp_pairs(mlp_spec, iris, monkeypatch):
-    # n = 10 free weights, m = 2: n at the anchor + 2m n(n+1)/2 on axis lines
+    # n = 10 free weights, m = 2: n at the anchor + 2m (15 + 15) on axis
+    # lines, each line asking for its own half's directions j >= l
     count = _count_hvp_pairs(monkeypatch)
     mask = np.zeros(mlp_spec.n, dtype=bool)
     mask[[0, 2, 5, 7, 9, 12, 15, 18, 21, 25]] = True
     anchor = np.where(mask, carlgd.init_params(mlp_spec, 7).values, 0.0)
     carlgd.from_model(mlp_spec, iris, anchor, 2, 0.05, mask=mask)
-    assert count[0] == 10 + 4 * 55
+    assert count[0] == 10 + 4 * 30
 
 
 def test_dense_degree_three_extraction_hvp_pairs_and_nnz(mlp_spec, iris,
@@ -249,7 +250,70 @@ def test_derivative_tensors_checked_before_any_hvp(mlp_spec, iris,
         carlgd.from_model(mlp_spec, iris, anchor, 3, 0.05)
     assert count[0] == 0
     carlgd.from_model(mlp_spec, iris, anchor, 2, 0.05)  # 27^3 floats fit
-    assert count[0] == 27 + 4 * 27 * 28 // 2
+    assert count[0] == 27 + 4 * (14 * 15 + 13 * 14) // 2
+
+
+def _all_columns_t3(spec, data, anchor, idx):
+    """grad^3 L on the free coordinates `idx` from every Hessian column
+    (j >= l) of every axis line, each copied to its two input slots."""
+    n, h = idx.size, polyfield._STENCIL_STEP
+    m = max(1, spec.grad_degree() // 2)
+    w1, _ = polyfield._stencil_weights(m)
+    offsets = h * np.arange(1, m + 1)
+    offsets = np.concatenate([offsets, -offsets])
+    E = np.eye(spec.n)[idx]
+    T3 = np.empty((n, n, n))
+    for l in range(n):
+        Hk = models.hvp_batch(spec, anchor + offsets[:, None] * E[l], data,
+                              E[l:])[:, :, idx]
+        d1 = np.zeros(Hk.shape[1:])
+        for k in range(m):
+            d1 += (w1[k] / h) * (Hk[k] - Hk[m + k])
+        T3[:, l:, l] = T3[:, l, l:] = d1.T
+    return T3
+
+
+@pytest.mark.parametrize("free", [
+    None, [0, 2, 5, 7, 9, 12, 15, 18, 21, 25], [4], [1, 16], [3, 14, 22],
+    [0, 3, 6, 10, 13, 17, 19, 23, 26]],
+    ids=["n27", "n10", "n1", "n2", "n3", "n9"])
+def test_degree_two_stencil_asks_only_for_its_halfs_columns(mlp_spec, iris,
+                                                             monkeypatch, free):
+    """Line l asks for the directions j >= l in its own half of the free
+    coordinates; the same-half slots keep the bits of the all-columns
+    stencil, and the cross-half slots, copied from entries with the same
+    index triple, stay within rounding of it."""
+    anchor = carlgd.init_params(mlp_spec, 7).values
+    mask = None
+    if free is not None:
+        mask = np.zeros(mlp_spec.n, dtype=bool)
+        mask[free] = True
+        anchor = np.where(mask, anchor, 0.0)
+    idx = np.arange(mlp_spec.n) if mask is None else np.flatnonzero(mask)
+    n, half = idx.size, (idx.size + 1) // 2
+    eta = 0.05
+    ref = (-0.5 * eta) * _all_columns_t3(mlp_spec, iris, anchor, idx)
+
+    asked = []
+    hvp_batch = models.hvp_batch
+
+    def spy(spec, points, data, directions):
+        line = np.flatnonzero(np.atleast_2d(points)[0] != anchor)
+        asked.append((np.searchsorted(idx, line),
+                      np.searchsorted(idx, np.nonzero(directions)[1])))
+        return hvp_batch(spec, points, data, directions)
+
+    monkeypatch.setattr(models, "hvp_batch", spy)
+    fld = carlgd.from_model(mlp_spec, iris, anchor, 2, eta, mask=mask)
+    assert [line.tolist() for line, _ in asked] == [[]] + [[l] for l in range(n)]
+    for l, (_, dirs) in enumerate(asked[1:]):
+        assert dirs.tolist() == list(range(l, half if l < half else n))
+
+    T3 = fld.terms[2].toarray().reshape(n, n, n)
+    side = np.arange(n) >= half
+    same = np.broadcast_to(side[:, None] == side[None, :], T3.shape)
+    np.testing.assert_array_equal(T3[same], ref[same])
+    assert np.abs(T3 - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_masked_extraction_reduces_dimension(mlp_spec, iris):
