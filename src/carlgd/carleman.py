@@ -7,10 +7,11 @@ product rule: the block mapping order j = i+k-1 into order i is
 
     A[i][j] = sum_{p=1..i}  I^{(x)(p-1)} (x) F_k (x) I^{(x)(i-p)} .
 
-`embed` builds the Kronecker sums of each F_k order by order, K_i from
-K_{i-1} (K_i = K_{i-1} (x) I_n + I_{n^(i-1)} (x) F_k), as unsummed entries
-in p order. It checks each block's keys against that block's own bounds
-as they are yielded, adds the identity's diagonal after them, and sums the
+`embed` builds the Kronecker sums of each dense term F_k order by order,
+K_i from K_{i-1} (K_i = K_{i-1} (x) I_n + I_{n^(i-1)} (x) F_k), as
+unsummed entries in p order, placed by the block sizes `check_capacity`
+returns. It checks each block's keys against that block's own bounds as
+they are yielded, adds the identity's diagonal after them, and sums the
 entries of each key in that order, by one sort, into one canonical `CSR`
 matrix, S. The count of those keys is known from the field before any is
 written, and is checked against a budget, as D is.
@@ -20,7 +21,7 @@ alone; products with S go through `GlobalSystem`, which picks a dense or
 a scipy operator by size.
 
 An order-0 block (a single stationary coordinate held at 1) carries the
-affine drift F_0; it is included only when the field actually has drift,
+affine drift F_0; its size is 1 when the field has drift and 0 otherwise,
 so drift-free systems contribute no artificial marginal mode.
 
 T steps assemble into the block-bidiagonal system L z = b with I on the
@@ -60,13 +61,6 @@ class CSR:
         indptr = np.searchsorted(key, np.arange(rows + 1, dtype=np.int64) * cols)
         return cls(indptr, key - key // max(cols, 1) * cols, data, shape)
 
-    @classmethod
-    def from_dense(cls, a):
-        """The nonzeros of a 2-D array."""
-        a = np.asarray(a, dtype=float)
-        key = np.flatnonzero(a)
-        return cls.from_keys(key, a.ravel()[key], a.shape)
-
     @property
     def nnz(self):
         return self.data.size
@@ -87,17 +81,19 @@ def _kron_sums(Fk, top, width):
     """Entries of K_i = sum_{p=1..i} I_{n^(p-1)} (x) F_k (x) I_{n^(i-p)}, i = 1..top,
     unsummed, as keys row * width + col and values. K_1 = F_k, and K_i is
     K_{i-1} (x) I_n (terms p < i, in p order), then I_{n^(i-1)} (x) F_k
-    (term p = i): a key occurs once in each term that writes it, in p order."""
+    (term p = i): a key occurs once in each term that writes it, in p order.
+    The nonzeros of the dense `Fk` are taken in row-major order."""
     n, m = Fk.shape  # m = n^k
-    entry = np.repeat(np.arange(n, dtype=np.int64) * width, np.diff(Fk.indptr)) + Fk.indices
-    key, val = entry, Fk.data
+    rows, cols = np.nonzero(Fk)
+    key = entry = rows * width + cols
+    val = data = Fk[rows, cols]
     for i in range(1, top + 1):
         if i > 1:  # K[r, c] to (n*r + beta, n*c + beta), F_k[r, c] to (alpha*n + r, alpha*m + c)
             alpha = np.arange(n ** (i - 1), dtype=np.int64)
             key = np.concatenate([
                 np.add.outer(n * key, np.arange(n, dtype=np.int64) * (width + 1)).ravel(),
                 np.add.outer(alpha * (n * width + m), entry).ravel()])
-            val = np.concatenate([np.repeat(val, n), np.tile(Fk.data, alpha.size)])
+            val = np.concatenate([np.repeat(val, n), np.tile(data, alpha.size)])
         yield key, val
 
 
@@ -147,11 +143,12 @@ class CarlemanMatrix:
 
 
 def check_capacity(n, order, include_constant, steps=0):
-    """Dimensions of the blocks kept in an order-`order` embedding of an
-    n-dimensional field; raises CapacityError when their total D exceeds
-    util.MAX_DIM, or a trajectory of `steps` steps, (steps + 1) * D floats,
-    exceeds util.MAX_STATES. Needs no field, so callers can check before
-    extracting one."""
+    """The block sizes of orders 0..`order` in the lifted state of an
+    n-dimensional field: n^j for order j >= 1, and for order 0 1 with
+    `include_constant` (the field has drift) and 0 without. Raises
+    CapacityError when their total D exceeds util.MAX_DIM, or a trajectory
+    of `steps` steps, (steps + 1) * D floats, exceeds util.MAX_STATES.
+    Needs no field, so callers can check before extracting one."""
     max_dim = util.MAX_DIM
     if order < 1:
         raise InputError("truncation order must be >= 1")
@@ -162,9 +159,8 @@ def check_capacity(n, order, include_constant, steps=0):
             f"truncation order {count_text(order)} needs a dimension D over "
             f"the budget {max_dim}",
             required=max_dim + 1, budget=max_dim)
-    block_orders = ([0] if include_constant else []) + list(range(1, order + 1))
-    dims = [n ** j for j in block_orders]
-    D = int(sum(dims))
+    sizes = (int(include_constant),) + tuple(n ** j for j in range(1, order + 1))
+    D = sum(sizes)
     if D > max_dim:
         raise CapacityError(
             f"embedding needs dimension D={count_text(D)}, over the budget "
@@ -172,7 +168,7 @@ def check_capacity(n, order, include_constant, steps=0):
             required=D, budget=max_dim,
         )
     util.check_floats((steps + 1) * D, "{} steps of dimension D={}", steps, D)
-    return block_orders, dims
+    return sizes
 
 
 def embed(field_, order):
@@ -186,30 +182,27 @@ def embed(field_, order):
     diagonal; an entry that sums to 0 is dropped. Each block's local keys
     are checked as `_kron_sums` yields them to lie inside that block, row
     < n^i and column < n^j (InputError naming the block), so S never needs
-    a structure scan. The order-0 block is kept exactly when F_0 != 0.
+    a structure scan. The order-0 block has size 1 exactly when F_0 != 0;
+    a drift-free F_0 has no nonzeros, so its blocks write no key.
     Raises CapacityError when the total dimension would exceed util.MAX_DIM,
-    or the raw keys of the kept blocks, i * nnz(F_k) * n^(i-1) for block
-    (i, i + k - 1), would exceed util.MAX_KEYS; both are known before any
-    key is written.
+    or the raw keys, i * nnz(F_k) * n^(i-1) for block (i, i + k - 1), would
+    exceed util.MAX_KEYS; both are known before any key is written.
     """
     n = field_.n
-    include_constant = field_.terms[0].nnz > 0
-    block_orders, dims = check_capacity(n, order, include_constant)
-    D = int(sum(dims))
-    offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(np.int64)
-    start = dict(zip(block_orders, offsets))
-    raw = sum(i * Fk.nnz * n ** (i - 1) for k, Fk in enumerate(field_.terms)
-              for i in range(1, order + 2 - max(k, 1)) if i + k - 1 in start)
+    include_constant = bool(field_.terms[0].any())
+    sizes = check_capacity(n, order, include_constant)
+    D = sum(sizes)
+    start = np.cumsum((0,) + sizes, dtype=np.int64)  # start[j]: offset of order j
+    raw = sum(i * np.count_nonzero(Fk) * n ** (i - 1) for k, Fk in enumerate(field_.terms)
+              for i in range(1, order + 2 - max(k, 1)))
     if raw > util.MAX_KEYS:
         raise CapacityError(f"embedding writes {raw} raw keys, over the budget "
                             f"{util.MAX_KEYS}", required=raw,
                             budget=util.MAX_KEYS)
     keys, vals = [], []
-    for k, Fk in enumerate(field_.terms):  # blocks (i, i + k - 1), j <= order
+    for k, Fk in enumerate(field_.terms[:order + 1]):  # blocks (i, i + k - 1), j <= order
         for i, (key, val) in enumerate(_kron_sums(Fk, order + 1 - max(k, 1), D), 1):
             j = i + k - 1
-            if j not in start:  # the order-0 block, not kept
-                continue
             try:  # unravel_index rejects a negative key or a row past n^i
                 if np.unravel_index(key, (n ** i, D))[1].max(initial=0) >= n ** j:
                     raise ValueError
@@ -484,17 +477,12 @@ def condition_number(G, method="dense_svd", seed=0):
             return 1.0  # L is the identity
         shape = (G.T + 1, G.D)
         S, St = G._S_op, G._St_op
-        dense = isinstance(S, np.ndarray)
 
-        def gram(v):  # L^T L v, with L = I - (shift (x) S)
+        def gram(v):  # L^T L v, with L = I - (shift (x) S), in row-major products
             Z = v.reshape(shape)
             W = Z.copy()
-            if dense:  # row-major products: (S @ Z.T).T is slower in BLAS
-                W[1:] -= Z[:-1] @ St  # W = L z
-                W[:-1] -= W[1:] @ S  # W = L^T W (rhs is a new array)
-            else:  # column products, which scipy runs in its CSR kernel
-                W[1:] -= (S @ Z[:-1].T).T
-                W[:-1] -= (St @ W[1:].T).T
+            W[1:] -= Z[:-1] @ St  # W = L z
+            W[:-1] -= W[1:] @ S  # W = L^T W (rhs is a new array)
             return W.reshape(-1)
 
         def inverse_gram(v):  # (L L^T)^-1 v

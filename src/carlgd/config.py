@@ -52,7 +52,7 @@ SCHEMA = {
     "model.kind": ("mlp", _text),
     "model.layer_widths": ([4, 3, 3], _list(int)),
     "model.activation": ("quadratic_poly", _text),
-    "model.alpha": (0.1, float),
+    "model.alpha": (0.1, finite_float),
     "model.loss": ("mse", _text),
     "model.coefficients": (None, _optional(_list(finite_float))),  # None: per kind
     "data.path": (None, _optional(_text)),
@@ -76,9 +76,9 @@ SCHEMA = {
     "hessian.lanczos_k": (80, int),
     "hessian.probes": (16, int),
     "hessian.bins": (40, int),
-    "proxy.eta": (1.0, float),
+    "proxy.eta": (1.0, finite_float),
     "proxy.tmax": (100, int),
-    "proxy.threshold": (0.4, float),
+    "proxy.threshold": (0.4, finite_float),
     "proxy.scale": ("eta", _text),
     "kappa.method": ("dense_svd", _text),
     "kappa.steps": ([5, 10, 20, 40], _list(int)),

@@ -151,9 +151,10 @@ def error_proxy(spectrum_, eta, t_range, threshold=0.4, scale="eta"):
 
     a_i = -eta * lambda_i (scale='eta', the default) or -lambda_i
     (scale='raw'). Only modes with |a_i| >= threshold contribute; raises
-    EmptySupportError when none do. E(0) = 1 exactly. The t values run in
-    blocks of at most util.BLOCK_VALUES powers (or one t), each row of
-    powers summed as a one-t sum is.
+    EmptySupportError when none do. E(0) = 1 exactly. A mode that one step
+    zeroes exactly (|1 + a_i| = 0) adds 0 at t > 0 and +inf at t < 0, with
+    no warning. The t values run in blocks of at most util.BLOCK_VALUES
+    powers (or one t), each row of powers summed as a one-t sum is.
     """
     if scale not in ("eta", "raw"):
         raise InputError(f"unknown scale {scale!r}")
@@ -172,8 +173,9 @@ def error_proxy(spectrum_, eta, t_range, threshold=0.4, scale="eta"):
     growth = np.abs(1.0 + a)
     E = np.empty(t_range.size)
     step = block_items(a.size)
-    # a power past the float range is inf; a point of zero weight adds 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a power past the float range, or 0 to a negative power, is inf; a point
+    # of zero weight adds 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for b in range(0, t_range.size, step):
             t = t_range[b:b + step]
             power = growth ** t[:, None]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import util
 from .errors import DivergenceError, InputError, NumericOverflowError, ParseError
-from .util import block_items, count_text, open_input
+from .util import block_items, count_text, finite_float, open_input
 
 ANALYTIC_KINDS = ("diag_quadratic", "scalar_cubic")
 MODEL_KINDS = ANALYTIC_KINDS + ("mlp",)
@@ -491,8 +491,10 @@ def load_iris(path):
     """Load an Iris-style CSV: four float columns then a class-name string.
 
     A header row is auto-detected (first row non-numeric). Features are
-    standardized to zero mean / unit variance per column; labels are class
-    names mapped to 0..K-1 in sorted order.
+    finite floats, standardized to zero mean / unit variance per column;
+    labels are class names mapped to 0..K-1 in sorted order. A malformed
+    row, or a column whose mean or standard deviation is past the float
+    range, raises ParseError naming the file.
     """
     rows = []
     with open_input(path, newline="") as f:
@@ -506,20 +508,27 @@ def load_iris(path):
                 except (ValueError, IndexError):
                     continue  # header
             if len(row) != 5:
-                raise ParseError(f"line {lineno}: expected 5 columns, got {len(row)}")
+                raise ParseError(f"{path}, line {lineno}: expected 5 columns, "
+                                 f"got {len(row)}")
             try:
-                feats = [float(c) for c in row[:4]]
+                feats = [finite_float(c) for c in row[:4]]
             except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric feature value")
+                raise ParseError(f"{path}, line {lineno}: a feature value is not "
+                                 f"a finite number") from None
             rows.append((feats, row[4].strip()))
     if not rows:
-        raise ParseError("no data rows found")
+        raise ParseError(f"{path}: no data rows found")
     features = np.array([r[0] for r in rows])
     names = sorted({r[1] for r in rows})
     name_to_id = {name: i for i, name in enumerate(names)}
     labels = np.array([name_to_id[r[1]] for r in rows])
-    mu = features.mean(axis=0)
-    sd = features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mu = features.mean(axis=0)
+        sd = features.std(axis=0)
+    bad = ~(np.isfinite(mu) & np.isfinite(sd))
+    if bad.any():
+        raise ParseError(f"{path}: feature column {np.argmax(bad) + 1} has a mean "
+                         f"or standard deviation past the float range")
     sd[sd == 0] = 1.0
     return Dataset((features - mu) / sd, labels)
 

@@ -7,7 +7,7 @@ shifted coordinates delta = theta - theta_star, as a finite sum
 
 with the learning rate folded into every term: F_0 = -eta grad L(theta_star),
 F_1 = -eta H(theta_star), F_2 = -(eta/2) grad^3 L, F_3 = -(eta/6) grad^4 L.
-Terms are stored as sparse n x n^k maps (`carleman.CSR`). grad^3 L and
+Terms are stored as dense n x n^k float arrays. grad^3 L and
 grad^4 L come from exact polynomial stencils over Hessian columns, so every
 term is exact up to rounding. Each distinct entry is evaluated on one
 stencil line, or copied from an evaluated entry with the same indices, and
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, util
-from .carleman import CSR
 from .errors import InputError
 from .util import check_eta, count_text
 
@@ -42,31 +41,28 @@ _STENCIL_STEP = 0.5  # any step is exact; this one keeps rounding low
 
 @dataclass
 class PolyField:
-    """Update field in shifted coordinates; immutable after construction."""
+    """Update field in shifted coordinates; immutable after construction:
+    it holds its own copy of each term."""
 
     n: int
-    degree: int
-    eta: float
     theta_star: np.ndarray
-    terms: list  # terms[k]: CSR of shape (n, n**k); given dense or with toarray()
-    exact: bool = True  # False when the model's gradient degree exceeds `degree`
+    terms: list  # terms[k], k = 0..degree: float array (n, n**k); given dense or with toarray()
+    exact: bool = True  # False when the model's gradient degree exceeds the field's
 
     def __post_init__(self):
         self.theta_star = np.asarray(self.theta_star, dtype=float).ravel()
-        if len(self.terms) != self.degree + 1:
-            raise InputError("need one term per order 0..degree")
-        fixed = []
+        if not self.terms:
+            raise InputError("need at least the order-0 term")
+        self.terms = [np.array(t.toarray() if hasattr(t, "toarray") else t, dtype=float)
+                      for t in self.terms]
         for k, t in enumerate(self.terms):
-            t = np.asarray(t.toarray() if hasattr(t, "toarray") else t, dtype=float)
             if t.shape != (self.n, self.n ** k):
                 raise InputError(
                     f"term {k} has shape {t.shape}, expected {(self.n, self.n ** k)}"
                 )
-            fixed.append(CSR.from_dense(t))
-        self.terms = fixed
 
     def nnz(self):
-        return int(sum(t.nnz for t in self.terms))
+        return int(sum(np.count_nonzero(t) for t in self.terms))
 
 
 def _stencil_weights(m):
@@ -190,5 +186,5 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
         terms.append((-0.5 * eta) * T3.reshape(n, n * n))
     if degree >= 3:
         terms.append((-eta / 6.0) * T4.reshape(n, n ** 3))
-    return PolyField(n=n, degree=degree, eta=eta, theta_star=theta_star[idx],
-                     terms=terms, exact=spec.grad_degree() <= degree)
+    return PolyField(n=n, theta_star=theta_star[idx], terms=terms,
+                     exact=spec.grad_degree() <= degree)

@@ -27,8 +27,7 @@ def random_field(n, degree, seed, density=0.4):
     for k in range(degree + 1):
         dense = rng.standard_normal((n, n ** k)) * (rng.random((n, n ** k)) < density)
         terms.append(sp.csr_matrix(symmetrize_slots(dense, k, n)))
-    return polyfield.PolyField(n=n, degree=degree, eta=0.1,
-                               theta_star=np.zeros(n), terms=terms)
+    return polyfield.PolyField(n=n, theta_star=np.zeros(n), terms=terms)
 
 
 # ------------------------------------------------------------------ embed
@@ -54,8 +53,8 @@ def test_embed_degree_two_blocks():
     def block(i, j):
         return S[start[i]:start[i] + 2 ** i, start[j]:start[j] + 2 ** j]
 
-    F1 = fld.terms[1].toarray()
-    F2 = fld.terms[2].toarray()
+    F1 = fld.terms[1]
+    F2 = fld.terms[2]
     I = np.eye(2)
     np.testing.assert_allclose(block(0, 0), [[1.0]])
     np.testing.assert_allclose(block(1, 1), I + F1)
@@ -66,7 +65,7 @@ def test_embed_degree_two_blocks():
     # end the matrix, and the order-2 rows hold only the (2,1) and (2,2)
     # blocks, so the (2,3) region is empty
     assert M.D == start[2] + 4
-    F0 = fld.terms[0].toarray()
+    F0 = fld.terms[0]
     np.testing.assert_allclose(S[start[2]:, :start[2]], np.hstack(
         [np.zeros((4, start[1])), np.kron(F0, I) + np.kron(I, F0)]))
 
@@ -74,12 +73,12 @@ def test_embed_degree_two_blocks():
 def dense_embed_oracle(fld, N):
     """Brute-force dense construction of the truncated embedding."""
     n = fld.n
-    F = [t.toarray() for t in fld.terms]
+    F = fld.terms
     dims = [1] + [n ** j for j in range(1, N + 1)]
     off = np.concatenate([[0], np.cumsum(dims)[:-1]])
     dense = np.zeros((sum(dims), sum(dims)))
     for i in range(1, N + 1):
-        for k in range(fld.degree + 1):
+        for k in range(len(fld.terms)):
             j = i + k - 1
             if j > N:
                 continue
@@ -140,8 +139,7 @@ def sparse_fields(draw):
         if k == 0 and not drift:
             dense[:] = 0.0
         terms.append(sp.csr_matrix(symmetrize_slots(dense, k, n)))
-    fld = polyfield.PolyField(n=n, degree=degree, eta=0.1,
-                              theta_star=np.zeros(n), terms=terms)
+    fld = polyfield.PolyField(n=n, theta_star=np.zeros(n), terms=terms)
     return fld, order
 
 
@@ -164,7 +162,7 @@ def test_embed_step_operator_equals_dense_oracle_exactly(case):
     fld, order = case
     M = carlgd.embed(fld, order)
     dense = dense_embed_oracle(fld, order)
-    assert M.include_constant == (fld.terms[0].nnz > 0)
+    assert M.include_constant == (np.count_nonzero(fld.terms[0]) > 0)
     if not M.include_constant:  # with no drift, nothing reaches order 0
         assert not dense[:, 0].any()
         dense = dense[1:, 1:]
@@ -224,7 +222,7 @@ def test_embed_key_budget_checked_before_keys_are_written(monkeypatch):
 def test_embed_keeps_overflowing_sum_as_inf():
     """The order-2 block of F_1 = [[1e308]] sums to 2e308: embed keeps it as
     inf, with no RuntimeWarning, and both κ methods reject the system."""
-    fld = polyfield.PolyField(n=1, degree=1, eta=0.1, theta_star=np.zeros(1),
+    fld = polyfield.PolyField(n=1, theta_star=np.zeros(1),
                               terms=[np.zeros((1, 1)), np.array([[1e308]])])
     M = carlgd.embed(fld, 2)
     assert M.S.toarray()[1, 1] == np.inf
@@ -243,12 +241,12 @@ def test_kron_sums_yield_each_term_in_p_order(n, degree, top):
     order."""
     fld = random_field(n, degree, seed=n + degree)
     width = n ** (top + degree) + 5  # wider than any block, as in embed
-    for k, Fk in enumerate(fld.terms):
-        F = Fk.toarray()
-        sums = list(carleman._kron_sums(Fk, top, width))
+    for k, F in enumerate(fld.terms):
+        sums = list(carleman._kron_sums(F, top, width))
         assert len(sums) == top
         for i, (key, val) in enumerate(sums, 1):
-            assert key.dtype == np.int64 and key.size == val.size == i * n ** (i - 1) * Fk.nnz
+            assert key.dtype == np.int64
+            assert key.size == val.size == i * n ** (i - 1) * np.count_nonzero(F)
             for p, (k_p, v_p) in enumerate(zip(np.split(key, i), np.split(val, i)), 1):
                 term = np.kron(np.kron(np.eye(n ** (p - 1)), F), np.eye(n ** (i - p)))
                 rows, cols = np.nonzero(term)
@@ -407,7 +405,7 @@ def test_degree_one_exactness_any_order(diag_spec):
     fld = carlgd.from_model(diag_spec, None, np.zeros(2), 1, 0.1)
     delta0 = np.array([1.0, -2.0])
     exact = [delta0]
-    F1 = fld.terms[1].toarray()
+    F1 = fld.terms[1]
     for _ in range(30):
         exact.append(exact[-1] + F1 @ exact[-1])
     exact = np.array(exact)
@@ -472,7 +470,7 @@ def drift_lift(theta_star, order=1):
     """The order-`order` lift of a degree-1 field with drift around
     `theta_star`: its states start with the order-0 block, then delta."""
     n = len(theta_star)
-    fld = polyfield.PolyField(n=n, degree=1, eta=0.1, theta_star=theta_star,
+    fld = polyfield.PolyField(n=n, theta_star=theta_star,
                               terms=[np.full((n, 1), 0.1), np.zeros((n, n))])
     M = carlgd.embed(fld, order)
     assert M.include_constant
@@ -779,12 +777,18 @@ def test_lanczos_kappa_dense_and_sparse_products(mlp_spec, iris, pruned_iris,
 def test_lanczos_kappa_keeps_large_step_operator_sparse(mlp_spec, iris,
                                                         pruned_iris, monkeypatch):
     """A D = 1 111 order-3 system is over the dense cut: kappa runs on the
-    CSR S and S^T, and agrees with the dense products."""
+    CSR S and S^T, and agrees with the dense products. Its gram takes the
+    row-form products Z @ S^T and Z @ S, which have the bits of the
+    column-form (S @ Z^T)^T and (S^T @ Z^T)^T that scipy's CSR kernel runs."""
     M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, 3)
     assert M.D == 1111
     G = carlgd.build_global(M, y0, 3)
     kappa = carlgd.condition_number(G, "power_iteration")
-    assert sp.issparse(G._S_op) and sp.issparse(G._St_op)
+    S, St = G._S_op, G._St_op
+    assert sp.issparse(S) and sp.issparse(St)
+    Z = np.random.default_rng(0).standard_normal((G.T, G.D))
+    assert np.array_equal(bits(Z @ St), bits((S @ Z.T).T))
+    assert np.array_equal(bits(Z @ S), bits((St @ Z.T).T))
     monkeypatch.setattr(carleman, "_DENSE_BYTES", M.D * M.D * 8)
     G = carlgd.build_global(M, y0, 3)
     assert abs(carlgd.condition_number(G, "power_iteration") - kappa) <= 1e-8 * kappa

@@ -548,12 +548,20 @@ def test_kappa_with_explicit_start(tmp_path, capsys):
       "simulate.anchor=[-Infinity]"], "simulate.anchor"),
     (["simulate", "--model", "diag_quadratic", "--theta0", "1,1", "--set",
       "model.coefficients=[1,NaN]"], "model.coefficients"),
+    (["proxy", "--spectrum", "{spectrum}", "--eta", "Infinity"], "proxy.eta"),
+    (["proxy", "--spectrum", "{spectrum}", "--set", "proxy.threshold=-Infinity"],
+     "proxy.threshold"),
+    (["simulate", "--model", "scalar_cubic", "--steps", "3", "--set",
+      "model.alpha=NaN"], "model.alpha"),
 ])
 def test_non_finite_list_values_exit_1(tmp_path, capsys, argv, key):
-    """A list of floats takes finite values only, so that no NaN reaches
-    the manifest, which is strict JSON."""
+    """A float key, or a list of floats, that is not read by a check of its
+    own (as eta is by check_eta) takes finite values only, so that no NaN
+    or infinity reaches the manifest, which is strict JSON."""
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("index,eigenvalue\n0,1.0\n1,-0.5\n")
     out = tmp_path / "run"
-    assert main(argv + ["--out", str(out)]) == 1
+    assert main([a.format(spectrum=spectrum) for a in argv] + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
         f"error: config key {key!r} has invalid value")
     assert not (out / "manifest.json").exists()

@@ -160,6 +160,13 @@ def test_proxy_past_overflow_reads_inf():
     np.testing.assert_array_equal(E, [1.0, 999.0, np.inf])
 
 
+def test_proxy_mode_zeroed_by_one_step_adds_zero_without_warning():
+    """lambda = 1/eta gives |1 + a| = 0: that mode adds exactly 0 at t > 0,
+    and its reciprocal (for a t of -1) raises no divide-by-zero warning."""
+    E = carlgd.error_proxy(exact_spectrum([1.0, -0.5]), eta=1.0, t_range=range(4))
+    assert E.tolist() == [1.0, 0.75, 1.125, 1.6875]
+
+
 def _proxy_per_t(spect, eta, t_range):
     """E(t) one t at a time, each a sum over the support (threshold 0.4)."""
     lam, w = spect.points_weights()

@@ -489,6 +489,25 @@ def test_load_iris_malformed_row_reports_line(tmp_path):
         carlgd.load_iris(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_load_iris_non_finite_feature_reports_file_and_line(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"5.1,3.5,1.4,0.2,setosa\n5.0,{value},1.4,0.2,setosa\n")
+    with pytest.raises(ParseError) as err:
+        carlgd.load_iris(path)
+    assert str(err.value).startswith(f"{path}, line 2: ")
+
+
+def test_load_iris_column_past_the_float_range_rejected(tmp_path):
+    """A 1e308 feature squares past the float range in the standard
+    deviation: the column is rejected, with no overflow warning."""
+    path = tmp_path / "big.csv"
+    path.write_text("5.1,3.5,1.4,0.2,setosa\n5.0,1e308,1.4,0.2,setosa\n")
+    with pytest.raises(ParseError) as err:
+        carlgd.load_iris(path)
+    assert str(err.value).startswith(f"{path}: feature column 2 ")
+
+
 def test_load_iris_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

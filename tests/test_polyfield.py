@@ -5,13 +5,13 @@ import pytest
 
 import carlgd
 from carlgd import models, polyfield, util
-from carlgd.errors import CapacityError
+from carlgd.errors import CapacityError, InputError
 from conftest import symmetrize_slots
 
 
 def f0(fld):
     """The constant term F_0 as a vector."""
-    return fld.terms[0].toarray().ravel()
+    return fld.terms[0].ravel()
 
 
 def field_value(fld, theta):
@@ -22,23 +22,23 @@ def field_value(fld, theta):
     for k, term in enumerate(fld.terms):
         if k > 0:
             power = np.kron(power, delta)
-        out += term.toarray() @ power
+        out += term @ power
     return out
 
 
 def test_diag_quadratic_extraction(diag_spec):
     fld = carlgd.from_model(diag_spec, None, np.zeros(2), 1, 0.1)
     np.testing.assert_array_equal(f0(fld), [0.0, 0.0])
-    np.testing.assert_allclose(fld.terms[1].toarray(), np.diag([-0.1, -0.4]))
+    np.testing.assert_allclose(fld.terms[1], np.diag([-0.1, -0.4]))
     assert fld.exact
 
 
 def test_scalar_cubic_extraction_at_origin(cubic_spec):
     fld = carlgd.from_model(cubic_spec, None, np.zeros(1), 3, 0.1)
     assert f0(fld) == 0.0
-    assert fld.terms[1].toarray()[0, 0] == pytest.approx(-0.1, abs=1e-15)
-    assert fld.terms[2].nnz == 0
-    assert fld.terms[3].toarray()[0, 0] == pytest.approx(-0.1, abs=1e-15)
+    assert fld.terms[1][0, 0] == pytest.approx(-0.1, abs=1e-15)
+    assert np.count_nonzero(fld.terms[2]) == 0
+    assert fld.terms[3][0, 0] == pytest.approx(-0.1, abs=1e-15)
 
 
 def test_exact_flag_follows_gradient_degree(cubic_spec, mlp_spec, iris):
@@ -100,7 +100,7 @@ def test_mlp_taylor_terms_against_probes(mlp_spec, iris):
     for _ in range(5):
         v = rng.standard_normal(mlp_spec.n)
         want = -eta * carlgd.hvp(mlp_spec, anchor, iris, v)
-        got = fld.terms[1].toarray() @ v
+        got = fld.terms[1] @ v
         assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
     # F2 contracted twice vs an independent second difference of the gradient
     h = 2e-3
@@ -111,7 +111,7 @@ def test_mlp_taylor_terms_against_probes(mlp_spec, iris):
         g0 = carlgd.grad(mlp_spec, anchor, iris)
         d3_uu = (gpp - 2 * g0 + gmm) / (h * h)
         want = -0.5 * eta * d3_uu
-        got = fld.terms[2].toarray() @ np.kron(u, u)
+        got = fld.terms[2] @ np.kron(u, u)
         assert np.linalg.norm(got - want) < 1e-4 * max(np.linalg.norm(want), 1e-8)
 
 
@@ -145,8 +145,8 @@ def test_mlp_taylor_terms_exact_against_polynomial_stencil(mlp_spec, iris):
         u = rng.standard_normal(mlp_spec.n)
         c = _taylor_coefficients(mlp_spec, iris, anchor, u)
         uu = np.kron(u, u)
-        for term, want in ((fld.terms[2].toarray() @ uu, -eta * c[2]),
-                           (fld.terms[3].toarray() @ np.kron(uu, u), -eta * c[3])):
+        for term, want in ((fld.terms[2] @ uu, -eta * c[2]),
+                           (fld.terms[3] @ np.kron(uu, u), -eta * c[3])):
             assert np.linalg.norm(term - want) <= 1e-9 * np.linalg.norm(want)
 
 
@@ -164,7 +164,6 @@ def test_extraction_independent_of_stencil_step(mlp_spec, iris, monkeypatch,
                         polyfield._STENCIL_STEP / 2)
     halved = carlgd.from_model(mlp_spec, iris, anchor, degree, 0.05, mask=mask)
     for a, b in zip(fld.terms, halved.terms):
-        a, b = a.toarray(), b.toarray()
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
 
@@ -177,7 +176,7 @@ def test_symmetrize_idempotent(mlp_spec, iris):
             for k in (2, 3)]
     fld = carlgd.from_model(mlp_spec, iris,
                             carlgd.init_params(mlp_spec, 7).values, 3, 0.05)
-    maps += [(fld.terms[k].toarray(), k, fld.n) for k in (2, 3)]
+    maps += [(fld.terms[k], k, fld.n) for k in (2, 3)]
     for M, k, n in maps:
         np.testing.assert_allclose(symmetrize_slots(M, k, n), M, rtol=0,
                                    atol=1e-15 * np.abs(M).max())
@@ -195,7 +194,7 @@ def test_terms_slot_symmetric_by_construction(mlp_spec, iris, degree, masked):
     fld = carlgd.from_model(mlp_spec, iris, anchor, degree, 0.05, mask=mask)
     n = fld.n
     for k in range(2, degree + 1):
-        T = fld.terms[k].toarray().reshape((n,) * (k + 1))
+        T = fld.terms[k].reshape((n,) * (k + 1))
         assert np.any(T)
         for p in itertools.permutations(range(1, k + 1)):
             np.testing.assert_array_equal(T.transpose((0,) + p), T)
@@ -235,7 +234,7 @@ def test_dense_degree_three_extraction_hvp_pairs_and_nnz(mlp_spec, iris,
     fld = carlgd.from_model(mlp_spec, iris,
                             carlgd.init_params(mlp_spec, 7).values, 3, 0.05)
     assert count[0] == 27 + 4 * 27 ** 2 + 4 * 2925
-    assert fld.terms[3].nnz <= 215215
+    assert np.count_nonzero(fld.terms[3]) <= 215215
 
 
 def test_derivative_tensors_checked_before_any_hvp(mlp_spec, iris,
@@ -309,7 +308,7 @@ def test_degree_two_stencil_asks_only_for_its_halfs_columns(mlp_spec, iris,
     for l, (_, dirs) in enumerate(asked[1:]):
         assert dirs.tolist() == list(range(l, half if l < half else n))
 
-    T3 = fld.terms[2].toarray().reshape(n, n, n)
+    T3 = fld.terms[2].reshape(n, n, n)
     side = np.arange(n) >= half
     same = np.broadcast_to(side[:, None] == side[None, :], T3.shape)
     np.testing.assert_array_equal(T3[same], ref[same])
@@ -327,7 +326,7 @@ def test_masked_extraction_reduces_dimension(mlp_spec, iris):
     g = carlgd.grad(mlp_spec, anchor, iris)
     np.testing.assert_allclose(f0(fld), -0.05 * g[idx], atol=1e-15)
     H = carlgd.hessian(mlp_spec, anchor, iris)
-    np.testing.assert_allclose(fld.terms[1].toarray(),
+    np.testing.assert_allclose(fld.terms[1],
                                -0.05 * H[np.ix_(idx, idx)], atol=1e-12)
 
 
@@ -337,3 +336,21 @@ def test_extraction_with_no_free_coordinates(mlp_spec, iris, degree):
                             0.05, mask=np.zeros(mlp_spec.n, dtype=bool))
     assert fld.n == 0
     assert [t.shape for t in fld.terms] == [(0, 1)] + [(0, 0)] * degree
+
+
+def test_field_holds_its_own_dense_terms():
+    """Each term is a float ndarray copied from the one given (dense, or
+    anything with toarray()); an empty term list or a term of the wrong
+    shape is rejected."""
+    import scipy.sparse as sp
+    F1 = np.array([[0.5, 0.0], [0.0, -1.0]])
+    fld = polyfield.PolyField(n=2, theta_star=np.zeros(2),
+                              terms=[sp.csr_matrix(np.ones((2, 1))), F1])
+    assert all(type(t) is np.ndarray and t.dtype == float for t in fld.terms)
+    F1[0, 0] = 7.0
+    assert fld.terms[1][0, 0] == 0.5 and fld.nnz() == 4
+    with pytest.raises(InputError, match="order-0"):
+        polyfield.PolyField(n=2, theta_star=np.zeros(2), terms=[])
+    with pytest.raises(InputError, match=r"term 1 has shape \(2, 1\)"):
+        polyfield.PolyField(n=2, theta_star=np.zeros(2),
+                            terms=[np.zeros((2, 1)), np.zeros((2, 1))])
