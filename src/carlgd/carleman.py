@@ -438,17 +438,20 @@ def condition_number(G, method="dense_svd", seed=0):
     """kappa = sigma_max / sigma_min of the global matrix L.
 
     `dense_svd` is allowed up to (T+1)*D <= util.MAX_DENSE_ORDER; it
-    assembles L densely from S and takes all its singular values.
+    assembles L from S as one dense Fortran-order array, which LAPACK
+    overwrites in place, and takes all its singular values.
     `power_iteration` works at any size without assembling L: a numpy
     Lanczos recurrence (`_lanczos_top`) finds sigma_max^2 = lambda_max(L^T
     L), applied blockwise from S, and 1/sigma_min^2 = lambda_max((L L^T)^-1),
     applied by forward and back substitution, from start vectors seeded by
-    `seed` and `seed + 1`. Both operators multiply by a dense copy of S
-    while it takes at most `_DENSE_BYTES` = 512 KiB (D <= 256), and by a
-    scipy CSR S above that. Each stops once its Ritz residual is at most
-    tol = `_LANCZOS_TOL` = 1e-8 times its Ritz value theta, so theta is off
-    by about tol^2 * theta^2 / gap: under 1e-14 relative when the top
-    eigenvalue is separated by more than 1% of theta. T = 0 gives exactly 1.
+    `seed` and `seed + 1`, with no reorthogonalisation, restart or ARPACK.
+    The gram takes the row-major products Z @ S^T and W @ S. Both
+    operators multiply by a dense copy of S while it takes at most
+    `_DENSE_BYTES` = 512 KiB (D <= 256), and by a scipy CSR S above that.
+    Each stops once its Ritz residual is at most tol = `_LANCZOS_TOL` =
+    1e-8 times its Ritz value theta, so theta is off by about
+    tol^2 * theta^2 / gap: under 1e-14 relative when the top eigenvalue is
+    separated by more than 1% of theta. T = 0 gives exactly 1.
 
     Raises SingularSystemError when sigma_min < 1e-14 * sigma_max, when
     the inverse overflows or when L has a non-finite entry;

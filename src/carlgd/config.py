@@ -19,6 +19,27 @@ from .errors import InputError
 from .util import finite_float, open_input, sub_seed
 
 
+def _number(convert):
+    """`convert`, rejecting a bool first: JSON's true is not the number 1."""
+    def checked(value):
+        if isinstance(value, bool):
+            raise TypeError(value)
+        return convert(value)
+    return checked
+
+
+def _whole(value):
+    """int(value) of an int, the text of one, or a float with no fraction,
+    so that 1e200 still reaches its capacity check; a fractional float is
+    rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+_int, _float, _finite = _number(_whole), _number(float), _number(finite_float)
+
+
 def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
@@ -42,48 +63,48 @@ def _list(item):
 
 
 def _anchor(value):
-    return value if isinstance(value, str) else _list(finite_float)(value)
+    return value if isinstance(value, str) else _list(_finite)(value)
 
 
 # key -> (default, converter). `resolve` passes every value through its
 # key's converter, so this table is the one place that knows a key's type.
 SCHEMA = {
-    "seed": (0, int),
+    "seed": (0, _int),
     "model.kind": ("mlp", _text),
-    "model.layer_widths": ([4, 3, 3], _list(int)),
+    "model.layer_widths": ([4, 3, 3], _list(_int)),
     "model.activation": ("quadratic_poly", _text),
-    "model.alpha": (0.1, finite_float),
+    "model.alpha": (0.1, _finite),
     "model.loss": ("mse", _text),
-    "model.coefficients": (None, _optional(_list(finite_float))),  # None: per kind
+    "model.coefficients": (None, _optional(_list(_finite))),  # None: per kind
     "data.path": (None, _optional(_text)),
-    "init.params": (None, _optional(_list(finite_float))),  # None: seeded init
-    "pretrain.steps": (200, int),
-    "pretrain.eta": (0.05, float),
-    "pretrain.batch": (None, _optional(int)),
-    "schedule.steps": (100, int),
-    "schedule.reupload_period": (100, int),
-    "schedule.refine_steps": (10, int),
-    "schedule.order": (2, int),
-    "schedule.prune_fraction": (0.1, float),
-    "schedule.eta": (0.05, float),
-    "simulate.steps": (50, int),
-    "simulate.order": (2, int),
-    "simulate.eta": (0.05, float),
-    "simulate.degree": (None, _optional(int)),
+    "init.params": (None, _optional(_list(_finite))),  # None: seeded init
+    "pretrain.steps": (200, _int),
+    "pretrain.eta": (0.05, _float),
+    "pretrain.batch": (None, _optional(_int)),
+    "schedule.steps": (100, _int),
+    "schedule.reupload_period": (100, _int),
+    "schedule.refine_steps": (10, _int),
+    "schedule.order": (2, _int),
+    "schedule.prune_fraction": (0.1, _float),
+    "schedule.eta": (0.05, _float),
+    "simulate.steps": (50, _int),
+    "simulate.order": (2, _int),
+    "simulate.eta": (0.05, _float),
+    "simulate.degree": (None, _optional(_int)),
     "simulate.anchor": ("start", _anchor),  # 'start', 'zero' or a point
-    "readout.shots": (None, _optional(int)),
+    "readout.shots": (None, _optional(_int)),
     "hessian.method": ("direct", _text),
-    "hessian.lanczos_k": (80, int),
-    "hessian.probes": (16, int),
-    "hessian.bins": (40, int),
-    "proxy.eta": (1.0, finite_float),
-    "proxy.tmax": (100, int),
-    "proxy.threshold": (0.4, finite_float),
+    "hessian.lanczos_k": (80, _int),
+    "hessian.probes": (16, _int),
+    "hessian.bins": (40, _int),
+    "proxy.eta": (1.0, _finite),
+    "proxy.tmax": (100, _int),
+    "proxy.threshold": (0.4, _finite),
     "proxy.scale": ("eta", _text),
     "kappa.method": ("dense_svd", _text),
-    "kappa.steps": ([5, 10, 20, 40], _list(int)),
-    "kappa.order": (1, int),
-    "kappa.eta": (0.1, float),
+    "kappa.steps": ([5, 10, 20, 40], _list(_int)),
+    "kappa.order": (1, _int),
+    "kappa.eta": (0.1, _float),
     "pipeline.kappa_method": ("power_iteration", _text),
 }
 DEFAULTS = {key: default for key, (default, _) in SCHEMA.items()}

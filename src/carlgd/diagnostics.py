@@ -1,5 +1,5 @@
-"""Hessian spectra, dissipativity classification, the spectral error proxy,
-and solver-cost estimates.
+"""Hessian spectra, the spectral error proxy, solver-cost estimates and
+trajectory-error series.
 
 The step map of gradient descent has multipliers mu_i = 1 - eta * lambda_i
 over the Hessian eigenvalues lambda_i. Writing a = -eta * lambda, the error
@@ -112,11 +112,12 @@ def spectrum(spec, params, data=None, method="direct", k=80, probes=16, seed=0):
 
     'direct' does an exact symmetric eigendecomposition of
     `models.hessian` (n <= util.MAX_DENSE_ORDER); 'lanczos' runs
-    stochastic Lanczos quadrature using Hessian-vector products only:
-    each probe starts from its own seeded Rademacher vector, and the
-    probes run in lockstep, in groups whose bases hold at most
-    util.MAX_STATES floats (or one probe's basis). Masked parameters
-    restrict the Hessian to the surviving coordinates.
+    stochastic Lanczos quadrature (SLQ: Ubaru, Chen & Saad, SIAM J. Matrix
+    Anal. Appl. 2017) using Hessian-vector products only: each probe
+    starts from its own seeded Rademacher vector, and the probes run in
+    lockstep, in groups of MAX_STATES // (min(k, n) * n) probes, whose
+    bases hold at most util.MAX_STATES floats (or one probe's basis).
+    Masked parameters restrict the Hessian to the surviving coordinates.
     """
     pv = params if isinstance(params, models.ParamVector) \
         else models.ParamVector(np.asarray(params, float))
@@ -187,46 +188,6 @@ def error_proxy(spectrum_, eta, t_range, threshold=0.4, scale="eta"):
                 power[t == -1] = np.reciprocal(growth)
             E[b:b + step] = np.where(w > 0, w * power, 0.0).sum(axis=1) / nc
     return E
-
-
-@dataclass
-class DissipationReport:
-    """Operational dissipativity classification of a step map.
-
-    `fully` when every multiplier satisfies |mu| <= 1 - delta; `almost`
-    when at most a fraction zeta violates it; `non` otherwise. These
-    tolerance-based definitions are stand-ins for the formal ones, and the
-    note says so.
-    """
-
-    multipliers: np.ndarray
-    fraction_convergent: float
-    fraction_offending: float
-    classification: str
-    eta: float
-    delta: float
-    zeta: float
-    note: str = "operational definition: |mu| <= 1 - delta with tolerances (delta, zeta)"
-
-
-def classify(spectrum_, eta, delta=1e-3, zeta=0.05):
-    """Classify dissipativity from an exact-mode spectrum."""
-    if not spectrum_.is_exact():
-        raise InputError("classification needs an exact-mode spectrum")
-    lam = np.asarray(spectrum_.eigenvalues, dtype=float)
-    mu = 1.0 - eta * lam
-    offending = np.abs(mu) > 1.0 - delta
-    frac_off = float(np.mean(offending))
-    if frac_off == 0.0:
-        cls = "fully"
-    elif frac_off <= zeta:
-        cls = "almost"
-    else:
-        cls = "non"
-    return DissipationReport(multipliers=mu,
-                             fraction_convergent=1.0 - frac_off,
-                             fraction_offending=frac_off,
-                             classification=cls, eta=eta, delta=delta, zeta=zeta)
 
 
 def cost_estimate(n, T, s, kappa, eps, regime):

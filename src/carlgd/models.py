@@ -490,22 +490,24 @@ def accuracy(spec, params, data):
 def load_iris(path):
     """Load an Iris-style CSV: four float columns then a class-name string.
 
-    A header row is auto-detected (first row non-numeric). Features are
-    finite floats, standardized to zero mean / unit variance per column;
-    labels are class names mapped to 0..K-1 in sorted order. A malformed
-    row, or a column whose mean or standard deviation is past the float
-    range, raises ParseError naming the file.
+    A header row is auto-detected (first non-blank row non-numeric).
+    Features are finite floats, standardized to zero mean / unit variance
+    per column; labels are class names mapped to 0..K-1 in sorted order.
+    Blank rows are skipped. A malformed row, or a column whose mean or
+    standard deviation is past the float range, raises ParseError naming
+    the file.
     """
     rows = []
     with open_input(path, newline="") as f:
-        reader = csv.reader(f)
+        reader, first = csv.reader(f), True
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
-            if lineno == 1:
+            if first:  # the first non-blank row may be a header
+                first = False
                 try:
                     float(row[0])
-                except (ValueError, IndexError):
+                except ValueError:
                     continue  # header
             if len(row) != 5:
                 raise ParseError(f"{path}, line {lineno}: expected 5 columns, "

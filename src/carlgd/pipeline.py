@@ -146,8 +146,8 @@ def _segment(spec, data, start, anchor, degree, eta, order, steps):
 
 def _loss_acc(spec, theta, data):
     """Arrays of the loss and the accuracy of each row of a stack of steps,
-    from one forward pass; the accuracy is NaN for a model that does not
-    classify. A loss that overflows reads inf, to keep reporting usable on
+    from one forward pass; the accuracy is NaN for a testbed, which has no
+    classes. A loss that overflows reads inf, to keep reporting usable on
     runs that blow up."""
     lv, acc = models.loss_accuracy(spec, theta, data)
     return np.where(np.isfinite(lv), lv, np.inf), acc

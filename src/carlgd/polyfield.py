@@ -7,12 +7,15 @@ shifted coordinates delta = theta - theta_star, as a finite sum
 
 with the learning rate folded into every term: F_0 = -eta grad L(theta_star),
 F_1 = -eta H(theta_star), F_2 = -(eta/2) grad^3 L, F_3 = -(eta/6) grad^4 L.
-Terms are stored as dense n x n^k float arrays. grad^3 L and
-grad^4 L come from exact polynomial stencils over Hessian columns, so every
-term is exact up to rounding. Each distinct entry is evaluated on one
-stencil line, or copied from an evaluated entry with the same indices, and
-written to every permutation of its input slots, so the terms are
-slot-symmetric by construction:
+Terms are stored as dense n x n^k float arrays. grad^3 L and grad^4 L come
+from exact polynomial stencils over Hessian columns: along any line the
+Hessian is a polynomial of known degree, so a stencil has no step-size error
+and its result does not depend on the step; every term is exact up to
+rounding. The tensors are symmetric in all their indices (Griewank, Utke &
+Walther, Math. Comp. 69, 2000, use the same symmetry), so each distinct
+entry is evaluated on one stencil line, or copied from an evaluated entry
+with the same indices, and written to every permutation of its input
+slots; the terms are slot-symmetric by construction:
 
 - the axis line e_l gives grad^3 L[:, j, l] (first derivative of H e_j)
   and grad^4 L[:, j, l, l] (second derivative). At degree 3 it evaluates
@@ -47,7 +50,6 @@ class PolyField:
     n: int
     theta_star: np.ndarray
     terms: list  # terms[k], k = 0..degree: float array (n, n**k); given dense or with toarray()
-    exact: bool = True  # False when the model's gradient degree exceeds the field's
 
     def __post_init__(self):
         self.theta_star = np.asarray(self.theta_star, dtype=float).ravel()
@@ -154,13 +156,11 @@ def _derivative_tensors(spec, data, theta_star, idx, E, degree, H):
 def from_model(spec, data, theta_star, degree, eta, mask=None):
     """Extract the update field of a model around theta_star.
 
-    The terms are the Taylor terms of order 0..`degree`. When the model's
-    gradient is a polynomial of degree <= `degree` they are the whole
-    field (`exact` is True); otherwise the field is truncated and `exact`
-    is False. With a mask, the field lives on the reduced coordinate
-    space of unmasked entries (masked coordinates pinned at zero). Only
-    the free Hessian columns are evaluated, and grad^3 L / grad^4 L come
-    from an exact stencil over them, with no step-size error. The dense
+    The terms are the Taylor terms of order 0..`degree`. With a mask, the
+    field lives on the reduced coordinate space of unmasked entries
+    (masked coordinates pinned at zero). Only the free Hessian columns are
+    evaluated, and grad^3 L / grad^4 L come from an exact stencil over
+    them, with no step-size error. The dense
     derivative tensors, up to n^(degree + 1) floats over the n free
     coordinates, are held to util.MAX_STATES before any is evaluated.
     """
@@ -186,5 +186,4 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
         terms.append((-0.5 * eta) * T3.reshape(n, n * n))
     if degree >= 3:
         terms.append((-eta / 6.0) * T4.reshape(n, n ** 3))
-    return PolyField(n=n, theta_star=theta_star[idx], terms=terms,
-                     exact=spec.grad_degree() <= degree)
+    return PolyField(n=n, theta_star=theta_star[idx], terms=terms)

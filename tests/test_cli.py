@@ -892,6 +892,35 @@ def test_malformed_config_values_exit_1(tmp_path, capsys, argv, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--set", "simulate.steps=2.5"], "simulate.steps"),
+    (["simulate", "--set", "seed=1.9"], "seed"),
+    (["kappa", "--set", "kappa.steps=[2.7,5.2]"], "kappa.steps"),
+    (["simulate", "--set", "simulate.order=true"], "simulate.order"),
+    (["simulate", "--set", "simulate.eta=true"], "simulate.eta"),
+    (["simulate", "--set", "model.alpha=true"], "model.alpha"),
+    (["simulate", "--set", "init.params=[true]"], "init.params"),
+])
+def test_fractional_or_boolean_number_exits_1(tmp_path, capsys, argv, key):
+    """An integer key takes no fraction, truncated or not, and no key takes
+    a bool for a number, so the manifest never echoes a value that the run
+    did not use."""
+    out = tmp_path / "run"
+    assert main(argv + ["--model", "scalar_cubic", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: config key {key!r} has invalid value")
+    assert not (out / "manifest.json").exists()
+
+
+def test_whole_float_is_the_integer_it_equals(tmp_path):
+    """So 1e200 steps reach the capacity check, and 3.0 steps run 3."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", "scalar_cubic", "--set",
+                 "simulate.steps=3.0", "--out", str(out)]) == 0
+    steps = json.loads((out / "manifest.json").read_text())["config"]["simulate.steps"]
+    assert (steps, type(steps)) == (3, int)
+
+
 def test_every_key_checked_whatever_the_command_reads(tmp_path, capsys):
     params = tmp_path / "params.csv"
     params.write_text("index,value\n0,1.5\n1,-0.5\n")

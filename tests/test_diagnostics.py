@@ -218,66 +218,6 @@ def test_proxy_from_lanczos_spectrum(mlp_spec, iris):
     assert E[0] == pytest.approx(1.0)
 
 
-# ---------------------------------------------------------------- classify
-
-def test_classify_fully_dissipative():
-    lams = np.linspace(0.1, 1.9, 50)  # eta=1: |1 - lam| <= 0.9
-    report = carlgd.classify(exact_spectrum(lams), eta=1.0)
-    assert report.classification == "fully"
-    assert report.fraction_offending == 0.0
-
-
-def test_classify_almost_dissipative():
-    lams = np.concatenate([np.full(99, 1.0), [-0.5]])
-    report = carlgd.classify(exact_spectrum(lams), eta=1.0)
-    assert report.classification == "almost"
-    assert report.fraction_offending == pytest.approx(0.01)
-
-
-def test_classify_non_dissipative():
-    lams = np.concatenate([np.full(5, 1.0), np.full(5, -1.0)])
-    report = carlgd.classify(exact_spectrum(lams), eta=1.0)
-    assert report.classification == "non"
-
-
-def test_classify_permutation_invariant():
-    rng = np.random.default_rng(3)
-    lams = rng.uniform(-0.2, 2.0, size=40)
-    a = carlgd.classify(exact_spectrum(lams), eta=0.7)
-    b = carlgd.classify(exact_spectrum(rng.permutation(lams)), eta=0.7)
-    assert a.classification == b.classification
-    assert a.fraction_offending == b.fraction_offending
-
-
-def test_classify_eta_scaling_exact():
-    # dyadic eigenvalues so 1 - eta*lam carries no rounding at either eta
-    rng = np.random.default_rng(4)
-    lams = rng.integers(-8, 9, size=20) / 8.0
-    base = carlgd.classify(exact_spectrum(lams), eta=0.25)
-    scaled = carlgd.classify(exact_spectrum(lams), eta=0.5)
-    np.testing.assert_array_equal(scaled.multipliers - 1.0,
-                                  2.0 * (base.multipliers - 1.0))
-
-
-def test_classify_requires_exact_mode(mlp_spec, iris):
-    s = carlgd.spectrum(mlp_spec, carlgd.init_params(mlp_spec, 0), iris,
-                        method="lanczos", k=20, probes=2, seed=0)
-    with pytest.raises(InputError):
-        carlgd.classify(s, eta=0.05)
-
-
-def test_classify_pruned_model_dominated_by_dissipative_modes(mlp_spec, iris):
-    dense = pipeline.pretrain(mlp_spec, iris, steps=200, eta=0.05, seed=0)
-    pruned = pipeline.prune_topk(dense, 0.37)
-    s = carlgd.spectrum(mlp_spec, pruned, iris)
-    report = carlgd.classify(s, eta=0.05)
-    # count-based oracle on the same eigenvalues
-    mu = 1.0 - 0.05 * s.eigenvalues
-    frac = np.mean(np.abs(mu) > 1.0 - 1e-3)
-    assert report.fraction_offending == pytest.approx(frac)
-    assert report.fraction_convergent >= 0.5
-
-
 # ------------------------------------------------------------ cost estimate
 
 def test_cost_estimate_step_scaling_exact():

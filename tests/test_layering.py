@@ -1,5 +1,6 @@
-"""The package's layering: which modules may import the Carleman layer, and
-where the limits of a run live."""
+"""The package's layering: which modules may import the Carleman layer,
+where the limits of a run live, and the README's contract held to the
+tables in the code."""
 
 import ast
 import importlib
@@ -8,7 +9,7 @@ import re
 from pathlib import Path
 
 import carlgd
-from carlgd import util
+from carlgd import cli, pipeline, util
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "carlgd"
@@ -35,11 +36,18 @@ def test_models_and_diagnostics_do_not_import_carleman():
         assert "carleman" not in imported_modules(SRC / name), name
 
 
+README = (ROOT / "README.md").read_text()
+
+
+def paragraph(marker):
+    """The README's paragraph that starts with `marker`."""
+    return README.split(marker, 1)[1].split("\n\n", 1)[0]
+
+
 def capacity_budgets():
     """The upper-case names in the README's capacity paragraph."""
-    text = (ROOT / "README.md").read_text()
-    paragraph = text.split("**Capacity.**", 1)[1].split("\n\n", 1)[0]
-    return set(re.findall(r"`(?:util\.)?([A-Z][A-Z_]+)`", paragraph))
+    return set(re.findall(r"`(?:util\.)?([A-Z][A-Z_]+)`",
+                          paragraph("**Capacity.**")))
 
 
 def test_every_budget_lives_in_util_alone():
@@ -81,3 +89,57 @@ def test_only_the_lift_knows_where_theta_sits():
                 if isinstance(node, ast.FunctionDef) and node.name == "readout")
     params = [a.arg for a in readout.args.args + readout.args.kwonlyargs]
     assert params == ["M", "y", "shots", "seed"]
+
+
+def schema_bullets():
+    """The bullets of the README's CSV schema section, each on one line."""
+    section = README.split("## CSV schemas", 1)[1].split("\n## ", 1)[0]
+    return [" ".join(item.split()) for item in re.split(r"\n(?=- )", section)
+            if item.startswith("- ")]
+
+
+def schema_columns(name):
+    """The columns the README gives for the CSV `name`: the last code span
+    of the bullet that opens with it."""
+    bullet, = (b for b in schema_bullets() if b.startswith(f"- `{name}`"))
+    return tuple(re.findall(r"`([^`]*)`", bullet)[-1].split(", "))
+
+
+def test_readme_schemas_are_the_tables_columns():
+    """The trajectory and segment tables' keys are the CSV headers."""
+    assert schema_columns("trajectory.csv") == pipeline.STEP_COLUMNS
+    assert schema_columns("segments.csv") == pipeline.SEGMENT_COLUMNS
+
+
+def test_readme_names_every_csv_the_cli_writes():
+    """Every "*.csv" literal of cli.py is named in the schema section."""
+    names = {node.value for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.endswith(".csv")}
+    named = set(re.findall(r"`(\w+\.csv)`", " ".join(schema_bullets())))
+    assert names
+    assert names - named == set()
+
+
+def test_readme_lists_the_commands_in_order():
+    """With each one's help line, as `--help` gives it."""
+    listed = re.findall(r"^- `(\w+)`: (.*)$", paragraph("**Commands.**"), re.M)
+    assert listed == [(name, cli.SUBCOMMANDS[name][1]) for name in cli.COMMANDS]
+
+
+def test_every_name_the_readme_cites_resolves():
+    """A backticked dotted name that starts at carlgd or one of its modules,
+    with an optional trailing (), is an attribute of that module."""
+    modules = {m.name for m in pkgutil.iter_modules(carlgd.__path__)}
+    for module in modules:
+        importlib.import_module(f"carlgd.{module}")
+    cited = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`", README)
+    paths = [name.split(".") for name in cited]
+    paths = [p[1:] if p[0] == "carlgd" else p for p in paths
+             if p[0] == "carlgd" or p[0] in modules]
+    assert paths
+    for path in paths:
+        obj = carlgd
+        for attr in path:
+            assert hasattr(obj, attr), ".".join(path)
+            obj = getattr(obj, attr)

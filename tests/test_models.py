@@ -508,6 +508,15 @@ def test_load_iris_column_past_the_float_range_rejected(tmp_path):
     assert str(err.value).startswith(f"{path}: feature column 2 ")
 
 
+def test_load_iris_header_after_blank_lines(tmp_path, iris):
+    """The header is the first non-blank row, wherever it sits."""
+    path = tmp_path / "iris.csv"
+    path.write_text("\n \n" + IRIS_CSV.read_text())
+    loaded = carlgd.load_iris(path)
+    assert np.array_equal(loaded.features, iris.features)
+    assert np.array_equal(loaded.labels, iris.labels)
+
+
 def test_load_iris_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -30,7 +30,6 @@ def test_diag_quadratic_extraction(diag_spec):
     fld = carlgd.from_model(diag_spec, None, np.zeros(2), 1, 0.1)
     np.testing.assert_array_equal(f0(fld), [0.0, 0.0])
     np.testing.assert_allclose(fld.terms[1], np.diag([-0.1, -0.4]))
-    assert fld.exact
 
 
 def test_scalar_cubic_extraction_at_origin(cubic_spec):
@@ -39,13 +38,6 @@ def test_scalar_cubic_extraction_at_origin(cubic_spec):
     assert fld.terms[1][0, 0] == pytest.approx(-0.1, abs=1e-15)
     assert np.count_nonzero(fld.terms[2]) == 0
     assert fld.terms[3][0, 0] == pytest.approx(-0.1, abs=1e-15)
-
-
-def test_exact_flag_follows_gradient_degree(cubic_spec, mlp_spec, iris):
-    assert not carlgd.from_model(cubic_spec, None, np.zeros(1), 1, 0.1).exact
-    assert carlgd.from_model(cubic_spec, None, np.zeros(1), 3, 0.1).exact
-    assert not carlgd.from_model(mlp_spec, iris, np.zeros(mlp_spec.n), 2,
-                                 0.05).exact
 
 
 def test_eval_examples(diag_spec):
