@@ -233,13 +233,14 @@ _DENSE_BYTES = 1 << 19
 class GlobalSystem:
     """All T Euler steps stacked into one block-bidiagonal linear system.
 
-    `S` is the canonical `CSR` step operator. Every product with it, in
-    `solve`, in the substitutions and in the gram of `condition_number`,
-    runs on one operator: a C-contiguous dense array while D * D * 8 bytes
-    is at most `_DENSE_BYTES` (512 KiB, so D <= 256), and a scipy CSR
-    matrix above that. S^T is built the same way, and only when a product
-    with it is asked for. L itself is built only by the dense-SVD kappa,
-    as a dense array.
+    `S` is the canonical `CSR` step operator. Both substitutions run one
+    loop, `_substitute`: with S for L, and with S^T over the steps in
+    reverse for L^T. Every product with S, there and in the gram of
+    `condition_number`, runs on one operator: a C-contiguous dense array
+    while D * D * 8 bytes is at most `_DENSE_BYTES` (512 KiB, so D <= 256),
+    and a scipy CSR matrix above that. S^T is built the same way, and only
+    when a product with it is asked for. L itself is built only by the
+    dense-SVD kappa, as a dense array.
     """
 
     T: int
@@ -262,23 +263,23 @@ class GlobalSystem:
 
     def solve_lower(self, w):
         """Forward substitution L z = w for an arbitrary right-hand side."""
-        S = self._S_op
         W = w.reshape(self.T + 1, self.D)
-        Z = np.empty_like(W)
-        Z[0] = W[0]
-        for t in range(1, self.T + 1):
-            Z[t] = W[t] + S @ Z[t - 1]
-        return Z.reshape(-1)
+        return _substitute(self._S_op, W, np.empty_like(W)).reshape(-1)
 
     def solve_lower_t(self, w):
-        """Back substitution L^T u = w."""
-        St = self._St_op
+        """Back substitution L^T u = w: the same loop on S^T, steps reversed."""
         W = w.reshape(self.T + 1, self.D)
         U = np.empty_like(W)
-        U[self.T] = W[self.T]
-        for t in range(self.T - 1, -1, -1):
-            U[t] = W[t] + St @ U[t + 1]
+        _substitute(self._St_op, W[::-1], U[::-1])  # fills U in place, no copy
         return U.reshape(-1)
+
+
+def _substitute(op, W, Z):
+    """Z[0] = W[0], then Z[t] = W[t] + op @ Z[t - 1]; returns Z."""
+    Z[0] = W[0]
+    for t in range(1, len(W)):
+        Z[t] = W[t] + op @ Z[t - 1]
+    return Z
 
 
 def build_global(M, y0, T):
@@ -443,7 +444,8 @@ def condition_number(G, method="dense_svd", seed=0):
     `power_iteration` works at any size without assembling L: a numpy
     Lanczos recurrence (`_lanczos_top`) finds sigma_max^2 = lambda_max(L^T
     L), applied blockwise from S, and 1/sigma_min^2 = lambda_max((L L^T)^-1),
-    applied by forward and back substitution, from start vectors seeded by
+    applied by `solve_lower` then `solve_lower_t`, one substitution loop
+    run forwards on S and backwards on S^T, from start vectors seeded by
     `seed` and `seed + 1`, with no reorthogonalisation, restart or ARPACK.
     The gram takes the row-major products Z @ S^T and W @ S. Both
     operators multiply by a dense copy of S while it takes at most

@@ -7,10 +7,13 @@ key it sets (`--help` shows it), or a CLI_ONLY name for a flag that sets
 none. `main` runs every command but report: it resolves and type-checks
 the whole config, makes --out, calls the command's handler with
 (args, cfg, out) and writes the one manifest.json from the outputs and
-exit code that returns. Each command hands its tables, {header: column},
-to the one CSV writer, `write_csv`. The manifest echoes the resolved
-config, versions and wall-clock time; re-running it reproduces the CSVs
-bitwise in deterministic (full-batch) mode.
+exit code that returns. Only then does it print the status line that the
+handler returned (report returns its JSON), so a closed stdout loses no
+file; a reader that has gone is not an error, and the exit code stays the
+command's. Each command hands its tables, {header: column}, to the one
+CSV writer, `write_csv`. The manifest echoes the resolved config,
+versions and wall-clock time; re-running it reproduces the CSVs bitwise
+in deterministic (full-batch) mode.
 
 Exit codes: 0 success, 1 validation/usage error, 2 numeric failure,
 3 capacity error.
@@ -20,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -191,8 +195,8 @@ def cmd_pretrain(args, cfg, out):
     spec = config.build_model(cfg)
     params = _pretrain(cfg, spec, config.load_dataset(cfg))
     _write_params(out / "params.csv", params)
-    print(f"pretrained {params.n} parameters -> {out / 'params.csv'}")
-    return ["params.csv"], 0
+    return (["params.csv"], 0,
+            f"pretrained {params.n} parameters -> {out / 'params.csv'}")
 
 
 def cmd_prune(args, cfg, out):
@@ -202,8 +206,8 @@ def cmd_prune(args, cfg, out):
     pruned = pipeline.prune_topk(params, cfg["schedule.prune_fraction"])
     _write_params(out / "masked_params.csv", pruned)
     kept = int(pruned.mask.sum())
-    print(f"kept {kept}/{pruned.n} parameters -> {out / 'masked_params.csv'}")
-    return ["masked_params.csv"], 0
+    return (["masked_params.csv"], 0,
+            f"kept {kept}/{pruned.n} parameters -> {out / 'masked_params.csv'}")
 
 
 def cmd_simulate(args, cfg, out):
@@ -234,9 +238,8 @@ def cmd_simulate(args, cfg, out):
                    "l2_error": np.full(n, ro.l2_error),
                    "linf_error": np.full(n, ro.linf_error)})
         outputs.append("readout.csv")
-    print(f"simulated {cfg['simulate.steps']} steps at order "
-          f"{cfg['simulate.order']} (D={result.lift.D}) -> {out}")
-    return outputs, 0
+    return outputs, 0, (f"simulated {cfg['simulate.steps']} steps at order "
+                        f"{cfg['simulate.order']} (D={result.lift.D}) -> {out}")
 
 
 def cmd_pipeline(args, cfg, out):
@@ -252,10 +255,10 @@ def cmd_pipeline(args, cfg, out):
     _write_params(out / "final_params.csv", report.final)
     status = ("diverged at step "
               f"{report.diverged_at}" if report.diverged_at else "completed")
-    print(f"pipeline {status}: {report.segments['segment'].size} segments, "
-          f"final loss {report.steps['loss'][-1]:.6g} -> {out}")
     return (["trajectory.csv", "segments.csv", "final_params.csv"],
-            0 if report.diverged_at is None else 2)
+            0 if report.diverged_at is None else 2,
+            f"pipeline {status}: {report.segments['segment'].size} segments, "
+            f"final loss {report.steps['loss'][-1]:.6g} -> {out}")
 
 
 def cmd_hessian(args, cfg, out):
@@ -283,8 +286,8 @@ def cmd_hessian(args, cfg, out):
         write_csv(out / "spectrum.csv", {"bin_left": edges[:-1],
                                          "bin_right": edges[1:],
                                          "density": dens})
-    print(f"spectrum ({method}, n={spect.n}) -> {out / 'spectrum.csv'}")
-    return ["spectrum.csv"], 0
+    return (["spectrum.csv"], 0,
+            f"spectrum ({method}, n={spect.n}) -> {out / 'spectrum.csv'}")
 
 
 def cmd_proxy(args, cfg, out):
@@ -300,8 +303,7 @@ def cmd_proxy(args, cfg, out):
                                 threshold=cfg["proxy.threshold"],
                                 scale=cfg["proxy.scale"])
     write_csv(out / "proxy.csv", {"t": t, "E": E})
-    print(f"proxy over t=0..{tmax} -> {out / 'proxy.csv'}")
-    return ["proxy.csv"], 0
+    return ["proxy.csv"], 0, f"proxy over t=0..{tmax} -> {out / 'proxy.csv'}"
 
 
 def cmd_kappa(args, cfg, out):
@@ -314,8 +316,7 @@ def cmd_kappa(args, cfg, out):
         else np.array(cfg["init.params"])
     order = cfg["kappa.order"]
     eta = cfg["kappa.eta"]
-    degree = pipeline._field_degree(spec, order)
-    M = pipeline.lift(spec, data, np.zeros(spec.n), degree, eta, None, order,
+    M = pipeline.lift(spec, data, np.zeros(spec.n), None, eta, None, order,
                       max(steps))
     y0 = M.initial_state(theta0)
     method = cfg["kappa.method"]
@@ -324,8 +325,7 @@ def cmd_kappa(args, cfg, out):
               for T in steps]  # every T shares M's step operator S
     write_csv(out / "kappa.csv", {"T": steps, "kappa": kappas,
                                   "method": [method] * len(steps)})
-    print(f"kappa over T={steps} -> {out / 'kappa.csv'}")
-    return ["kappa.csv"], 0
+    return ["kappa.csv"], 0, f"kappa over T={steps} -> {out / 'kappa.csv'}"
 
 
 def _run_rows(path, columns):
@@ -342,6 +342,8 @@ def _run_rows(path, columns):
 
 
 def cmd_report(args):
+    """Write report.json of the run --run into --out (default: that run)
+    and return its text."""
     run = Path(args.run or "")
     manifest_path = run / "manifest.json"
     if not manifest_path.exists():
@@ -378,8 +380,7 @@ def cmd_report(args):
         out.mkdir(parents=True, exist_ok=True)
     with writing(out / "report.json"):
         (out / "report.json").write_text(text)
-    print(text)
-    return 0
+    return text
 
 
 # The flags of every subcommand but report.
@@ -478,16 +479,23 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.command == "report":
-            return cmd_report(args)
-        started = time.perf_counter()
-        cfg = config.resolve(args.config, _overrides(args))
-        if not args.out:
-            raise InputError("--out directory is required")
-        out = Path(args.out)
-        with writing(out):
-            out.mkdir(parents=True, exist_ok=True)
-        outputs, rc = args.func(args, cfg, out)
-        write_manifest(out, args.command, cfg, outputs, started)
+            rc, line = 0, cmd_report(args)
+        else:
+            started = time.perf_counter()
+            cfg = config.resolve(args.config, _overrides(args))
+            if not args.out:
+                raise InputError("--out directory is required")
+            out = Path(args.out)
+            with writing(out):
+                out.mkdir(parents=True, exist_ok=True)
+            outputs, rc, line = args.func(args, cfg, out)
+            write_manifest(out, args.command, cfg, outputs, started)
+        try:
+            print(line, flush=True)
+        except BrokenPipeError:  # a reader that has gone: quiet the exit's flush
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return rc
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

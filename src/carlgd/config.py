@@ -29,9 +29,15 @@ def _number(convert):
 
 
 def _whole(value):
-    """int(value) of an int, the text of one, or a float with no fraction,
-    so that 1e200 still reaches its capacity check; a fractional float is
-    rejected, not truncated."""
+    """int(value) of an int, or of a float with no fraction, so that 1e200
+    still reaches its capacity check; a fractional float is rejected, not
+    truncated. Text is read as an int, else as a float, so a flag and
+    --set take "3.0" and "1e200" alike."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return int(value)

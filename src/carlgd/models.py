@@ -243,30 +243,20 @@ def _grad_values(spec, theta, data):
         c0, c1 = spec.coefficients
         t = theta[0]
         return np.array([c0 * t + c1 * t ** 3])
-    layers = spec.split(theta)
-    A_list, H_list = _mlp_forward(spec, theta, data.features)
-    G = (H_list[-1] - data.one_hot) / data.n_samples
+    _, _, H_list, backward = _reverse_sweep(spec, theta, data)
     out = np.empty(spec.n)
-    out_layers = spec.split(out)  # views into out
-    for li in range(len(layers) - 1, -1, -1):
-        (W, _), (gW, gb) = layers[li], out_layers[li]
-        gW[...] = H_list[li].T @ G
+    for H, (G, *_), (gW, gb) in zip(H_list, backward, spec.split(out)):
+        gW[...] = H.T @ G
         gb[...] = G.sum(axis=0)
-        if li > 0:
-            G = (G @ W.T) * _act_d1(spec, A_list[li - 1])
     return out
 
 
-def _hvp_points(spec, thetas, data):
-    """What H(thetas[p]) @ v needs of one block of points for any v: the
-    points of a testbed; for the MLP, the layers' weights, the forward pass
-    and, for each layer li > 0, the backward residual G, the contiguous
-    W^T, sigma' of layer li - 1 and G @ W^T. Every array keeps a length-1
-    direction axis (axis 1)."""
-    if spec.kind != "mlp":
-        return thetas
-    layers = spec.split(thetas[:, None])
-    A_list, H_list = _mlp_forward(spec, thetas[:, None], data.features)
+def _reverse_sweep(spec, theta, data):
+    """Backpropagation through the MLP at theta, with any leading axes: the
+    layers, the forward pass and each layer li's residual G = dL/dA_li, with
+    the contiguous W^T, sigma' of layer li - 1 and G @ W^T (None at li = 0)."""
+    layers = spec.split(theta)
+    A_list, H_list = _mlp_forward(spec, theta, data.features)
     G = (H_list[-1] - data.one_hot) / data.n_samples
     backward = [None] * len(layers)
     for li in range(len(layers) - 1, 0, -1):
@@ -276,7 +266,17 @@ def _hvp_points(spec, thetas, data):
         back = G @ Wt
         backward[li] = G, Wt, sprime, back
         G = back * sprime
+    backward[0] = G, None, None, None
     return layers, A_list, H_list, backward
+
+
+def _hvp_points(spec, thetas, data):
+    """What H(thetas[p]) @ v needs of one block of points for any v: the
+    points of a testbed; for the MLP, `_reverse_sweep` at them, every
+    array with a length-1 direction axis (axis 1)."""
+    if spec.kind != "mlp":
+        return thetas
+    return _reverse_sweep(spec, thetas[:, None], data)
 
 
 def _hvp_block(spec, point, data, V, out):

@@ -104,17 +104,16 @@ def prune_topk(params, fraction):
     return models.ParamVector(pruned, mask=mask)
 
 
-def _field_degree(spec, order):
-    return max(1, min(spec.grad_degree(), order, 3))
-
-
 def lift(spec, data, anchor, degree, eta, mask, order, steps):
-    """The order-`order` embedding of the field around `anchor`, a
-    CarlemanMatrix whose `field` is that field. The capacity, D against
+    """The order-`order` embedding of the degree-`degree` field around
+    `anchor`, a CarlemanMatrix whose `field` is that field; degree None is
+    the gradient's degree, at most `order` and 3. The capacity, D against
     util.MAX_DIM and a `steps`-step trajectory against util.MAX_STATES, is
     checked from the free dimension and the drift before any Hessian is
     evaluated."""
     check_eta(eta)
+    if degree is None:
+        degree = max(1, min(spec.grad_degree(), order, 3))
     idx = np.arange(spec.n) if mask is None else np.flatnonzero(mask)
     drift = bool(np.any(eta * models.grad(spec, anchor, data)[idx]))
     carleman.check_capacity(idx.size, order, drift, steps)
@@ -202,9 +201,8 @@ def simulate(spec, data, params0, eta, order, steps, anchor="start",
             raise InputError(f"unknown anchor {anchor!r}")
     else:
         anchor_vec = np.asarray(anchor, dtype=float).ravel()
-    d = degree if degree is not None else _field_degree(spec, order)
-    M, _, Y, approx, exact = _segment(spec, data, pv, anchor_vec, d, eta,
-                                      order, steps)
+    M, _, Y, approx, exact = _segment(spec, data, pv, anchor_vec, degree,
+                                      eta, order, steps)
     if Y.shape[0] <= steps:
         raise DivergenceError(f"trajectory diverged at step {Y.shape[0]}",
                               step=Y.shape[0])
@@ -229,7 +227,6 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
     mask = params0.mask.copy()
     theta = params0.values.copy()
     N = schedule.carleman_order
-    d = _field_degree(spec, N)
 
     tables = [_records(spec, data, theta[None], theta[None], 0, 0, "carleman")]
     segments = []  # one row tuple per segment, in SEGMENT_COLUMNS order
@@ -240,7 +237,7 @@ def run_pipeline(spec, data, schedule, params0, seed=0,
     while steps_done < schedule.total_steps and diverged_at is None:
         R = min(schedule.reupload_period, schedule.total_steps - steps_done)
         M, G, _, approx, exact = _segment(
-            spec, data, models.ParamVector(theta, mask=mask), theta, d,
+            spec, data, models.ParamVector(theta, mask=mask), theta, None,
             schedule.eta, N, R)
         try:
             kappa = carleman.condition_number(G, method=kappa_method, seed=seed)

@@ -626,9 +626,7 @@ def test_lanczos_kappa_matches_dense_svd_on_pruned_iris_system(mlp_spec, iris):
     pruned = pipeline.prune_topk(
         pipeline.pretrain(mlp_spec, iris, steps=200, eta=0.05, seed=0), 0.37)
     anchor = pruned.values
-    M = pipeline.lift(mlp_spec, iris, anchor,
-                      pipeline._field_degree(mlp_spec, 2), 0.05,
-                      pruned.mask, 2, 10)
+    M = pipeline.lift(mlp_spec, iris, anchor, None, 0.05, pruned.mask, 2, 10)
     G = carlgd.build_global(M, M.initial_state(anchor[pruned.mask]), 10)
     assert (G.T + 1) * G.D == 1221
     kd = carlgd.condition_number(G, "dense_svd")
@@ -745,9 +743,8 @@ def pruned_iris(mlp_spec, iris):
 
 
 def lift_pruned_iris(mlp_spec, iris, pruned, order):
-    M = pipeline.lift(mlp_spec, iris, pruned.values,
-                      pipeline._field_degree(mlp_spec, order), 0.05,
-                      pruned.mask, order, 0)
+    M = pipeline.lift(mlp_spec, iris, pruned.values, None, 0.05, pruned.mask,
+                      order, 0)
     return M, M.initial_state(pruned.values[pruned.mask])
 
 
@@ -823,6 +820,28 @@ def test_solve_is_solve_lower_on_the_upload(mlp_spec, iris, pruned_iris,
     assert isinstance(G._S_op, np.ndarray) is dense
     assert Y.shape == (G.T + 1, G.D)
     assert np.array_equal(bits(Y), bits(G.solve_lower(b).reshape(Y.shape)))
+
+
+@pytest.mark.parametrize("order, T", [(2, 10), (3, 2)])
+def test_substitutions_match_dense_triangular_solves(mlp_spec, iris, pruned_iris,
+                                                     order, T):
+    """`solve_lower` and `solve_lower_t`, one loop run forwards and
+    backwards, solve L z = w and L^T u = w as LAPACK does on the assembled
+    L, on the dense S of the D = 111 system and the scipy S of the D = 1 111
+    one."""
+    from scipy.linalg import solve_triangular
+    M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, order)
+    assert M.D == {2: 111, 3: 1111}[order]
+    G = carlgd.build_global(M, y0, T)
+    assert isinstance(G._S_op, np.ndarray) is (order == 2)
+    D, S = G.D, G.S.toarray()
+    L = np.eye((T + 1) * D, order="F")
+    for t in range(1, T + 1):
+        L[t * D:(t + 1) * D, (t - 1) * D:t * D] -= S
+    w = np.random.default_rng(order).standard_normal((T + 1) * D)
+    for got, trans in ((G.solve_lower(w), "N"), (G.solve_lower_t(w), "T")):
+        want = solve_triangular(L, w, lower=True, trans=trans)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), trans
 
 
 def test_solve_builds_no_transpose(mlp_spec, iris, pruned_iris):

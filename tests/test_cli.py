@@ -648,6 +648,7 @@ def test_exit_code_capacity(tmp_path, capsys):
     ["pretrain", "--model", "scalar_cubic", "--set", "pretrain.steps=1e200"],
     ["simulate", "--data", str(IRIS_CSV), "--set", "model.layer_widths=[4,12,3]",
      "--order", "3", "--steps", "5"],
+    ["simulate", "--model", "scalar_cubic", "--steps", "1e200"],
 ])
 def test_capacity_checked_before_extraction(tmp_path, capsys, monkeypatch,
                                             argv):
@@ -900,6 +901,10 @@ def test_malformed_config_values_exit_1(tmp_path, capsys, argv, key):
     (["simulate", "--set", "simulate.eta=true"], "simulate.eta"),
     (["simulate", "--set", "model.alpha=true"], "model.alpha"),
     (["simulate", "--set", "init.params=[true]"], "init.params"),
+    (["simulate", "--steps", "2.5"], "simulate.steps"),
+    (["simulate", "--steps", "nan"], "simulate.steps"),
+    (["simulate", "--steps", "inf"], "simulate.steps"),
+    (["simulate", "--seed", "true"], "seed"),
 ])
 def test_fractional_or_boolean_number_exits_1(tmp_path, capsys, argv, key):
     """An integer key takes no fraction, truncated or not, and no key takes
@@ -913,12 +918,19 @@ def test_fractional_or_boolean_number_exits_1(tmp_path, capsys, argv, key):
 
 
 def test_whole_float_is_the_integer_it_equals(tmp_path):
-    """So 1e200 steps reach the capacity check, and 3.0 steps run 3."""
-    out = tmp_path / "run"
-    assert main(["simulate", "--model", "scalar_cubic", "--set",
-                 "simulate.steps=3.0", "--out", str(out)]) == 0
-    steps = json.loads((out / "manifest.json").read_text())["config"]["simulate.steps"]
-    assert (steps, type(steps)) == (3, int)
+    """So 1e200 steps reach the capacity check, and 3.0 steps run the 3 of
+    --steps 3, given by --set or as the flag's text."""
+    three = tmp_path / "three"
+    assert main(["simulate", "--model", "scalar_cubic", "--steps", "3",
+                 "--out", str(three)]) == 0
+    for argv in (["--set", "simulate.steps=3.0"], ["--steps", "3.0"]):
+        out = tmp_path / argv[0].lstrip("-")
+        assert main(["simulate", "--model", "scalar_cubic", *argv,
+                     "--out", str(out)]) == 0
+        steps = json.loads((out / "manifest.json").read_text())["config"]["simulate.steps"]
+        assert (steps, type(steps)) == (3, int)
+        for name in ("trajectory.csv", "params.csv"):
+            assert (out / name).read_bytes() == (three / name).read_bytes()
 
 
 def test_every_key_checked_whatever_the_command_reads(tmp_path, capsys):
@@ -1001,6 +1013,26 @@ def test_module_entry_reads_sys_argv(tmp_path):
     assert "{" + ",".join(COMMANDS) + "}" in proc.stdout
     for name in COMMANDS:
         assert f"\n    {name} " in proc.stdout
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    """A reader that has gone before the status line, such as a `head` that
+    has exited: the command still writes every file, its manifest and
+    report.json included, and exits 0 with nothing on stderr."""
+    src = str(Path(carlgd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = tmp_path / "run"
+    for argv in (["simulate", "--model", "scalar_cubic", "--steps", "3",
+                  "--out", str(run)], ["report", "--run", str(run)]):
+        proc = subprocess.Popen([sys.executable, "-m", "carlgd.cli", *argv],
+                                env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        proc.stdout.close()  # before the command writes to it
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (0, b"")
+    assert sorted(p.name for p in run.iterdir()) == [
+        "manifest.json", "params.csv", "report.json", "trajectory.csv"]
 
 
 @pytest.mark.parametrize("argv", [
