@@ -27,6 +27,15 @@ so drift-free systems contribute no artificial marginal mode.
 T steps assemble into the block-bidiagonal system L z = b with I on the
 diagonal, -S on the subdiagonal and b = (y(0), 0, ..., 0); `solve` is
 forward substitution on L, the iteration y <- S y.
+
+At order 2, S commutes with the swap P of the two slots of its order-2
+block: Kronecker sums, a slot-symmetric F_2 and F_0's blocks all do
+(Forets & Pouly, arXiv:1711.02552, use the same symmetry). In the
+orthogonal basis that is the identity on orders 0 and 1 and, on order 2,
+e_aa and (e_ab + e_ba)/sqrt2, then (e_ab - e_ba)/sqrt2 for a < b, S is
+block diagonal: a symmetric block S_s of size c + n + n(n+1)/2 and an
+antisymmetric block S_a of size n(n-1)/2. L splits the same way, and
+`condition_number` takes kappa from the two parts (see there).
 """
 
 import math
@@ -120,15 +129,19 @@ class CarlemanMatrix:
 
     n: int
     order: int
-    include_constant: bool  # whether the state starts with the order-0 block
     D: int
+    sizes: tuple  # block sizes of orders 0..order, from `check_capacity`
     S: CSR
     field: object = field(repr=False)
 
+    @property
+    def include_constant(self):
+        """Whether the state starts with the order-0 block."""
+        return self.sizes[0] == 1
+
     def order_one_slice(self):
         """The order-1 block delta of a state: theta is theta_star plus it."""
-        start = 1 if self.include_constant else 0
-        return slice(start, start + self.n)
+        return slice(self.sizes[0], self.sizes[0] + self.n)
 
     def initial_state(self, theta0):
         """Upload state for a start point theta0 in the field's coordinates."""
@@ -189,8 +202,7 @@ def embed(field_, order):
     exceed util.MAX_KEYS; both are known before any key is written.
     """
     n = field_.n
-    include_constant = bool(field_.terms[0].any())
-    sizes = check_capacity(n, order, include_constant)
+    sizes = check_capacity(n, order, bool(field_.terms[0].any()))
     D = sum(sizes)
     start = np.cumsum((0,) + sizes, dtype=np.int64)  # start[j]: offset of order j
     raw = sum(i * np.count_nonzero(Fk) * n ** (i - 1) for k, Fk in enumerate(field_.terms)
@@ -216,8 +228,7 @@ def embed(field_, order):
     key, val = np.concatenate(keys), np.concatenate(vals)
     del keys, vals  # free the per-block arrays before the sort
     S = CSR.from_keys(*_sorted_sums(key, val), (D, D))
-    return CarlemanMatrix(n=n, order=order, include_constant=include_constant,
-                          D=D, S=S, field=field_)
+    return CarlemanMatrix(n=n, order=order, D=D, sizes=sizes, S=S, field=field_)
 
 
 # Products with S and S^T use dense copies while one takes at most this
@@ -240,13 +251,16 @@ class GlobalSystem:
     while D * D * 8 bytes is at most `_DENSE_BYTES` (512 KiB, so D <= 256),
     and a scipy CSR matrix above that. S^T is built the same way, and only
     when a product with it is asked for. L itself is built only by the
-    dense-SVD kappa, as a dense array.
+    dense-SVD kappa, as a dense array. `sizes` is the lift's block layout,
+    as `CarlemanMatrix.sizes`; kappa reads it to split S, and a system
+    built without it, () by default, is never split.
     """
 
     T: int
     D: int
     S: CSR
     y0: np.ndarray
+    sizes: tuple = ()
 
     @cached_property
     def _S_op(self):
@@ -289,7 +303,7 @@ def build_global(M, y0, T):
     y0 = np.asarray(y0, dtype=float).ravel()
     if y0.size != M.D:
         raise InputError(f"state length {y0.size} != system dimension {M.D}")
-    return GlobalSystem(T=T, D=M.D, S=M.S, y0=y0.copy())
+    return GlobalSystem(T=T, D=M.D, S=M.S, y0=y0.copy(), sizes=M.sizes)
 
 
 def solve(G):
@@ -435,6 +449,114 @@ def _lanczos_top(apply, dim, seed):
         f"(dimension {dim}, tol {tol:g})")
 
 
+# The swap split's bound on ||E||_F, relative to sigma_min (see
+# `condition_number`): it moves kappa by about this much, relative.
+_SPLIT_TOL = 1e-14
+
+
+def _swap_split(G):
+    """(G_s, a_max, a_min, err) of an order-2 system split by the swap P of
+    its order-2 slots, or None when its layout is not orders 0..2 with
+    n >= 2, its S is not the dense operator or not finite, or err >
+    `_SPLIT_TOL` * a_min, which bounds L's sigma_min from above.
+
+    G_s is the T-step system of the symmetric block S_s = Q_s^T S Q_s,
+    Q_s the columns e_k (orders 0 and 1), e_aa and (e_ab + e_ba)/sqrt2,
+    a < b; y0 is projected on them too. a_max and a_min are the extremes
+    of L_a, `_shift_extremes` at the spectral norm mu* of the symmetric
+    part of the antisymmetric block S_a, on (e_ab - e_ba)/sqrt2. err is
+    ||E||_F: the part of Q^T S Q outside those two blocks, whose Frobenius
+    norm is ||S - P S P||_F / 2, together with the skew part of S_a.
+    """
+    if len(G.sizes) != 3 or G.sizes[1] < 2:
+        return None
+    S = G._S_op
+    if not isinstance(S, np.ndarray) or not np.isfinite(S).all():
+        return None
+    c, n, _ = G.sizes
+    lo = c + n
+    a, b = np.triu_indices(n)  # the pairs a <= b, row by row
+    one, two = lo + a * n + b, lo + b * n + a  # slots (a, b) and (b, a)
+    swap = np.arange(G.D)
+    swap[one], swap[two] = two, one
+    pair = a < b
+    p = np.count_nonzero(pair)
+    ij = np.concatenate([one[pair], two[pair]])
+    B = S[ij][:, ij]  # S on the slots (a, b), then (b, a), a < b
+    with np.errstate(over="ignore", invalid="ignore"):  # inf fails the err test
+        S_a = (B[:p, :p] - B[:p, p:] + (B[p:, p:] - B[p:, :p])) / 2
+        sym, skew = (S_a + S_a.T) / 2, (S_a - S_a.T) / 2
+        err = math.hypot(np.linalg.norm(S - S[swap][:, swap]) / 2,
+                         np.linalg.norm(skew))
+        # a_min <= 1, as L v = v for v on step T alone; a finite err also
+        # keeps a non-finite S_a from the eigensolver
+        if not err <= _SPLIT_TOL:
+            return None
+        mu = np.abs(np.linalg.eigvalsh(sym)[[0, -1]]).max()  # mu* = max |mu|
+        a_max, a_min = _shift_extremes(mu, G.T)
+        if not err <= _SPLIT_TOL * a_min:
+            return None
+        Q = np.zeros((G.D, lo + a.size))
+        Q[np.arange(lo), np.arange(lo)] = 1.0
+        col, w = lo + np.arange(a.size), np.where(pair, math.sqrt(0.5), 1.0)
+        Q[one, col] = Q[two, col] = w
+        S_s = Q.T @ S @ Q  # an overflow here makes kappa's recurrences inf
+    rows, cols = np.nonzero(S_s)
+    G_s = GlobalSystem(T=G.T, D=S_s.shape[0], y0=Q.T @ G.y0,
+                       S=CSR.from_keys(rows * S_s.shape[1] + cols,
+                                       S_s[rows, cols], S_s.shape))
+    return G_s, a_max, a_min, err
+
+
+def _shift_extremes(mu, T):
+    """(sigma_max, sigma_min) of the (T+1)-point bidiagonal I - mu Z, Z the
+    down-shift. They are the largest and the (T+2)-th smallest eigenvalue
+    of its Golub-Kahan form, the zero-diagonal tridiagonal with off-diagonal
+    1, |mu|, 1, ..., 1 and eigenvalues +-sigma, found by LAPACK's bisection
+    (stebz) with the smallest absolute tolerance, which on a zero diagonal
+    gives each sigma to high relative accuracy (Demmel & Kahan, SIAM J.
+    Sci. Stat. Comput. 11, 1990): O(T) work for each Sturm count."""
+    from scipy.linalg.lapack import dstebz
+
+    N = T + 1
+    e = np.ones(2 * N - 1)
+    e[1::2] = abs(mu)
+    out = []
+    for k in (2 * N, N + 1):
+        _, w, _, _, info = dstebz(np.zeros(2 * N), e, 2, 0.0, 1.0, k, k,
+                                  2 * np.finfo(float).tiny, "E")
+        if info:
+            raise np.linalg.LinAlgError(f"bidiagonal bisection failed (info {info})")
+        out.append(float(w[0]))
+    return tuple(out)
+
+
+def _sigma_max(G, seed):
+    """sigma_max of L: the root of lambda_max(L^T L) by `_lanczos_top`
+    from a start vector seeded by `seed`, applied blockwise from S."""
+    shape = (G.T + 1, G.D)
+    S, St = G._S_op, G._St_op
+
+    def gram(v):  # L^T L v, with L = I - (shift (x) S), in row-major products
+        Z = v.reshape(shape)
+        W = Z.copy()
+        W[1:] -= Z[:-1] @ St  # W = L z
+        W[:-1] -= W[1:] @ S  # W = L^T W (rhs is a new array)
+        return W.reshape(-1)
+
+    return np.sqrt(_lanczos_top(gram, shape[0] * shape[1], seed))
+
+
+def _sigma_min(G, seed):
+    """sigma_min of L: 1/sigma_min^2 = lambda_max((L L^T)^-1) by
+    `_lanczos_top` from a start vector seeded by `seed`, applied by
+    `solve_lower` then `solve_lower_t`."""
+    def inverse_gram(v):
+        return G.solve_lower_t(G.solve_lower(v))
+
+    return 1.0 / np.sqrt(_lanczos_top(inverse_gram, (G.T + 1) * G.D, seed))
+
+
 def condition_number(G, method="dense_svd", seed=0):
     """kappa = sigma_max / sigma_min of the global matrix L.
 
@@ -454,6 +576,25 @@ def condition_number(G, method="dense_svd", seed=0):
     1e-8 times its Ritz value theta, so theta is off by about
     tol^2 * theta^2 / gap: under 1e-14 relative when the top eigenvalue is
     separated by more than 1% of theta. T = 0 gives exactly 1.
+
+    On an order-2 system with n >= 2 and a dense, finite S, the power
+    iteration splits L by the swap of the order-2 slots (`_swap_split`):
+    kappa = max sigma_max / min sigma_min over L_s and L_a. Both
+    recurrences run, with the same seeds, on L_s, the T-step system of the
+    symmetric block S_s (D_s = 66 against D = 111 on a pruned n = 10
+    field). S_a is symmetric when F_1 is, as a Hessian's is, so L_a is a
+    direct sum of the (T+1)-point bidiagonals I - mu Z over the
+    eigenvalues mu of S_a. Their sigma_max does not fall and their
+    sigma_min does not rise as |mu| grows, so L_a's extremes are those at
+    mu* = max |mu|, found by bisection in O(T) (`_shift_extremes`). The
+    split drops E, the part of Q^T S Q outside its two diagonal blocks
+    plus the skew part of S_a; by Weyl's inequality each singular value
+    moves by at most ||E||_2 <= ||E||_F. The split is kept only when
+    ||E||_F <= `_SPLIT_TOL` * sigma_min = 1e-14 * sigma_min, so kappa is
+    within about 1e-14 relative of L's; otherwise, and for any other
+    system, both recurrences run on L itself. The test is made against
+    L_a's sigma_min before any recurrence, then against L_s's before the
+    sigma_max one, so a refused split costs at most one recurrence on L_s.
 
     Raises SingularSystemError when sigma_min < 1e-14 * sigma_max, when
     the inverse overflows or when L has a non-finite entry;
@@ -480,21 +621,16 @@ def condition_number(G, method="dense_svd", seed=0):
     elif method == "power_iteration":
         if G.T == 0:
             return 1.0  # L is the identity
-        shape = (G.T + 1, G.D)
-        S, St = G._S_op, G._St_op
-
-        def gram(v):  # L^T L v, with L = I - (shift (x) S), in row-major products
-            Z = v.reshape(shape)
-            W = Z.copy()
-            W[1:] -= Z[:-1] @ St  # W = L z
-            W[:-1] -= W[1:] @ S  # W = L^T W (rhs is a new array)
-            return W.reshape(-1)
-
-        def inverse_gram(v):  # (L L^T)^-1 v
-            return G.solve_lower_t(G.solve_lower(v))
-
-        smax = np.sqrt(_lanczos_top(gram, dim, seed))
-        smin = 1.0 / np.sqrt(_lanczos_top(inverse_gram, dim, seed + 1))
+        split = _swap_split(G)
+        if split is not None:  # sigma_min first: E must be small beside it
+            G_s, amax, amin, err = split
+            smin = min(_sigma_min(G_s, seed + 1), amin)
+            if err <= _SPLIT_TOL * smin:
+                smax = max(_sigma_max(G_s, seed), amax)
+            else:
+                split = None
+        if split is None:
+            smax, smin = _sigma_max(G, seed), _sigma_min(G, seed + 1)
     else:
         raise InputError(f"unknown method {method!r}")
     if smin < 1e-14 * smax:

@@ -107,16 +107,23 @@ def prune_topk(params, fraction):
 def lift(spec, data, anchor, degree, eta, mask, order, steps):
     """The order-`order` embedding of the degree-`degree` field around
     `anchor`, a CarlemanMatrix whose `field` is that field; degree None is
-    the gradient's degree, at most `order` and 3. The capacity, D against
+    the gradient's degree, at most `order`. The capacity, D against
     util.MAX_DIM and a `steps`-step trajectory against util.MAX_STATES, is
     checked from the free dimension and the drift before any Hessian is
-    evaluated."""
+    evaluated, and then, for degree None, the extraction's cap: a field
+    past degree `polyfield.MAX_DEGREE` raises InputError rather than
+    dropping its higher terms. An explicit degree truncates the field."""
     check_eta(eta)
-    if degree is None:
-        degree = max(1, min(spec.grad_degree(), order, 3))
     idx = np.arange(spec.n) if mask is None else np.flatnonzero(mask)
     drift = bool(np.any(eta * models.grad(spec, anchor, data)[idx]))
     carleman.check_capacity(idx.size, order, drift, steps)
+    if degree is None:
+        degree = max(1, min(spec.grad_degree(), order))
+        if degree > polyfield.MAX_DEGREE:
+            raise InputError(
+                f"order {order} needs the field to degree {degree}, past the "
+                f"cap of degree {polyfield.MAX_DEGREE} on its extraction: "
+                f"lower the order, or give the degree to truncate the field")
     fld = polyfield.from_model(spec, data, anchor, degree, eta, mask=mask)
     return carleman.embed(fld, order)
 

@@ -40,6 +40,9 @@ from .errors import InputError
 from .util import check_eta, count_text
 
 _STENCIL_STEP = 0.5  # any step is exact; this one keeps rounding low
+# The highest degree `from_model` extracts: its stencils stop at grad^4 L,
+# which gives F_3.
+MAX_DEGREE = 3
 
 
 @dataclass
@@ -164,7 +167,7 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
     derivative tensors, up to n^(degree + 1) floats over the n free
     coordinates, are held to util.MAX_STATES before any is evaluated.
     """
-    if degree not in (1, 2, 3):
+    if degree not in range(1, MAX_DEGREE + 1):
         raise InputError(f"degree must be 1, 2 or 3, got {count_text(degree)}")
     check_eta(eta)
     theta_star = np.asarray(theta_star, dtype=float).ravel()

@@ -852,3 +852,161 @@ def test_solve_builds_no_transpose(mlp_spec, iris, pruned_iris):
     G = carlgd.build_global(M, y0, 4)
     carlgd.solve(G)
     assert "_S_op" in vars(G) and "_St_op" not in vars(G)
+
+
+# ------------------------------------------------- kappa on the swap split
+
+def hessian_field(n, seed):
+    """A random order-2 field with drift whose F_1 is symmetric, as the
+    Hessian of a loss is, scaled so that kappa stays moderate at T = 8."""
+    F0, F1, F2 = random_field(n, 2, seed).terms
+    return polyfield.PolyField(n=n, theta_star=np.zeros(n),
+                               terms=[0.1 + 0.3 * F0, 0.15 * (F1 + F1.T), 0.3 * F2])
+
+
+def split_case(kind, arg, mlp_spec, iris, pruned, diag_spec):
+    if kind == "iris":  # arg: T
+        M, y0 = lift_pruned_iris(mlp_spec, iris, pruned, 2)
+        return carlgd.build_global(M, y0, arg)
+    if kind == "diag":
+        M = pipeline.lift(diag_spec, None, np.array([1.0, 0.5]), None, 0.1,
+                          None, 2, 6)
+    else:  # arg: n
+        M = carlgd.embed(hessian_field(arg, seed=7), 2)
+    return carlgd.build_global(M, M.initial_state(M.field.theta_star + 0.1), 8)
+
+
+@pytest.mark.parametrize("kind, arg", [("iris", 20), ("iris", 10), ("diag", None),
+                                       ("random", 2), ("random", 3), ("random", 4)])
+def test_split_kappa_matches_dense_svd(kind, arg, mlp_spec, iris, pruned_iris,
+                                       diag_spec):
+    """On order-2 systems with drift whose F_1 is symmetric, kappa takes
+    the swap split and agrees with the dense SVD of the full L."""
+    G = split_case(kind, arg, mlp_spec, iris, pruned_iris, diag_spec)
+    assert G.sizes[0] == 1 and len(G.sizes) == 3
+    assert carleman._swap_split(G) is not None
+    kd = carlgd.condition_number(G, "dense_svd")
+    kp = carlgd.condition_number(G, "power_iteration")
+    assert abs(kp - kd) <= 1e-12 * kd
+
+
+def lanczos_dims(G, monkeypatch):
+    """The dimensions that kappa's two Lanczos recurrences run at."""
+    dims = []
+    top = carleman._lanczos_top
+
+    def spy(apply, dim, seed):
+        dims.append(dim)
+        return top(apply, dim, seed)
+
+    with monkeypatch.context() as m:
+        m.setattr(carleman, "_lanczos_top", spy)
+        carlgd.condition_number(G, "power_iteration")
+    return dims
+
+
+def test_split_recurrences_run_on_the_symmetric_block(mlp_spec, iris,
+                                                      pruned_iris, monkeypatch):
+    """On the pruned Iris system, n = 10 and D = 111, both recurrences run
+    on the symmetric block, 1 + 10 + 55 = 66 wide, at every step."""
+    M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, 2)
+    G = carlgd.build_global(M, y0, 20)
+    assert lanczos_dims(G, monkeypatch) == [21 * 66] * 2
+
+
+def test_split_not_taken_off_its_conditions(mlp_spec, iris, pruned_iris,
+                                            monkeypatch):
+    """The full system keeps both recurrences where the split does not
+    apply: an F_1 that is not symmetric (random_field(3, 2, seed=6)), an
+    order-3 lift, and the D = 111 system with its S just over the dense
+    cut."""
+    M = carlgd.embed(random_field(3, 2, seed=6, density=0.3), 2)
+    G = carlgd.build_global(M, M.initial_state(np.zeros(3)), 8)
+    assert len(G.sizes) == 3 and G.sizes[1] == 3
+    assert lanczos_dims(G, monkeypatch) == [9 * G.D] * 2
+    M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, 3)
+    assert M.D == 1111
+    assert lanczos_dims(carlgd.build_global(M, y0, 3), monkeypatch) == [4 * 1111] * 2
+    M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, 2)
+    monkeypatch.setattr(carleman, "_DENSE_BYTES", M.D * M.D * 8 - 1)
+    assert lanczos_dims(carlgd.build_global(M, y0, 10), monkeypatch) == [11 * 111] * 2
+
+
+def test_split_not_taken_on_a_non_finite_step_operator():
+    M = carlgd.embed(hessian_field(3, seed=7), 2)
+    M.S.data[0] = np.inf
+    G = carlgd.build_global(M, M.initial_state(np.zeros(3)), 8)
+    assert carleman._swap_split(G) is None
+
+
+@pytest.mark.parametrize("T", [1, 10, 20, 200])
+@pytest.mark.parametrize("mu", [0.0, 0.5, -0.5, 1.0, -1.0, 1.02])
+def test_shift_extremes_match_svdvals(mu, T):
+    from scipy.linalg import svdvals
+    sig = svdvals(np.eye(T + 1) - mu * np.eye(T + 1, k=-1))
+    smax, smin = carleman._shift_extremes(mu, T)
+    assert abs(smax - sig[0]) <= 1e-12 * sig[0]
+    assert abs(smin - sig[-1]) <= 1e-12 * sig[-1]
+
+
+def test_shift_extremes_are_monotone_in_abs_mu():
+    """The antisymmetric block's extremes are those of its largest |mu|:
+    sigma_max of I - mu Z does not fall and sigma_min does not rise as
+    |mu| grows, and both depend on |mu| alone."""
+    from scipy.linalg import svdvals
+    T = 20
+    grid = np.linspace(0.0, 1.5, 31)
+    sig = np.array([svdvals(np.eye(T + 1) - mu * np.eye(T + 1, k=-1))[[0, -1]]
+                    for mu in grid])
+    flipped = np.array([svdvals(np.eye(T + 1) + mu * np.eye(T + 1, k=-1))[[0, -1]]
+                        for mu in grid])
+    np.testing.assert_allclose(flipped, sig, rtol=1e-12)
+    assert np.all(np.diff(sig[:, 0]) >= 0) and np.all(np.diff(sig[:, 1]) <= 0)
+
+
+def test_split_kappa_when_the_antisymmetric_block_decides():
+    """S = 0.7 I on order 1 and 0.5 I - 0.6 P on order 2, P the swap of
+    its slots, with no order-0 block: the symmetric block has multipliers
+    0.7 and -0.1, the antisymmetric block 1.1, so both of L's extremes
+    come from the closed form at mu = 1.1."""
+    P = np.eye(4)[[0, 2, 1, 3]]
+    S = np.zeros((6, 6))
+    S[:2, :2] = 0.7 * np.eye(2)
+    S[2:, 2:] = 0.5 * np.eye(4) - 0.6 * P
+    rows, cols = np.nonzero(S)
+    G = carleman.GlobalSystem(T=12, D=6, y0=np.ones(6), sizes=(0, 2, 4),
+                              S=carleman.CSR.from_keys(rows * 6 + cols, S[rows, cols],
+                                                       S.shape))
+    G_s, amax, amin, err = carleman._swap_split(G)
+    assert (G_s.D, err) == (5, 0.0)
+    smax, smin = carleman._shift_extremes(1.1, 12)
+    assert abs(amax - smax) <= 1e-15 * smax and abs(amin - smin) <= 1e-14 * smin
+    kp = carlgd.condition_number(G, "power_iteration")
+    assert abs(kp - smax / smin) <= 1e-12 * kp
+    kd = carlgd.condition_number(G, "dense_svd")
+    assert abs(kp - kd) <= 1e-12 * kd
+
+
+def test_refused_split_costs_one_recurrence_on_the_symmetric_block(monkeypatch):
+    """A skew part of 1e-15 on the antisymmetric block passes the test
+    against L_a's sigma_min (about 0.9), but not the one against L_s's
+    (under 0.1, from the multiplier 1.1): kappa runs the sigma_min
+    recurrence on L_s, then both on L, and matches the dense SVD."""
+    n = 3
+    P = np.eye(n * n)[[b * n + a for a in range(n) for b in range(n)]]
+    Q_a = np.zeros((n * n, 3))  # (e_ab - e_ba)/sqrt2 for (0, 1), (0, 2), (1, 2)
+    for k, (a, b) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        Q_a[a * n + b, k], Q_a[b * n + a, k] = np.sqrt(0.5), -np.sqrt(0.5)
+    A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    S = np.zeros((12, 12))
+    S[:3, :3] = 0.7 * np.eye(3)
+    S[3:, 3:] = 0.5 * np.eye(9) + 0.6 * P + 1e-15 * (Q_a @ A @ Q_a.T)
+    rows, cols = np.nonzero(S)
+    G = carleman.GlobalSystem(T=30, D=12, y0=np.ones(12), sizes=(0, 3, 9),
+                              S=carleman.CSR.from_keys(rows * 12 + cols, S[rows, cols],
+                                                       S.shape))
+    _, _, amin, err = carleman._swap_split(G)
+    assert 1e-14 * 0.1 < err <= 1e-14 * amin
+    assert lanczos_dims(G, monkeypatch) == [31 * 9, 31 * 12, 31 * 12]
+    kd = carlgd.condition_number(G, "dense_svd")
+    assert abs(carlgd.condition_number(G, "power_iteration") - kd) <= 1e-12 * kd

@@ -822,17 +822,61 @@ def test_write_csv_fills_rows_block_by_block(tmp_path, monkeypatch):
 
 def test_raw_key_budget_checked_before_keys_are_written(tmp_path, capsys,
                                                         monkeypatch):
-    """The order-4 Iris lift fits the D budget (D = 551 881) but would
-    write 83 631 890 raw keys: embed rejects it from the field alone."""
+    """The order-4 Iris lift of the degree-3 field fits the D budget
+    (D = 551 881) but would write 83 631 890 raw keys: embed rejects it
+    from the field alone."""
     def no_keys(*args, **kwargs):
         raise AssertionError("keys written before the key budget check")
 
     monkeypatch.setattr(carleman, "_kron_sums", no_keys)
     rc = main(["simulate", "--data", str(IRIS_CSV), "--order", "4",
-               "--steps", "1", "--eta", "0.05", "--out", str(tmp_path / "run")])
+               "--degree", "3", "--steps", "1", "--eta", "0.05",
+               "--out", str(tmp_path / "run")])
     assert rc == 3
     assert capsys.readouterr().err.startswith(
         "capacity error: embedding writes 83631890 raw keys")
+
+
+def test_degree_cap_raises_before_any_hessian(tmp_path, capsys, monkeypatch):
+    """The 4-3-3 net's gradient has degree 5, so an order-4 lift needs F_4,
+    past the extraction's cap of degree 3: the run exits 1 before any
+    Hessian, where it used to drop F_4 and exit 0."""
+    def no_hessians(*args, **kwargs):
+        raise AssertionError("Hessian evaluated before the degree check")
+
+    monkeypatch.setattr(models, "hvp_batch", no_hessians)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--data", str(IRIS_CSV), "--set", "pretrain.steps=20",
+                 "--fraction", "0.37", "--steps", "2", "--reupload", "2",
+                 "--refine", "0", "--order", "4", "--eta", "0.05",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: order 4 needs the field to degree 4, past the cap of degree 3")
+    assert list(out.glob("*")) == []
+
+
+def test_pipeline_kappa_column_is_condition_number(tmp_path, monkeypatch):
+    """The benchmark's dense-SVD check of kappa wraps
+    `carleman.condition_number`: a pipeline computes every segment's kappa
+    through that name, one call per segment, and writes what it returns."""
+    returned = []
+    condition_number = carleman.condition_number
+
+    def counted(*args, **kwargs):
+        returned.append(condition_number(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(carleman, "condition_number", counted)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--set", "model.kind=diag_quadratic",
+                 "--set", "model.coefficients=[1.0,4.0,2.0,0.5]",
+                 "--set", "init.params=[1.0,-0.2,0.1,2.0]",
+                 "--set", "pretrain.steps=0", "--steps", "9", "--reupload", "3",
+                 "--refine", "1", "--order", "2", "--fraction", "0.5",
+                 "--eta", "0.1", "--out", str(out)]) == 0
+    rows = read_csv(out / "segments.csv")
+    assert len(rows) == 3
+    assert [float(r["kappa"]) for r in rows] == returned
 
 
 @pytest.mark.parametrize("argv", [

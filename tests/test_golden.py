@@ -88,7 +88,7 @@ GOLDEN = {
         "3,1.47018378125,1\r\n"),
     ("pipeline", "segments.csv"): (
         "segment,start_step,kappa,kappa_method,D,upload_nnz,y0_norm\r\n"
-        "0,0,6.3327065371566951,power_iteration,7,1,1\r\n"
+        "0,0,6.3327065371566942,power_iteration,7,1,1\r\n"
         "1,4,4.3592322306988782,power_iteration,7,1,1\r\n"),
     ("diverged", "segments.csv"): (
         "segment,start_step,kappa,kappa_method,D,upload_nnz,y0_norm\r\n"
