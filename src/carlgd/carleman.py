@@ -13,8 +13,10 @@ unsummed entries in p order, placed by the block sizes `check_capacity`
 returns. It checks each block's keys against that block's own bounds as
 they are yielded, adds the identity's diagonal after them, and sums the
 entries of each key in that order, by one sort, into one canonical `CSR`
-matrix, S. The count of those keys is known from the field before any is
-written, and is checked against a budget, as D is.
+matrix, S. The count of those keys follows from the nonzeros of each
+term, so `check_keys` holds it to a budget, as `check_capacity` does D,
+before any key is written; `pipeline.lift` runs it on dense terms before
+the field is extracted.
 No block is stored on its own: S and the state hold them in order of j.
 `CSR` is this package's own sparse storage, so the lift runs on numpy
 alone; products with S go through `GlobalSystem`, which picks a dense or
@@ -34,8 +36,9 @@ block: Kronecker sums, a slot-symmetric F_2 and F_0's blocks all do
 orthogonal basis that is the identity on orders 0 and 1 and, on order 2,
 e_aa and (e_ab + e_ba)/sqrt2, then (e_ab - e_ba)/sqrt2 for a < b, S is
 block diagonal: a symmetric block S_s of size c + n + n(n+1)/2 and an
-antisymmetric block S_a of size n(n-1)/2. L splits the same way, and
-`condition_number` takes kappa from the two parts (see there).
+antisymmetric block S_a of size n(n-1)/2, which is a symmetric matrix when
+F_1 is. L splits the same way, and `condition_number` takes kappa from the
+two parts when PSP = S and S_a = S_a^T hold in every bit (see there).
 """
 
 import math
@@ -184,6 +187,20 @@ def check_capacity(n, order, include_constant, steps=0):
     return sizes
 
 
+def check_keys(n, order, nnz):
+    """Raises CapacityError when the order-`order` lift of an n-dimensional
+    field whose term k has nnz[k] nonzeros writes more raw keys than
+    util.MAX_KEYS: `_kron_sums` writes i * nnz[k] * n^(i-1) for block
+    (i, i + k - 1). With nnz[k] = n^(k+1), the count of a dense term, it
+    bounds the keys of any field with those terms."""
+    raw = sum(i * int(c) * n ** (i - 1) for k, c in enumerate(nnz)
+              for i in range(1, order + 2 - max(k, 1)))
+    if raw > util.MAX_KEYS:
+        raise CapacityError(f"embedding writes up to {raw} raw keys, over the budget "
+                            f"{util.MAX_KEYS}", required=raw,
+                            budget=util.MAX_KEYS)
+
+
 def embed(field_, order):
     """Build the truncated Carleman step operator of a PolyField.
 
@@ -197,20 +214,17 @@ def embed(field_, order):
     < n^i and column < n^j (InputError naming the block), so S never needs
     a structure scan. The order-0 block has size 1 exactly when F_0 != 0;
     a drift-free F_0 has no nonzeros, so its blocks write no key.
-    Raises CapacityError when the total dimension would exceed util.MAX_DIM,
-    or the raw keys, i * nnz(F_k) * n^(i-1) for block (i, i + k - 1), would
-    exceed util.MAX_KEYS; both are known before any key is written.
+    Raises CapacityError when the total dimension would exceed util.MAX_DIM
+    (`check_capacity`), or the raw keys, counted by `check_keys` from the
+    terms' nonzeros, would exceed util.MAX_KEYS; both are checked before
+    any key is written. `pipeline.lift` has checked both already, the keys
+    on dense terms, before extracting the field.
     """
     n = field_.n
     sizes = check_capacity(n, order, bool(field_.terms[0].any()))
     D = sum(sizes)
     start = np.cumsum((0,) + sizes, dtype=np.int64)  # start[j]: offset of order j
-    raw = sum(i * np.count_nonzero(Fk) * n ** (i - 1) for k, Fk in enumerate(field_.terms)
-              for i in range(1, order + 2 - max(k, 1)))
-    if raw > util.MAX_KEYS:
-        raise CapacityError(f"embedding writes {raw} raw keys, over the budget "
-                            f"{util.MAX_KEYS}", required=raw,
-                            budget=util.MAX_KEYS)
+    check_keys(n, order, [np.count_nonzero(Fk) for Fk in field_.terms])
     keys, vals = [], []
     for k, Fk in enumerate(field_.terms[:order + 1]):  # blocks (i, i + k - 1), j <= order
         for i, (key, val) in enumerate(_kron_sums(Fk, order + 1 - max(k, 1), D), 1):
@@ -449,24 +463,18 @@ def _lanczos_top(apply, dim, seed):
         f"(dimension {dim}, tol {tol:g})")
 
 
-# The swap split's bound on ||E||_F, relative to sigma_min (see
-# `condition_number`): it moves kappa by about this much, relative.
-_SPLIT_TOL = 1e-14
-
-
 def _swap_split(G):
-    """(G_s, a_max, a_min, err) of an order-2 system split by the swap P of
-    its order-2 slots, or None when its layout is not orders 0..2 with
-    n >= 2, its S is not the dense operator or not finite, or err >
-    `_SPLIT_TOL` * a_min, which bounds L's sigma_min from above.
+    """(G_s, a_max, a_min) of an order-2 system split by the swap P of its
+    order-2 slots, or None unless its layout is orders 0..2 with n >= 2,
+    its S is the dense operator and finite, PSP = S in every bit, and the
+    antisymmetric block S_a is finite and equals S_a^T in every bit.
 
     G_s is the T-step system of the symmetric block S_s = Q_s^T S Q_s,
     Q_s the columns e_k (orders 0 and 1), e_aa and (e_ab + e_ba)/sqrt2,
-    a < b; y0 is projected on them too. a_max and a_min are the extremes
-    of L_a, `_shift_extremes` at the spectral norm mu* of the symmetric
-    part of the antisymmetric block S_a, on (e_ab - e_ba)/sqrt2. err is
-    ||E||_F: the part of Q^T S Q outside those two blocks, whose Frobenius
-    norm is ||S - P S P||_F / 2, together with the skew part of S_a.
+    a < b; y0 is projected on them too. On the columns (e_ab - e_ba)/sqrt2,
+    a < b, S_a = S[ab, ab] - S[ab, ba] exactly when PSP = S, and Q^T S Q
+    has nothing outside the two blocks. a_max and a_min are the extremes
+    of L_a, `_shift_extremes` at the spectral norm mu* of the symmetric S_a.
     """
     if len(G.sizes) != 3 or G.sizes[1] < 2:
         return None
@@ -479,23 +487,16 @@ def _swap_split(G):
     one, two = lo + a * n + b, lo + b * n + a  # slots (a, b) and (b, a)
     swap = np.arange(G.D)
     swap[one], swap[two] = two, one
+    if not np.array_equal(S, S[swap][:, swap]):
+        return None
     pair = a < b
-    p = np.count_nonzero(pair)
-    ij = np.concatenate([one[pair], two[pair]])
-    B = S[ij][:, ij]  # S on the slots (a, b), then (b, a), a < b
-    with np.errstate(over="ignore", invalid="ignore"):  # inf fails the err test
-        S_a = (B[:p, :p] - B[:p, p:] + (B[p:, p:] - B[p:, :p])) / 2
-        sym, skew = (S_a + S_a.T) / 2, (S_a - S_a.T) / 2
-        err = math.hypot(np.linalg.norm(S - S[swap][:, swap]) / 2,
-                         np.linalg.norm(skew))
-        # a_min <= 1, as L v = v for v on step T alone; a finite err also
-        # keeps a non-finite S_a from the eigensolver
-        if not err <= _SPLIT_TOL:
+    R = S[one[pair]]  # the rows of the slots (a, b), a < b
+    with np.errstate(over="ignore", invalid="ignore"):
+        S_a = R[:, one[pair]] - R[:, two[pair]]  # an overflow refuses the split
+        if not (np.isfinite(S_a).all() and np.array_equal(S_a, S_a.T)):
             return None
-        mu = np.abs(np.linalg.eigvalsh(sym)[[0, -1]]).max()  # mu* = max |mu|
+        mu = np.abs(np.linalg.eigvalsh(S_a)[[0, -1]]).max()  # mu* = max |mu|
         a_max, a_min = _shift_extremes(mu, G.T)
-        if not err <= _SPLIT_TOL * a_min:
-            return None
         Q = np.zeros((G.D, lo + a.size))
         Q[np.arange(lo), np.arange(lo)] = 1.0
         col, w = lo + np.arange(a.size), np.where(pair, math.sqrt(0.5), 1.0)
@@ -505,7 +506,7 @@ def _swap_split(G):
     G_s = GlobalSystem(T=G.T, D=S_s.shape[0], y0=Q.T @ G.y0,
                        S=CSR.from_keys(rows * S_s.shape[1] + cols,
                                        S_s[rows, cols], S_s.shape))
-    return G_s, a_max, a_min, err
+    return G_s, a_max, a_min
 
 
 def _shift_extremes(mu, T):
@@ -582,19 +583,15 @@ def condition_number(G, method="dense_svd", seed=0):
     kappa = max sigma_max / min sigma_min over L_s and L_a. Both
     recurrences run, with the same seeds, on L_s, the T-step system of the
     symmetric block S_s (D_s = 66 against D = 111 on a pruned n = 10
-    field). S_a is symmetric when F_1 is, as a Hessian's is, so L_a is a
-    direct sum of the (T+1)-point bidiagonals I - mu Z over the
-    eigenvalues mu of S_a. Their sigma_max does not fall and their
-    sigma_min does not rise as |mu| grows, so L_a's extremes are those at
-    mu* = max |mu|, found by bisection in O(T) (`_shift_extremes`). The
-    split drops E, the part of Q^T S Q outside its two diagonal blocks
-    plus the skew part of S_a; by Weyl's inequality each singular value
-    moves by at most ||E||_2 <= ||E||_F. The split is kept only when
-    ||E||_F <= `_SPLIT_TOL` * sigma_min = 1e-14 * sigma_min, so kappa is
-    within about 1e-14 relative of L's; otherwise, and for any other
-    system, both recurrences run on L itself. The test is made against
-    L_a's sigma_min before any recurrence, then against L_s's before the
-    sigma_max one, so a refused split costs at most one recurrence on L_s.
+    field). S_a is symmetric when F_1 is, as `polyfield.from_model` makes
+    it in every bit, so L_a is a direct sum of the (T+1)-point bidiagonals
+    I - mu Z over the eigenvalues mu of S_a. Their sigma_max does not fall
+    and their sigma_min does not rise as |mu| grows, so L_a's extremes are
+    those at mu* = max |mu|, found by bisection in O(T) (`_shift_extremes`).
+    The split is exact: it is taken only when PSP = S and S_a = S_a^T hold
+    in every bit, so the orthogonal change of basis takes L to the direct
+    sum of L_s and L_a, with nothing dropped. Any other system, an F_1 off
+    symmetry by one bit among them, runs both recurrences on L itself.
 
     Raises SingularSystemError when sigma_min < 1e-14 * sigma_max, when
     the inverse overflows or when L has a non-finite entry;
@@ -622,15 +619,12 @@ def condition_number(G, method="dense_svd", seed=0):
         if G.T == 0:
             return 1.0  # L is the identity
         split = _swap_split(G)
-        if split is not None:  # sigma_min first: E must be small beside it
-            G_s, amax, amin, err = split
-            smin = min(_sigma_min(G_s, seed + 1), amin)
-            if err <= _SPLIT_TOL * smin:
-                smax = max(_sigma_max(G_s, seed), amax)
-            else:
-                split = None
         if split is None:
             smax, smin = _sigma_max(G, seed), _sigma_min(G, seed + 1)
+        else:
+            G_s, amax, amin = split
+            smax = max(_sigma_max(G_s, seed), amax)
+            smin = min(_sigma_min(G_s, seed + 1), amin)
     else:
         raise InputError(f"unknown method {method!r}")
     if smin < 1e-14 * smax:

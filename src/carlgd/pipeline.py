@@ -112,7 +112,10 @@ def lift(spec, data, anchor, degree, eta, mask, order, steps):
     checked from the free dimension and the drift before any Hessian is
     evaluated, and then, for degree None, the extraction's cap: a field
     past degree `polyfield.MAX_DEGREE` raises InputError rather than
-    dropping its higher terms. An explicit degree truncates the field."""
+    dropping its higher terms. An explicit degree truncates the field.
+    Last, `carleman.check_keys` holds to util.MAX_KEYS the raw keys that
+    dense terms would write, n^(k+1) nonzeros for F_k (n for a drift, 0
+    without), which bounds what `embed` writes for the extracted field."""
     check_eta(eta)
     idx = np.arange(spec.n) if mask is None else np.flatnonzero(mask)
     drift = bool(np.any(eta * models.grad(spec, anchor, data)[idx]))
@@ -124,6 +127,9 @@ def lift(spec, data, anchor, degree, eta, mask, order, steps):
                 f"order {order} needs the field to degree {degree}, past the "
                 f"cap of degree {polyfield.MAX_DEGREE} on its extraction: "
                 f"lower the order, or give the degree to truncate the field")
+    n = idx.size  # no term past MAX_DEGREE is extracted: from_model rejects it
+    top = min(degree, polyfield.MAX_DEGREE)
+    carleman.check_keys(n, order, [n * drift] + [n ** (k + 1) for k in range(1, top + 1)])
     fld = polyfield.from_model(spec, data, anchor, degree, eta, mask=mask)
     return carleman.embed(fld, order)
 

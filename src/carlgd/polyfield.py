@@ -7,15 +7,20 @@ shifted coordinates delta = theta - theta_star, as a finite sum
 
 with the learning rate folded into every term: F_0 = -eta grad L(theta_star),
 F_1 = -eta H(theta_star), F_2 = -(eta/2) grad^3 L, F_3 = -(eta/6) grad^4 L.
-Terms are stored as dense n x n^k float arrays. grad^3 L and grad^4 L come
-from exact polynomial stencils over Hessian columns: along any line the
-Hessian is a polynomial of known degree, so a stencil has no step-size error
-and its result does not depend on the step; every term is exact up to
-rounding. The tensors are symmetric in all their indices (Griewank, Utke &
-Walther, Math. Comp. 69, 2000, use the same symmetry), so each distinct
-entry is evaluated on one stencil line, or copied from an evaluated entry
-with the same indices, and written to every permutation of its input
-slots; the terms are slot-symmetric by construction:
+Terms are stored as dense n x n^k float arrays. F_1 is taken as
+-eta (H + H^T) / 2 from the evaluated Hessian columns. The Hessian is
+symmetric, so this moves F_1 only within the rounding of those columns,
+and it makes F_1 symmetric in every bit, since a + b = b + a in floating
+point; `carleman.condition_number`'s swap split needs that symmetry.
+grad^3 L and grad^4 L come from exact polynomial stencils over Hessian
+columns: along any line the Hessian is a polynomial of known degree, so a
+stencil has no step-size error and its result does not depend on the step;
+every term is exact up to rounding. The tensors are symmetric in all their
+indices (Griewank, Utke & Walther, Math. Comp. 69, 2000, use the same
+symmetry), so each distinct entry is evaluated on one stencil line, or
+copied from an evaluated entry with the same indices, and written to every
+permutation of its input slots; the terms are slot-symmetric by
+construction:
 
 - the axis line e_l gives grad^3 L[:, j, l] (first derivative of H e_j)
   and grad^4 L[:, j, l, l] (second derivative). At degree 3 it evaluates
@@ -162,7 +167,8 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
     The terms are the Taylor terms of order 0..`degree`. With a mask, the
     field lives on the reduced coordinate space of unmasked entries
     (masked coordinates pinned at zero). Only the free Hessian columns are
-    evaluated, and grad^3 L / grad^4 L come from an exact stencil over
+    evaluated; F_1 = -eta (H + H^T) / 2 is their symmetric part, exactly
+    symmetric, and grad^3 L / grad^4 L come from an exact stencil over
     them, with no step-size error. The dense
     derivative tensors, up to n^(degree + 1) floats over the n free
     coordinates, are held to util.MAX_STATES before any is evaluated.
@@ -183,7 +189,7 @@ def from_model(spec, data, theta_star, degree, eta, mask=None):
     E = np.zeros((n, spec.n))  # row i is the unit vector of coordinate idx[i]
     E[np.arange(n), idx] = 1.0
     H = models.hvp_batch(spec, theta_star, data, E)[0][:, idx]  # H[j, i] = H_ij
-    terms = [(-eta * g).reshape(n, 1), -eta * H.T]
+    terms = [(-eta * g).reshape(n, 1), (-0.5 * eta) * (H + H.T)]
     if degree >= 2:
         T3, T4 = _derivative_tensors(spec, data, theta_star, idx, E, degree, H)
         terms.append((-0.5 * eta) * T3.reshape(n, n * n))

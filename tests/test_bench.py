@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import subprocess
@@ -5,6 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import carlgd
+import carlgd.cli  # the tracer wraps cli.main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,7 +26,8 @@ def test_bench_result_line_is_strict_json(workload, trace):
     (per-layer metrics), exits 0 and ends with a strict-JSON result (no
     NaN or Infinity) that reads correct, with no failed op. An untraced
     result carries exactly the end-to-end metrics BENCHMARK.json names,
-    each finite and positive. Most of a pipeline_pruned run's time is the
+    each finite and positive; every metric of a traced one is a finite
+    number, none null. Most of a pipeline_pruned run's time is the
     harness's fixed work: the fresh interpreters behind setup_s and the
     dense-SVD reference for the warm-up op's kappa."""
     proc = subprocess.run(
@@ -40,3 +45,24 @@ def test_bench_result_line_is_strict_json(workload, trace):
         assert set(result["metrics"]) == names
         for name, metric in result["metrics"].items():
             assert 0 < metric["value"] < math.inf, (name, metric)
+    else:
+        for name, metric in result["metrics"].items():
+            value = metric["value"]
+            assert isinstance(value, (int, float)) and math.isfinite(value), \
+                (name, metric)
+
+
+def test_tracer_finds_every_target():
+    """Every name the bench tracer wraps resolves in the package, so no
+    per-layer metric of a traced run reads null for a renamed or deleted
+    function."""
+    spec = importlib.util.spec_from_file_location("tracer",
+                                                  ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    trace = tracer.Tracer(carlgd)
+    try:
+        trace.install()
+        assert trace.missing == set()
+    finally:
+        trace.uninstall()

@@ -964,6 +964,15 @@ def test_shift_extremes_are_monotone_in_abs_mu():
     assert np.all(np.diff(sig[:, 0]) >= 0) and np.all(np.diff(sig[:, 1]) <= 0)
 
 
+def system_of(S, sizes, T):
+    """The T-step system of a dense S with block layout `sizes`."""
+    rows, cols = np.nonzero(S)
+    D = S.shape[0]
+    return carleman.GlobalSystem(T=T, D=D, y0=np.ones(D), sizes=sizes,
+                                 S=carleman.CSR.from_keys(rows * D + cols,
+                                                          S[rows, cols], S.shape))
+
+
 def test_split_kappa_when_the_antisymmetric_block_decides():
     """S = 0.7 I on order 1 and 0.5 I - 0.6 P on order 2, P the swap of
     its slots, with no order-0 block: the symmetric block has multipliers
@@ -973,12 +982,9 @@ def test_split_kappa_when_the_antisymmetric_block_decides():
     S = np.zeros((6, 6))
     S[:2, :2] = 0.7 * np.eye(2)
     S[2:, 2:] = 0.5 * np.eye(4) - 0.6 * P
-    rows, cols = np.nonzero(S)
-    G = carleman.GlobalSystem(T=12, D=6, y0=np.ones(6), sizes=(0, 2, 4),
-                              S=carleman.CSR.from_keys(rows * 6 + cols, S[rows, cols],
-                                                       S.shape))
-    G_s, amax, amin, err = carleman._swap_split(G)
-    assert (G_s.D, err) == (5, 0.0)
+    G = system_of(S, (0, 2, 4), 12)
+    G_s, amax, amin = carleman._swap_split(G)
+    assert G_s.D == 5
     smax, smin = carleman._shift_extremes(1.1, 12)
     assert abs(amax - smax) <= 1e-15 * smax and abs(amin - smin) <= 1e-14 * smin
     kp = carlgd.condition_number(G, "power_iteration")
@@ -987,11 +993,11 @@ def test_split_kappa_when_the_antisymmetric_block_decides():
     assert abs(kp - kd) <= 1e-12 * kd
 
 
-def test_refused_split_costs_one_recurrence_on_the_symmetric_block(monkeypatch):
-    """A skew part of 1e-15 on the antisymmetric block passes the test
-    against L_a's sigma_min (about 0.9), but not the one against L_s's
-    (under 0.1, from the multiplier 1.1): kappa runs the sigma_min
-    recurrence on L_s, then both on L, and matches the dense SVD."""
+def swap_commuting_system(skew=0.0):
+    """S = 0.7 I on order 1 and 0.5 I + 0.6 P + skew Q_a A Q_a^T on order 2,
+    n = 3 with no order-0 block, over T = 30 steps: P is the swap of the
+    order-2 slots, and Q_a A Q_a^T a skew part of the antisymmetric block,
+    A antisymmetric on the columns (e_ab - e_ba)/sqrt2. Returns (G, S)."""
     n = 3
     P = np.eye(n * n)[[b * n + a for a in range(n) for b in range(n)]]
     Q_a = np.zeros((n * n, 3))  # (e_ab - e_ba)/sqrt2 for (0, 1), (0, 2), (1, 2)
@@ -1000,13 +1006,38 @@ def test_refused_split_costs_one_recurrence_on_the_symmetric_block(monkeypatch):
     A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
     S = np.zeros((12, 12))
     S[:3, :3] = 0.7 * np.eye(3)
-    S[3:, 3:] = 0.5 * np.eye(9) + 0.6 * P + 1e-15 * (Q_a @ A @ Q_a.T)
-    rows, cols = np.nonzero(S)
-    G = carleman.GlobalSystem(T=30, D=12, y0=np.ones(12), sizes=(0, 3, 9),
-                              S=carleman.CSR.from_keys(rows * 12 + cols, S[rows, cols],
-                                                       S.shape))
-    _, _, amin, err = carleman._swap_split(G)
-    assert 1e-14 * 0.1 < err <= 1e-14 * amin
-    assert lanczos_dims(G, monkeypatch) == [31 * 9, 31 * 12, 31 * 12]
+    S[3:, 3:] = 0.5 * np.eye(9) + 0.6 * P + skew * (Q_a @ A @ Q_a.T)
+    return system_of(S, (0, 3, 9), 30), S
+
+
+@pytest.mark.parametrize("case", ["skew", "ulp"])
+def test_any_nonzero_skew_part_sends_kappa_to_the_full_path(case, monkeypatch):
+    """The split is exact or refused: the system splits without a skew
+    part, but with one of 1e-15 on the antisymmetric block, or with one
+    entry off PSP = S by one ulp, it does not, and both recurrences run on
+    the 12-wide L."""
+    assert carleman._swap_split(swap_commuting_system()[0])[0].D == 3 + 6
+    if case == "skew":
+        G, _ = swap_commuting_system(skew=1e-15)
+    else:
+        _, S = swap_commuting_system()
+        S[4, 4] = np.nextafter(S[4, 4], 1.0)  # slot (0, 1); (1, 0) keeps 0.5
+        G = system_of(S, (0, 3, 9), 30)
+    assert carleman._swap_split(G) is None
+    assert lanczos_dims(G, monkeypatch) == [31 * 12] * 2
     kd = carlgd.condition_number(G, "dense_svd")
     assert abs(carlgd.condition_number(G, "power_iteration") - kd) <= 1e-12 * kd
+
+
+@pytest.mark.parametrize("T", [10, 20, 100, 200])
+def test_split_holds_at_every_segment_length(T, mlp_spec, iris, pruned_iris,
+                                            monkeypatch):
+    """On the pruned Iris system both recurrences run on the 66-wide
+    symmetric block however long the segment, since from_model's F_1 is
+    symmetric in every bit, and kappa matches the full path's."""
+    M, y0 = lift_pruned_iris(mlp_spec, iris, pruned_iris, 2)
+    G = carlgd.build_global(M, y0, T)
+    assert lanczos_dims(G, monkeypatch) == [(T + 1) * 66] * 2
+    full = carleman._sigma_max(G, 0) / carleman._sigma_min(G, 1)
+    kp = carlgd.condition_number(G, "power_iteration")
+    assert abs(kp - full) <= 1e-13 * full

@@ -823,18 +823,39 @@ def test_write_csv_fills_rows_block_by_block(tmp_path, monkeypatch):
 def test_raw_key_budget_checked_before_keys_are_written(tmp_path, capsys,
                                                         monkeypatch):
     """The order-4 Iris lift of the degree-3 field fits the D budget
-    (D = 551 881) but would write 83 631 890 raw keys: embed rejects it
-    from the field alone."""
-    def no_keys(*args, **kwargs):
-        raise AssertionError("keys written before the key budget check")
+    (D = 551 881), but on dense terms it would write 134 574 885 raw keys
+    (83 631 890 for the extracted field): lift rejects it before any
+    Hessian is evaluated, so before any key is written."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("Hessians or keys before the key budget check")
 
-    monkeypatch.setattr(carleman, "_kron_sums", no_keys)
+    monkeypatch.setattr(carleman, "_kron_sums", no_work)
+    monkeypatch.setattr(models, "hvp_batch", no_work)
     rc = main(["simulate", "--data", str(IRIS_CSV), "--order", "4",
                "--degree", "3", "--steps", "1", "--eta", "0.05",
                "--out", str(tmp_path / "run")])
     assert rc == 3
     assert capsys.readouterr().err.startswith(
-        "capacity error: embedding writes 83631890 raw keys")
+        "capacity error: embedding writes up to 134574885 raw keys")
+
+
+def test_raw_key_bound_checked_before_any_hessian(tmp_path, capsys,
+                                                  monkeypatch):
+    """The order-3 lift of a 4-6-3 Iris net (n = 51) fits the D and the
+    derivative budgets, and its dense terms bound its raw keys at
+    41 394 966, over the budget: the run exits 3 before the first
+    Hessian."""
+    def no_hessians(*args, **kwargs):
+        raise AssertionError("Hessian evaluated before the key budget check")
+
+    monkeypatch.setattr(models, "hvp_batch", no_hessians)
+    rc = main(["simulate", "--data", str(IRIS_CSV), "--set",
+               "model.layer_widths=[4,6,3]", "--set",
+               "model.activation=quadratic_poly", "--order", "3",
+               "--steps", "5", "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "capacity error: embedding writes up to 41394966 raw keys")
 
 
 def test_degree_cap_raises_before_any_hessian(tmp_path, capsys, monkeypatch):

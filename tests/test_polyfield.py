@@ -192,6 +192,26 @@ def test_terms_slot_symmetric_by_construction(mlp_spec, iris, degree, masked):
             np.testing.assert_array_equal(T.transpose((0,) + p), T)
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("masked", [False, True])
+def test_linear_term_symmetric_in_every_bit(mlp_spec, iris, degree, masked):
+    """F_1 = -eta (H + H^T) / 2 equals its transpose bit for bit, on the
+    dense and on a pruned Iris field, and matches -eta H^T of the dense
+    Hessian to 1e-14 relative."""
+    anchor = carlgd.init_params(mlp_spec, 7).values
+    idx = np.arange(mlp_spec.n)
+    mask = None
+    if masked:
+        idx = np.array([0, 2, 5, 7, 9, 12, 15, 18, 21, 25])
+        mask = np.zeros(mlp_spec.n, dtype=bool)
+        mask[idx] = True
+        anchor = np.where(mask, anchor, 0.0)
+    F1 = carlgd.from_model(mlp_spec, iris, anchor, degree, 0.05, mask=mask).terms[1]
+    assert np.array_equal(F1, F1.T)
+    want = -0.05 * models.hessian(mlp_spec, anchor, iris)[np.ix_(idx, idx)].T
+    assert np.abs(F1 - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def _count_hvp_pairs(monkeypatch):
     """Count the (point, direction) pairs passed to models.hvp_batch."""
     count = [0]
